@@ -29,7 +29,7 @@ from .intpoly import (
     from_binomial_basis,
     is_irreducible,
     is_member,
-    length_profile,
+    profile_of,
     to_binomial_basis,
     vanishing_nonatomic_witness,
 )
@@ -203,16 +203,22 @@ def _cmd_ring_root(args):
 
 def _cmd_ivp_member(args):
     f = _parse_poly(args)
-    return {"member": is_member(f)}, [f"member of Int({f.site}, Z): {is_member(f)}"]
+    member = is_member(f)
+    return {"member": member}, [f"member of Int({f.site}, Z): {member}"]
 
 
 def _cmd_ivp_basis(args):
     f = _parse_poly(args)
     deltas = to_binomial_basis(f).deltas
+    # on Z membership is integrality of these same deltas
+    if isinstance(f.site, FiniteSite):
+        member = is_member(f)
+    else:
+        member = all(d.denominator == 1 for d in deltas)
     result = {
         "coeffs": _poly_json(f),
         "deltas": [format_rational(d) for d in deltas],
-        "member": is_member(f),
+        "member": member,
     }
     return result, [
         f"power coefficients: {', '.join(_poly_json(f)) or '0'}",
@@ -230,7 +236,7 @@ def _cmd_ivp_divisors(args):
 def _cmd_ivp_factor(args):
     f = _parse_poly(args)
     facs = factorizations(f)
-    profile = length_profile(f)
+    profile = profile_of(facs)
     result = {
         "factorizations": [[_poly_json(p) for p in z.parts] for z in facs],
         "lengths": sorted(profile.lengths),
@@ -245,7 +251,8 @@ def _cmd_ivp_factor(args):
 
 def _cmd_ivp_irreducible(args):
     f = _parse_poly(args)
-    return {"irreducible": is_irreducible(f)}, [f"irreducible: {is_irreducible(f)}"]
+    irreducible = is_irreducible(f)
+    return {"irreducible": irreducible}, [f"irreducible: {irreducible}"]
 
 
 def _cmd_ivp_furstenberg(args):

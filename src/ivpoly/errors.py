@@ -11,6 +11,10 @@ class MalformedRationalError(IvpolyError):
     code = "malformed-rational"
 
 
+class InputTooLargeError(IvpolyError):
+    code = "input-too-large"
+
+
 class NegativeInputError(IvpolyError):
     code = "negative-input"
 

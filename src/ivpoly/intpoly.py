@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 from . import qpoly
@@ -131,12 +132,8 @@ def constant(value, site: Site = Z_SITE) -> IVPoly:
 
 def binomial(n: int, site: Site = Z_SITE) -> IVPoly:
     """The binomial polynomial x(x-1)...(x-n+1)/n!."""
-    cs = qpoly.poly([1])
-    fact = 1
-    for i in range(n):
-        cs = qpoly.mul(cs, qpoly.poly([-i, 1]))
-        fact *= i + 1
-    return IVPoly(qpoly.scale(cs, Fraction(1, fact)), site)
+    *_, ff = qpoly.int_falling_factorials(n)
+    return IVPoly(qpoly.scale(ff, Fraction(1, factorial(n))), site)
 
 
 def _check_same_site(f: IVPoly, g: IVPoly) -> None:
@@ -152,25 +149,43 @@ class BinomialExpansion:
 
 
 def to_binomial_basis(f: IVPoly) -> BinomialExpansion:
-    """Forward-difference table column: deltas[j] for j = 0..deg f."""
+    """Forward-difference table column: deltas[j] for j = 0..deg f.
+
+    The table is built over the integers from the values of den * f, with
+    den the common denominator of the coefficients, and divided by den once
+    per delta at the end.
+    """
     n = max(f.degree, 0)
-    row = [f(k) for k in range(n + 1)]
+    den = lcm(*(c.denominator for c in f.coeffs))
+    num = tuple(c.numerator * (den // c.denominator) for c in f.coeffs)
+    row = [qpoly.int_eval(num, k) for k in range(n + 1)]
     deltas = []
     while row:
-        deltas.append(row[0])
+        deltas.append(Fraction(row[0], den))
         row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
     return BinomialExpansion(tuple(deltas))
 
 
 def from_binomial_basis(expansion: BinomialExpansion | Iterable, site: Site = Z_SITE) -> IVPoly:
-    """Rebuild the polynomial sum deltas[j] * C(x, j)."""
+    """Rebuild the polynomial sum deltas[j] * C(x, j).
+
+    The falling factorials x(x-1)...(x-j+1) are built one from the next with
+    integer coefficients, and the sum is taken over the common denominator
+    of the weights deltas[j] / j!, so the whole rebuild is O(n^2) integer
+    work and one ``Fraction`` per output coefficient.
+    """
     deltas = (
         expansion.deltas if isinstance(expansion, BinomialExpansion) else tuple(expansion)
     )
-    out: qpoly.Coeffs = ()
-    for j, d in enumerate(deltas):
-        out = qpoly.add(out, qpoly.scale(binomial(j).coeffs, d))
-    return IVPoly(out, site)
+    weights = [Fraction(d) / factorial(j) for j, d in enumerate(deltas)]
+    den = lcm(*(w.denominator for w in weights))
+    out = [0] * len(deltas)
+    for w, ff in zip(weights, qpoly.int_falling_factorials(len(deltas) - 1)):
+        k = w.numerator * (den // w.denominator)
+        if k:
+            for i, c in enumerate(ff):
+                out[i] += k * c
+    return IVPoly(tuple(Fraction(c, den) for c in out), site)
 
 
 def is_member(f: IVPoly) -> bool:
@@ -196,7 +211,7 @@ def fixed_divisor(f: IVPoly) -> int:
     ints = qpoly.int_coeffs(f.coeffs)
     if ints is None:
         raise ValueError("fixed divisors are defined for integer coefficients")
-    return gcd(*(int(f(k)) for k in range(f.degree + 1)))
+    return gcd(*(qpoly.int_eval(ints, k) for k in range(f.degree + 1)))
 
 
 @dataclass(frozen=True)
@@ -243,74 +258,90 @@ class DivisorList:
     divisors: tuple[IVPoly, ...]
 
 
-def _site_value_gcd(int_poly: qpoly.Coeffs, site: Site) -> int:
-    """gcd of values over the site's sample points (0 when all values vanish)."""
-    if isinstance(site, FiniteSite):
-        pts: Iterable[int] = site.points
-    else:
-        pts = range(qpoly.degree(int_poly) + 1)
-    return gcd(*(int(qpoly.eval_at(int_poly, s)) for s in pts))
+def _value_gcds(factors, points) -> dict[tuple[int, ...], int]:
+    """gcd of the values of prod g_i^e_i at the points, for every exponent vector.
 
+    Each factor is evaluated once at the points; the powers of its value
+    table are kept up to its multiplicity, and a vector's table is the
+    element-wise product of the tables along it.  The walk is depth first,
+    so only one running table per factor is held at a time.
+    """
+    powers = []
+    for g, mult in factors:
+        vals = [qpoly.int_eval(g, s) for s in points]
+        table = [1] * len(vals)
+        row = [table]
+        for _ in range(mult):
+            table = [a * v for a, v in zip(table, vals)]
+            row.append(table)
+        powers.append(row)
+    out: dict[tuple[int, ...], int] = {}
 
-def _factor_data(f: IVPoly):
-    """Q[x] factorization of f plus cached per-sub-multiset products."""
-    c, factors = factor_rational(f.coeffs)
-    return c, factors
+    def walk(i: int, vec: tuple[int, ...], table: list[int]) -> None:
+        if i == len(powers):
+            out[vec] = gcd(*table)
+            return
+        for e, p in enumerate(powers[i]):
+            walk(i + 1, vec + (e,), table if e == 0 else [a * b for a, b in zip(table, p)])
 
-
-def _submultiset_products(factors) -> list[tuple[tuple[int, ...], qpoly.Coeffs]]:
-    """(exponent vector, product polynomial) for every sub-multiset."""
-    vecs = [()]
-    for _, mult in factors:
-        vecs = [v + (e,) for v in vecs for e in range(mult + 1)]
-    out = []
-    for vec in vecs:
-        prod = qpoly.poly([1])
-        for (g, _), e in zip(factors, vec):
-            for _ in range(e):
-                prod = qpoly.mul(prod, qpoly.poly(g))
-        out.append((vec, prod))
+    walk(0, (), [1] * len(points))
     return out
 
 
 def _divisor_candidates(f: IVPoly):
-    """Yield every divisor of f (normalized, no associates) with its cofactor scale.
+    """Yield every divisor of f (normalized, no associates) as (u, G_J).
 
-    f = c * G_J * G_Jc with the G's primitive integer polynomials.  A divisor
-    is u * G_J with u = a/b in lowest terms; u * G_J is a member iff
-    b | gcd of the G_J values, and the cofactor (c b / a) G_Jc is a member
-    iff cd * a | |cn| * b * gcd of the G_Jc values.  Both conditions follow
-    from gcd-linearity of the value sets, so the enumeration is complete.
+    f = c * G_J * G_Jc with the G's primitive integer polynomials, G_J the
+    product of the Q[x] irreducible factors of f taken with the exponents in
+    vec and G_Jc the complementary product.  A divisor is u * G_J with
+    u = a/b in lowest terms; u * G_J is a member iff b | gcd of the G_J
+    values, and the cofactor (c b / a) G_Jc is a member iff
+    cd * a | |cn| * b * gcd of the G_Jc values.  Both conditions follow from
+    gcd-linearity of the value sets, so the enumeration is complete.
+
+    f is factored once and every value gcd comes from integer value tables
+    (``_value_gcds``); G_J, an integer coefficient tuple, is built only for
+    a vector that yields a divisor.
     """
-    c, factors = _factor_data(f)
+    c, factors = factor_rational(f.coeffs)
     cn, cd = abs(c.numerator), c.denominator
-    products = dict(_submultiset_products(factors))
+    if isinstance(f.site, FiniteSite):
+        points = f.site.points
+    else:
+        # the fixed divisor of an integer polynomial is the gcd of its values
+        # at any deg + 1 or more consecutive integers, so 0..deg f serves
+        # every factor of f at once
+        points = tuple(range(f.degree + 1))
+    gcds = _value_gcds(factors, points)
     full = tuple(m for _, m in factors)
-    site = f.site
-    for vec, gj in products.items():
-        comp = tuple(m - e for m, e in zip(full, vec))
-        gjc = products[comp]
-        dj = _site_value_gcd(gj, site)
-        djc = _site_value_gcd(gjc, site)
+    fact = lru_cache(maxsize=None)(factorize)
+    cn_fact = fact(cn)
+
+    for vec, dj in gcds.items():
+        djc = gcds[tuple(m - e for m, e in zip(full, vec))]
         if dj == 0 or djc == 0:
             # some G vanishes everywhere on a finite site: constants are
             # unbounded there, so no finite enumeration exists for this J
             raise UnsupportedSiteError(
                 "divisor enumeration needs values that do not all vanish"
             )
-        for b in divisors_from_factorization(factorize(dj)):
+        gj = None
+        for b in divisors_from_factorization(fact(dj)):
             bound = cn * b * djc
             if bound % cd:
                 continue
-            afact = merge_factorizations(
-                factorize(cn), factorize(b), factorize(djc)
-            )
+            afact = merge_factorizations(cn_fact, fact(b), fact(djc))
             for a in divisors_from_factorization(afact):
                 if gcd(a, b) != 1:
                     continue
                 if bound % (cd * a):
                     continue
-                yield vec, Fraction(a, b), gj
+                if gj is None:
+                    gj = (1,)
+                    for (g, _), e in zip(factors, vec):
+                        for _ in range(e):
+                            gj = qpoly.int_mul(gj, g)
+                yield Fraction(a, b), gj
 
 
 def divisors(f: IVPoly) -> DivisorList:
@@ -328,7 +359,7 @@ def divisors(f: IVPoly) -> DivisorList:
     if not is_member(f):
         raise NotAMemberError("f is not integer-valued")
     seen = {}
-    for _, u, gj in _divisor_candidates(f):
+    for u, gj in _divisor_candidates(f):
         d = IVPoly(qpoly.scale(gj, u), f.site)
         seen[d.coeffs] = d
     out = sorted(seen.values(), key=IVPoly.sort_key)
@@ -338,7 +369,9 @@ def divisors(f: IVPoly) -> DivisorList:
 def is_irreducible(f: IVPoly) -> bool:
     """Irreducibility in Int(S,Z).
 
-    Over Z the complete divisor list decides it.  Over a finite site only
+    Over Z the divisor candidates decide it: the answer is False at the
+    first candidate that is neither 1 nor the normalized f, without building
+    or sorting the divisor list.  Over a finite site only
     degrees <= 1 are supported: a constant is irreducible iff it is a prime
     up to sign, and a linear member iff no integer >= 2 divides all of its
     values (in particular any unit value forces constant factors to be
@@ -346,7 +379,8 @@ def is_irreducible(f: IVPoly) -> bool:
     """
     _reject_trivial(f)
     if isinstance(f.site, AllIntegers):
-        return len(divisors(f).divisors) == 2
+        trivial = ((Fraction(1),), f.normalized().coeffs)
+        return all(qpoly.scale(gj, u) in trivial for u, gj in _divisor_candidates(f))
     if f.degree >= 2:
         raise UnsupportedSiteError(
             "irreducibility over a finite site is decided for degree <= 1 only"
@@ -447,7 +481,11 @@ class PolyLengthProfile:
 
 def length_profile(f: IVPoly) -> PolyLengthProfile:
     """Factorization lengths of f with elasticity max/min."""
-    facs = factorizations(f)
+    return profile_of(factorizations(f))
+
+
+def profile_of(facs: list[PolyFactorization]) -> PolyLengthProfile:
+    """The length profile of a nonempty list of factorizations."""
     lengths = frozenset(z.length for z in facs)
     elasticity = Fraction(max(lengths), min(lengths))
     return PolyLengthProfile(lengths, elasticity, len(lengths) > 1)
@@ -477,7 +515,7 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     if g >= 2:
         return constant(smallest_prime_factor(g), f.site)
     best: IVPoly | None = None
-    for vec, u, gj in _divisor_candidates(f):
+    for u, gj in _divisor_candidates(f):
         cand = IVPoly(qpoly.scale(gj, u), f.site)
         if cand.is_unit():
             continue

@@ -3,8 +3,10 @@
 Every nonzero f in Q[x] is written as c * g_1^e_1 * ... * g_k^e_k with c
 rational and each g_i a primitive integer polynomial, irreducible over Q,
 with positive leading coefficient.  Linear factors come from the rational
-root theorem; higher-degree splits use Kronecker's interpolation method,
-which is exact and entirely adequate at desk-scale degrees.
+root theorem: each candidate p/q is tested with the integer q^n * g(p/q),
+so no ``Fraction`` is built per candidate.  Higher-degree splits use
+Kronecker's interpolation method, which is exact but exponential in the
+degree.
 """
 from __future__ import annotations
 
@@ -13,15 +15,7 @@ from math import gcd
 
 from . import qpoly
 from .primes import divisors_of
-
-IntPoly = tuple[int, ...]
-
-
-def _int_eval(g: IntPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(g):
-        acc = acc * x + c
-    return acc
+from .qpoly import IntPoly
 
 
 def _strip_root_zero(g: IntPoly) -> tuple[int, IntPoly]:
@@ -40,9 +34,9 @@ def _rational_roots(g: IntPoly) -> list[Fraction]:
         for q in divisors_of(an):
             if gcd(p, q) != 1:
                 continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if qpoly.eval_at(qpoly.poly(g), cand) == 0:
-                    roots.append(cand)
+            for s in (p, -p):
+                if qpoly.int_eval_homogeneous(g, s, q) == 0:
+                    roots.append(Fraction(s, q))
     return roots
 
 
@@ -61,7 +55,7 @@ def _kronecker_split(g: IntPoly) -> tuple[IntPoly, IntPoly] | None:
         step += 1
     for d in range(2, n // 2 + 1):
         xs = sample[: d + 1]
-        vals = [_int_eval(g, x) for x in xs]
+        vals = [qpoly.int_eval(g, x) for x in xs]
         # no rational roots => no integer point is a root
         choices: list[list[int]] = []
         for i, v in enumerate(vals):

@@ -1,7 +1,10 @@
-"""Dense exact-rational polynomial arithmetic.
+"""Dense exact-rational polynomial arithmetic, with an integer layer.
 
 Polynomials are tuples of ``Fraction`` coefficients, lowest degree first,
-with trailing zeros trimmed; the zero polynomial is the empty tuple.
+with trailing zeros trimmed; the zero polynomial is the empty tuple.  The
+``int_*`` helpers work on tuples of Python ints in the same layout and never
+build a ``Fraction``: they serve the hot loops over Z[x] (value tables,
+root tests, falling factorials).
 """
 from __future__ import annotations
 
@@ -9,6 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Coeffs = tuple[Fraction, ...]
+IntPoly = tuple[int, ...]
 
 
 def poly(coeffs) -> Coeffs:
@@ -100,13 +104,6 @@ def exact_div(a: Coeffs, b: Coeffs) -> Coeffs | None:
     return q if is_zero(r) else None
 
 
-def power(a: Coeffs, n: int) -> Coeffs:
-    out = poly([1])
-    for _ in range(n):
-        out = mul(out, a)
-    return out
-
-
 def content_and_primitive(cs: Coeffs) -> tuple[Fraction, tuple[int, ...]]:
     """Write cs = c * g with g a primitive integer polynomial, positive leading.
 
@@ -127,6 +124,46 @@ def int_coeffs(cs: Coeffs) -> tuple[int, ...] | None:
     if all(c.denominator == 1 for c in cs):
         return tuple(c.numerator for c in cs)
     return None
+
+
+def int_eval(g: IntPoly, x: int) -> int:
+    """g(x) for an integer polynomial at an integer, by Horner."""
+    acc = 0
+    for c in reversed(g):
+        acc = acc * x + c
+    return acc
+
+
+def int_eval_homogeneous(g: IntPoly, p: int, q: int) -> int:
+    """q^deg(g) * g(p/q), an integer, by homogeneous Horner."""
+    acc = 0
+    qk = 1
+    for c in reversed(g):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
+
+
+def int_falling_factorials(n: int):
+    """Yield x(x-1)...(x-j+1) for j = 0..n as integer coefficient tuples."""
+    ff = [1]
+    yield (1,)
+    for j in range(n):
+        # multiply by (x - j)
+        ff = [0] + ff
+        for i in range(len(ff) - 1):
+            ff[i] -= j * ff[i + 1]
+        yield tuple(ff)
 
 
 def lagrange(points, values) -> Coeffs:

@@ -5,22 +5,40 @@ they serialize as lowest-terms strings ("5", "-1/2").
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import MalformedRationalError
+from .errors import InputTooLargeError, MalformedRationalError
+
+#: longest numerator or denominator, in decimal digits, that parsing accepts
+MAX_DIGITS = 1000
+#: a decimal exponent as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or "a" into an exact rational (unicode minus accepted)."""
+    """Parse "a/b" or "a" into an exact rational (unicode minus accepted).
+
+    A numerator or denominator of more than MAX_DIGITS digits raises
+    InputTooLargeError.  The digits and the decimal exponent of the text are
+    bounded before the value is built, so "1e100000000" costs no big power.
+    """
     if not isinstance(text, str):
         raise MalformedRationalError(f"expected a rational string, got {text!r}")
     cleaned = text.strip().replace("−", "-")
+    exponent = _EXPONENT.search(cleaned)
+    if sum(ch.isdigit() for ch in cleaned) > MAX_DIGITS or (
+        exponent and abs(int(exponent.group(1))) > MAX_DIGITS
+    ):
+        raise InputTooLargeError(f"rational {text[:40]!r} exceeds {MAX_DIGITS} digits")
     try:
         q = Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedRationalError(f"malformed rational {text!r}") from exc
     if q.denominator < 0:  # Fraction normalizes; defensive
         q = Fraction(q.numerator, q.denominator)
+    if max(abs(q.numerator), q.denominator) >= 10**MAX_DIGITS:
+        raise InputTooLargeError(f"rational {text[:40]!r} exceeds {MAX_DIGITS} digits")
     return q
 
 

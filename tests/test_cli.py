@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivpoly.cli import run
+from ivpoly.errors import InputTooLargeError
+from ivpoly.rationals import MAX_DIGITS, parse_rational
 
 
 def invoke(capsys, *argv):
@@ -190,6 +193,28 @@ class TestErrorsAndExitCodes:
         status, payload = invoke_json(capsys, "ivp-divisors", "--poly", "0,1/2")
         assert status == 1
         assert payload["error"]["code"] == "not-a-member"
+
+    def test_oversized_rational_is_a_coded_error(self, capsys):
+        status, payload = invoke_json(
+            capsys, "monoid-member", "--spec", "grams", "--q", "1e100000"
+        )
+        assert status == 1
+        assert payload["op"] == "monoid-member" and payload["result"] is None
+        assert payload["error"]["code"] == "input-too-large"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e1000", "9" * (MAX_DIGITS + 1), "1/" + "7" * (MAX_DIGITS + 1), "1e-1000",
+         "1e99999999999", "1" + "0" * 999 + "e1"],
+    )
+    def test_digit_cap(self, text):
+        with pytest.raises(InputTooLargeError):
+            parse_rational(text)
+
+    def test_largest_accepted_rationals(self):
+        assert parse_rational("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+        assert parse_rational("-1e999") == -(10**999)
+        assert parse_rational("1e-999") == Fraction(1, 10**999)
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

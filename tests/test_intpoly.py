@@ -340,3 +340,83 @@ class TestSerialization:
         f = ivpoly([1, 2], FiniteSite((3, -1)))
         back = from_json_dict(to_json_dict(f))
         assert back.site == f.site and back.coeffs == f.coeffs
+
+
+def _binomial_reference(j):
+    """C(x, j) from Fraction products, independent of the integer layer."""
+    cs = qpoly.poly([1])
+    fact = 1
+    for i in range(j):
+        cs = qpoly.mul(cs, qpoly.poly([-i, 1]))
+        fact *= i + 1
+    return qpoly.scale(cs, F(1, fact))
+
+
+class TestValueTableCore:
+    def test_repeated_and_non_monic_factors_match_bruteforce(self):
+        from ivpoly.verify import bruteforce_divisors
+
+        cases = [
+            binomial(2).mul(binomial(2)).scale(6),  # 6 * C(x,2)^2
+            ivpoly([-1, 2]).mul(ivpoly([2, 3])).mul(binomial(2)),  # (2x-1)(3x+2) C(x,2)
+            ivpoly([1, 0, 1]).mul(binomial(3)),  # (x^2+1) C(x,3)
+        ]
+        for f in cases:
+            mine = tuple(d.coeffs for d in divisors(f).divisors)
+            assert mine == tuple(d.coeffs for d in bruteforce_divisors(f))
+            assert len(mine) > 2
+
+    def test_irreducible_agrees_with_divisor_count(self):
+        rng = random.Random(11)
+        corpus = [binomial(n) for n in range(1, 8)]
+        corpus += [
+            ivpoly([0, -1, 1]),
+            ivpoly([0, 2]),
+            constant(6),
+            constant(7),
+            ivpoly([1, 0, 1]),
+            ivpoly([2, 1, 1]).scale(F(1, 2)),
+            binomial(3).scale(2),
+            binomial(2).mul(binomial(2)),
+            ivpoly([-1, 2]).mul(binomial(2)),
+        ]
+        while len(corpus) < 40:
+            deltas = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            f = from_binomial_basis(deltas)
+            if not f.is_zero() and not f.is_unit():
+                corpus.append(f)
+        verdicts = set()
+        for f in corpus:
+            verdict = is_irreducible(f)
+            assert verdict == (len(divisors(f).divisors) == 2), str(f)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_find_irreducible_divisor_on_finite_sites(self):
+        cases = [
+            # values 1, 6: no constant divisor, two linear ones
+            (ivpoly([1, 3, 2], FiniteSite((0, 1))), (F(1), F(1))),
+            # x (x+1) / 2 on {1, 3}: divisors x and (x+1)/2
+            (ivpoly([0, F(1, 2), F(1, 2)], FiniteSite((1, 3))), (F(0), F(1))),
+            # x^2 + 1 on {0, 1, 2}: irreducible over Q with value gcd 1
+            (ivpoly([1, 0, 1], FiniteSite((0, 1, 2))), (F(1), F(0), F(1))),
+        ]
+        for f, want in cases:
+            d = find_irreducible_divisor(f)
+            assert d.coeffs == want
+            assert divide(f, d) is not None
+            if d.degree <= 1:
+                assert is_irreducible(d)
+
+    @pytest.mark.parametrize("degree", range(41))
+    def test_from_binomial_basis_matches_binomial_sum(self, degree):
+        rng = random.Random(degree)
+        deltas = [F(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(degree + 1)]
+        want = ()
+        for j, d in enumerate(deltas):
+            want = qpoly.add(want, qpoly.scale(_binomial_reference(j), d))
+        assert from_binomial_basis(deltas).coeffs == want
+
+    def test_binomial_matches_reference(self):
+        for n in range(15):
+            assert binomial(n).coeffs == _binomial_reference(n)

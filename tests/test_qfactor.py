@@ -71,3 +71,32 @@ def test_matches_sympy_on_random_polynomials():
         )
         span = sorted((g, m) for g, m in mine)
         assert span == sym_factors
+
+
+def _sympy_factor_list(coeffs):
+    x = sympy.Symbol("x")
+    _, sym = sympy.factor_list(_to_sympy(qpoly.poly(coeffs)))
+    return sorted(
+        (tuple(int(v) for v in reversed(sympy.Poly(g, x).all_coeffs())), int(m))
+        for g, m in sym
+    )
+
+
+@pytest.mark.parametrize(
+    "linears",
+    [
+        [(-1, 2), (2, 3), (3, 5)],  # roots 1/2, -2/3, -3/5
+        [(5, 4), (5, 4), (-7, 3)],  # -5/4 twice, 7/3
+        [(1, 6), (-1, 6), (-9, 2), (1, 1)],
+    ],
+)
+def test_rational_roots_with_denominators_match_sympy(linears):
+    f = qpoly.poly([1, 0, 1])  # x^2 + 1 keeps a nonlinear factor alongside
+    for lin in linears:
+        f = qpoly.mul(f, qpoly.poly(lin))
+    c, factors = factor_rational(f)
+    assert reconstruct(c, factors) == f
+    assert sorted(factors) == _sympy_factor_list(f)
+    found = {g: m for g, m in factors if len(g) == 2}
+    for lin in linears:
+        assert found[lin] == linears.count(lin)

@@ -61,3 +61,32 @@ def test_divmod_reconstructs(a, b):
     q, r = qpoly.divmod_exact(pa, pb)
     assert qpoly.add(qpoly.mul(q, pb), r) == pa
     assert qpoly.degree(r) < qpoly.degree(pb)
+
+
+int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7)
+
+
+@given(int_lists, st.integers(min_value=-20, max_value=20))
+def test_int_eval_matches_fraction_eval(g, x):
+    assert qpoly.int_eval(tuple(g), x) == qpoly.eval_at(qpoly.poly(g), x)
+
+
+@given(int_lists, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=9))
+def test_int_eval_homogeneous_clears_the_denominator(g, p, q):
+    n = len(g) - 1
+    want = qpoly.eval_at(qpoly.poly(g), F(p, q)) * q**n
+    assert qpoly.int_eval_homogeneous(tuple(g), p, q) == want
+
+
+@given(int_lists, int_lists)
+def test_int_mul_matches_fraction_mul(a, b):
+    a, b = tuple(a) + (1,), tuple(b) + (-3,)  # nonzero leading coefficients
+    assert qpoly.poly(qpoly.int_mul(a, b)) == qpoly.mul(qpoly.poly(a), qpoly.poly(b))
+
+
+def test_int_falling_factorials():
+    want = qpoly.poly([1])
+    for j, ff in enumerate(qpoly.int_falling_factorials(12)):
+        assert qpoly.poly(ff) == want
+        want = qpoly.mul(want, qpoly.poly([-j, 1]))
+    assert j == 12
