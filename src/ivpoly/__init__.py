@@ -5,8 +5,8 @@ binomial basis, divisor enumeration, irreducibility, factorization sets,
 elasticity), additive submonoids of the nonnegative rationals (membership
 certificates, atoms, length sets, ascending-chain witnesses), monoid rings
 with rational exponents over Z, Q, and F_p, and rational cones in Q[t]
-decided by exact linear programming.  Everything is exact: the only scalar
-type is ``fractions.Fraction``.
+decided by exact linear programming.  Everything is exact: the scalars are
+exact ``Fraction``s and Python ``int``s; no floats.
 """
 
 from .errors import IvpolyError

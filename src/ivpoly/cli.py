@@ -43,8 +43,8 @@ from .puiseux import (
     atoms_up_to,
     factorizations as monoid_factorizations,
     grams_decompose,
-    length_set,
     membership,
+    profile_of as monoid_profile_of,
 )
 from .rationals import format_rational, parse_rational
 
@@ -93,10 +93,6 @@ def _parse_spec(args):
     raise SpecKindError(f"unknown monoid kind {kind!r}")
 
 
-def _poly_json(f: IVPoly) -> list[str]:
-    return [format_rational(c) for c in f.coeffs]
-
-
 def _certificate_json(cert) -> dict | None:
     if cert is None:
         return None
@@ -135,7 +131,7 @@ def _cmd_monoid_factor(args):
     spec = _parse_spec(args)
     b = parse_rational(args.b)
     facs = monoid_factorizations(spec, b, args.length_cap)
-    profile = length_set(spec, b, args.length_cap)
+    profile = monoid_profile_of(spec, b, args.length_cap, facs)
     result = {
         "factorizations": [[format_rational(p) for p in z.parts] for z in facs],
         "lengths": sorted(profile.lengths),
@@ -210,26 +206,22 @@ def _cmd_ivp_member(args):
 def _cmd_ivp_basis(args):
     f = _parse_poly(args)
     deltas = to_binomial_basis(f).deltas
-    # on Z membership is integrality of these same deltas
-    if isinstance(f.site, FiniteSite):
-        member = is_member(f)
-    else:
-        member = all(d.denominator == 1 for d in deltas)
     result = {
-        "coeffs": _poly_json(f),
-        "deltas": [format_rational(d) for d in deltas],
-        "member": member,
+        "coeffs": list(map(format_rational, f.coeffs)),
+        "deltas": list(map(format_rational, deltas)),
+        "member": is_member(f),
     }
     return result, [
-        f"power coefficients: {', '.join(_poly_json(f)) or '0'}",
-        f"binomial coordinates: {', '.join(format_rational(d) for d in deltas)}",
+        f"power coefficients: {', '.join(result['coeffs']) or '0'}",
+        f"binomial coordinates: {', '.join(result['deltas'])}",
     ]
 
 
 def _cmd_ivp_divisors(args):
     f = _parse_poly(args)
     dl = divisors(f)
-    result = {"divisors": [_poly_json(d) for d in dl.divisors], "count": len(dl.divisors)}
+    divs = [list(map(format_rational, d.coeffs)) for d in dl.divisors]
+    result = {"divisors": divs, "count": len(divs)}
     return result, [f"{len(dl.divisors)} divisor classes:"] + [f"  {d}" for d in dl.divisors]
 
 
@@ -238,7 +230,9 @@ def _cmd_ivp_factor(args):
     facs = factorizations(f)
     profile = profile_of(facs)
     result = {
-        "factorizations": [[_poly_json(p) for p in z.parts] for z in facs],
+        "factorizations": [
+            [list(map(format_rational, p.coeffs)) for p in z.parts] for z in facs
+        ],
         "lengths": sorted(profile.lengths),
         "elasticity": format_rational(profile.elasticity),
         "hfd_violation": profile.hfd_violation,
@@ -258,7 +252,7 @@ def _cmd_ivp_irreducible(args):
 def _cmd_ivp_furstenberg(args):
     f = _parse_poly(args)
     d = find_irreducible_divisor(f)
-    return {"divisor": _poly_json(d)}, [f"irreducible divisor: {d}"]
+    return {"divisor": list(map(format_rational, d.coeffs))}, [f"irreducible divisor: {d}"]
 
 
 def _cmd_ivp_nonatomic(args):
@@ -267,7 +261,7 @@ def _cmd_ivp_nonatomic(args):
     result = {
         "point": w.point,
         "vanishing_points": list(w.vanishing_points),
-        "half": _poly_json(w.half),
+        "half": list(map(format_rational, w.half.coeffs)),
         "splits_for_all_integers": w.splits_for_all_integers,
         "complete_proof": w.complete_proof,
     }

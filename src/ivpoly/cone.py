@@ -233,15 +233,13 @@ def idf_family_check(i: int, spec: ConeSpec) -> IdfReport:
     """
     if not 1 <= i <= spec.truncation:
         raise IndexRangeError(f"index {i} outside 1..{spec.truncation}")
-    one = tpoly([1])
-    t = t_power(1)
-    identity_one = t_power(i + 1) + a_gen(i) == one
-    identity_t = t_power(i + 1) + b_gen(i) == t
+    top = t_power(i + 1)
+    pair = (a_gen(i), b_gen(i))
+    identity_one = top + pair[0] == tpoly([1])
+    identity_t = top + pair[1] == t_power(1)
     mass = common_divisor_mass(i, spec)
     distinct = all(
-        (a_gen(i), b_gen(i)) != (a_gen(j), b_gen(j))
-        for j in range(1, spec.truncation + 1)
-        if j != i
+        pair != (a_gen(j), b_gen(j)) for j in range(1, spec.truncation + 1) if j != i
     )
     return IdfReport(
         index=i,

@@ -47,6 +47,14 @@ from .rationals import format_rational, parse_rational
 class AllIntegers:
     """Site tag for Int(Z)."""
 
+    def sample_points(self, degree: int) -> tuple[int, ...]:
+        """0..degree, whose values decide membership and the value gcd.
+
+        The forward differences at 0 of a polynomial of this degree are
+        integer combinations of its values there, and conversely.
+        """
+        return tuple(range(degree + 1))
+
     def __str__(self) -> str:
         return "Z"
 
@@ -64,6 +72,10 @@ class FiniteSite:
         if len(set(pts)) != len(pts):
             raise DuplicatePointsError("site points must be distinct")
         object.__setattr__(self, "points", tuple(sorted(pts)))
+
+    def sample_points(self, degree: int) -> tuple[int, ...]:
+        """The site's points, whatever the degree."""
+        return self.points
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(s) for s in self.points) + "}"
@@ -89,9 +101,6 @@ class IVPoly:
 
     def is_zero(self) -> bool:
         return qpoly.is_zero(self.coeffs)
-
-    def is_constant(self) -> bool:
-        return self.degree <= 0
 
     def is_unit(self) -> bool:
         return self.coeffs in ((Fraction(1),), (Fraction(-1),))
@@ -148,6 +157,18 @@ class BinomialExpansion:
     deltas: tuple[Fraction, ...]
 
 
+def _scaled(coeffs) -> tuple[tuple[int, ...], int]:
+    """(den * coeffs, den), with den the common denominator of the coefficients."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _scaled_values(f: IVPoly) -> tuple[list[int], int]:
+    """(den * f(s) for the site's sample points s, den), all integers."""
+    num, den = _scaled(f.coeffs)
+    return [qpoly.int_eval(num, s) for s in f.site.sample_points(f.degree)], den
+
+
 def to_binomial_basis(f: IVPoly) -> BinomialExpansion:
     """Forward-difference table column: deltas[j] for j = 0..deg f.
 
@@ -155,10 +176,8 @@ def to_binomial_basis(f: IVPoly) -> BinomialExpansion:
     den the common denominator of the coefficients, and divided by den once
     per delta at the end.
     """
-    n = max(f.degree, 0)
-    den = lcm(*(c.denominator for c in f.coeffs))
-    num = tuple(c.numerator * (den // c.denominator) for c in f.coeffs)
-    row = [qpoly.int_eval(num, k) for k in range(n + 1)]
+    num, den = _scaled(f.coeffs)
+    row = [qpoly.int_eval(num, k) for k in range(max(f.degree, 0) + 1)]
     deltas = []
     while row:
         deltas.append(Fraction(row[0], den))
@@ -191,12 +210,11 @@ def from_binomial_basis(expansion: BinomialExpansion | Iterable, site: Site = Z_
 def is_member(f: IVPoly) -> bool:
     """Does f map its site into the integers?
 
-    On Z this is integrality of every forward difference at 0; on a finite
-    site it is integrality of the finitely many values.
+    Integrality of the values at the site's sample points decides it: the
+    finitely many points of a finite site, and 0..deg f on Z.
     """
-    if isinstance(f.site, FiniteSite):
-        return all(f(s).denominator == 1 for s in f.site.points)
-    return all(d.denominator == 1 for d in to_binomial_basis(f).deltas)
+    values, den = _scaled_values(f)
+    return all(v % den == 0 for v in values)
 
 
 def fixed_divisor(f: IVPoly) -> int:
@@ -305,14 +323,7 @@ def _divisor_candidates(f: IVPoly):
     """
     c, factors = factor_rational(f.coeffs)
     cn, cd = abs(c.numerator), c.denominator
-    if isinstance(f.site, FiniteSite):
-        points = f.site.points
-    else:
-        # the fixed divisor of an integer polynomial is the gcd of its values
-        # at any deg + 1 or more consecutive integers, so 0..deg f serves
-        # every factor of f at once
-        points = tuple(range(f.degree + 1))
-    gcds = _value_gcds(factors, points)
+    gcds = _value_gcds(factors, f.site.sample_points(f.degree))
     full = tuple(m for _, m in factors)
     fact = lru_cache(maxsize=None)(factorize)
     cn_fact = fact(cn)
@@ -385,11 +396,10 @@ def is_irreducible(f: IVPoly) -> bool:
         raise UnsupportedSiteError(
             "irreducibility over a finite site is decided for degree <= 1 only"
         )
-    values = [f(s) for s in f.site.points]
     if f.degree == 0:
-        return is_prime(abs(int(values[0])))
-    g = gcd(*(int(v) for v in values))
-    return g == 1
+        return is_prime(abs(int(f.coeffs[0])))
+    values, den = _scaled_values(f)
+    return gcd(*values) == den  # the values of f have gcd 1
 
 
 def _reject_trivial(f: IVPoly) -> None:
@@ -491,13 +501,6 @@ def profile_of(facs: list[PolyFactorization]) -> PolyLengthProfile:
     return PolyLengthProfile(lengths, elasticity, len(lengths) > 1)
 
 
-def _value_gcd(f: IVPoly) -> int:
-    """gcd of the integer data of a member: deltas over Z, values on finite sites."""
-    if isinstance(f.site, FiniteSite):
-        return gcd(*(int(f(s)) for s in f.site.points))
-    return gcd(*(int(d) for d in to_binomial_basis(f).deltas))
-
-
 def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     """Some irreducible divisor of f, deterministically.
 
@@ -509,7 +512,8 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     degree nonunit divisor of f.
     """
     _reject_trivial(f)
-    g = _value_gcd(f)
+    values, den = _scaled_values(f)
+    g = gcd(*values) // den  # the gcd of the values of the member f
     if g == 0:
         return constant(2, f.site)
     if g >= 2:

@@ -23,30 +23,28 @@ from .rationals import format_rational, parse_rational
 
 
 class CoefficientRing:
-    """Base class for the supported coefficient rings."""
+    """Base class for the supported coefficient rings.
+
+    A ring supplies ``coerce`` and ``is_unit``; the plain arithmetic below
+    serves Z and Q, and F_p overrides it with its reductions.
+    """
 
     tag = "?"
 
-    def coerce(self, c):
-        raise NotImplementedError
-
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
-
-    def is_unit(self, c) -> bool:
-        raise NotImplementedError
+        return -a
 
     def format(self, c) -> str:
         return str(c)
 
     def parse(self, text: str):
-        raise NotImplementedError
+        return self.coerce(parse_rational(text))
 
 
 @dataclass(frozen=True)
@@ -59,20 +57,8 @@ class IntegerRing(CoefficientRing):
             raise CoefficientRingError(f"{c} is not an integer")
         return q.numerator
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit(self, c):
         return c in (1, -1)
-
-    def parse(self, text):
-        return self.coerce(parse_rational(text))
 
 
 @dataclass(frozen=True)
@@ -82,23 +68,11 @@ class RationalRing(CoefficientRing):
     def coerce(self, c):
         return Fraction(c)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit(self, c):
         return c != 0
 
     def format(self, c):
         return format_rational(c)
-
-    def parse(self, text):
-        return parse_rational(text)
 
 
 @dataclass(frozen=True)
@@ -132,9 +106,6 @@ class PrimeField(CoefficientRing):
 
     def is_unit(self, c):
         return c % self.p != 0
-
-    def parse(self, text):
-        return self.coerce(parse_rational(text))
 
 
 ZZ = IntegerRing()
@@ -197,16 +168,9 @@ def canonicalize(raw_terms: Iterable[tuple[object, Fraction]], ring: Coefficient
             raise NegativeExponentError("exponents must be nonnegative")
         c = ring.coerce(c)
         acc[e] = ring.add(acc[e], c) if e in acc else c
-    terms = tuple(
-        (c, e) for e, c in sorted(acc.items(), reverse=True) if not _is_zero_coeff(ring, c)
-    )
+    # F_p coefficients come out of coerce and add already reduced
+    terms = tuple((c, e) for e, c in sorted(acc.items(), reverse=True) if c != 0)
     return MonoidRingElement(ring, terms)
-
-
-def _is_zero_coeff(ring: CoefficientRing, c) -> bool:
-    if isinstance(ring, PrimeField):
-        return c % ring.p == 0
-    return c == 0
 
 
 def element(ring: CoefficientRing, terms: Iterable[tuple[object, Fraction]]) -> MonoidRingElement:
@@ -252,14 +216,12 @@ def power(a: MonoidRingElement, n: int) -> MonoidRingElement:
     return out
 
 
-def is_unit(a: MonoidRingElement, monoid_reduced: bool = True) -> bool:
+def is_unit(a: MonoidRingElement) -> bool:
     """Units are u * y^0 with u a unit coefficient.
 
-    Submonoids of the nonnegative rationals are always reduced (no nonzero
-    element is invertible), so the reduced-monoid rule applies throughout;
-    the flag is accepted for interface parity.
+    Submonoids of the nonnegative rationals are reduced (no nonzero element
+    is invertible), so only constant terms can be units.
     """
-    del monoid_reduced  # exponent monoids here are reduced either way
     if len(a.terms) != 1:
         return False
     c, e = a.terms[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, takewhile
 from math import lcm
 
 from .errors import (
@@ -24,27 +25,63 @@ from .errors import (
     SpecKindError,
     TruncationError,
 )
-from .primes import factorize, odd_prime, odd_prime_index
+from .primes import factorize, nth_prime, odd_prime, odd_prime_index
 from .rationals import dyadic_exponent, format_rational, is_dyadic
 
 
 class PuiseuxMonoid:
-    """Base class for generator families of additive submonoids of Q>=0."""
+    """Base class for generator families of additive submonoids of Q>=0.
+
+    A kind supplies ``generator``.  The methods below work by bounded search
+    over the kind's ``search_generators``; kinds with a closed form override
+    them.
+    """
 
     #: closed-form membership (no truncation dependence)
     exact = False
-    kind = "abstract"
-
-    def generator(self, i: int) -> Fraction:
-        raise NotImplementedError
-
-    def search_generators(self) -> tuple[Fraction, ...]:
-        """Generators visible to bounded-search operations."""
-        raise NotImplementedError
 
     def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
         """(index, generator) pairs with reduced denominator <= bound."""
-        raise NotImplementedError
+        return [(i, g) for i, g in enumerate(self.search_generators()) if g.denominator <= bound]
+
+    def member(self, q: Fraction) -> MembershipResult:
+        """Membership of q > 0 with a certificate."""
+        gens = self.search_generators()
+        if not gens:
+            raise TruncationError("bounded search needs a positive truncation")
+        combo = _bounded_search(gens, q)
+        if combo is None:
+            return MembershipResult(None, self.exact)
+        return MembershipResult(MembershipCertificate.from_dict(combo), True)
+
+    def splits(self, g: Fraction) -> bool:
+        """Does the member g split as x + y with x, y nonzero members?
+
+        In any such split one part can be peeled down to a single generator,
+        so it suffices to test g - h for membership over generators h < g.
+        The answer inherits the truncation of the membership test.
+        """
+        for h in self.search_generators():
+            rest = g - h
+            if rest > 0 and membership(self, rest).is_member:
+                return True
+        return False
+
+    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
+        """Atoms that can occur in a factorization of b with length <= cap, decreasing."""
+        max_denom = max((g.denominator for g in self.search_generators()), default=1)
+        atoms = atoms_up_to(self, max_denom)
+        return sorted((a for a in atoms if a <= b), reverse=True)
+
+    def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
+        """(complete, provably infinite) for the length set of b > 0 found under the cap."""
+        return False, False
+
+
+def _leading_generators(spec: PuiseuxMonoid, bound: int) -> list[tuple[int, Fraction]]:
+    """(i, generator i) for a family whose denominators grow with i, up to bound."""
+    gens = takewhile(lambda g: g.denominator <= bound, map(spec.generator, count()))
+    return list(enumerate(gens))
 
 
 @dataclass(frozen=True)
@@ -52,18 +89,41 @@ class GramsMonoid(PuiseuxMonoid):
     """Generators 1/(2^n p_n), p_n the n-th odd prime (3, 5, 7, 11, ...)."""
 
     exact = True
-    kind = "grams"
 
     def generator(self, i: int) -> Fraction:
         return Fraction(1, 2**i * odd_prime(i))
 
     def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
-        out = []
+        return _leading_generators(self, bound)
+
+    def member(self, q: Fraction) -> MembershipResult:
+        dec = grams_decompose(q)
+        return MembershipResult(None if dec is None else _grams_certificate(dec), True)
+
+    def splits(self, g: Fraction) -> bool:
+        """g splits unless its dyadic part vanishes and its residues sum to one."""
+        dec = grams_decompose(g)
+        return dec is not None and not (dec.nu == 0 and sum(c for _, c in dec.coeffs) == 1)
+
+    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
+        """Generators with p_i <= cap, or with p_i exactly once in b's denominator."""
+        idx = set()
         i = 0
-        while 2**i * odd_prime(i) <= bound:
-            out.append((i, self.generator(i)))
+        while odd_prime(i) <= cap:
+            idx.add(i)
             i += 1
-        return out
+        for p, e in factorize(b.denominator).items():
+            if p != 2 and e == 1:
+                idx.add(odd_prime_index(p))
+        return sorted((self.generator(i) for i in idx if self.generator(i) <= b), reverse=True)
+
+    def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
+        dec = grams_decompose(b)
+        if dec is not None and dec.nu == 0:
+            # residues force the unique multiplicity vector c_i
+            return sum(c for _, c in dec.coeffs) <= cap, False
+        # a positive dyadic part can be filled by p_n blocks of any index
+        return False, True
 
 
 @dataclass(frozen=True)
@@ -71,18 +131,21 @@ class DyadicValuation(PuiseuxMonoid):
     """Generators 1/2^n: the monoid of all nonnegative dyadic rationals."""
 
     exact = True
-    kind = "dyadic"
 
     def generator(self, i: int) -> Fraction:
         return Fraction(1, 2**i)
 
     def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
-        out = []
-        i = 0
-        while 2**i <= bound:
-            out.append((i, self.generator(i)))
-            i += 1
-        return out
+        return _leading_generators(self, bound)
+
+    def member(self, q: Fraction) -> MembershipResult:
+        return MembershipResult(_dyadic_certificate(q) if is_dyadic(q) else None, True)
+
+    def splits(self, g: Fraction) -> bool:
+        return g > 0  # everything halves
+
+    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
+        return []  # the dyadic valuation monoid has no atoms
 
 
 @dataclass(frozen=True)
@@ -90,26 +153,16 @@ class PrimeReciprocal(PuiseuxMonoid):
     """Generators 1/p over the primes p = 2, 3, 5, ..."""
 
     truncation: int = 16
-    kind = "prime-reciprocal"
 
     def __post_init__(self):
         if self.truncation < 0:
             raise TruncationError("truncation must be nonnegative")
 
     def generator(self, i: int) -> Fraction:
-        from .primes import nth_prime
-
         return Fraction(1, nth_prime(i))
 
     def search_generators(self) -> tuple[Fraction, ...]:
         return tuple(self.generator(i) for i in range(self.truncation))
-
-    def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
-        return [
-            (i, g)
-            for i, g in enumerate(self.search_generators())
-            if g.denominator <= bound
-        ]
 
 
 @dataclass(frozen=True)
@@ -119,7 +172,6 @@ class ExplicitMonoid(PuiseuxMonoid):
     generators: tuple[Fraction, ...]
     #: exact because the full (finite) generator list is searched
     exact = True
-    kind = "explicit"
 
     def __post_init__(self):
         gens = tuple(Fraction(g) for g in self.generators)
@@ -135,8 +187,17 @@ class ExplicitMonoid(PuiseuxMonoid):
     def search_generators(self) -> tuple[Fraction, ...]:
         return self.generators
 
-    def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
-        return [(i, g) for i, g in enumerate(self.generators) if g.denominator <= bound]
+    def member(self, q: Fraction) -> MembershipResult:
+        if not self.generators:
+            return MembershipResult(None, True)  # the monoid {0}
+        return super().member(q)
+
+    def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
+        """Complete once the cap reaches b over the smallest usable atom."""
+        atoms = self.usable_atoms(b, cap)
+        if not atoms:
+            return False, False
+        return cap >= b / min(atoms), False
 
 
 @dataclass(frozen=True)
@@ -257,14 +318,6 @@ def grams_decompose(q: Fraction) -> GramsDecomposition | None:
     return GramsDecomposition(nu=rest, coeffs=tuple(sorted(coeffs.items())))
 
 
-def grams_nu(q: Fraction) -> Fraction:
-    """The dyadic component nu(q) of a Grams-monoid member."""
-    dec = grams_decompose(q)
-    if dec is None:
-        raise NotAMemberError(f"{format_rational(Fraction(q))} is not in the Grams monoid")
-    return dec.nu
-
-
 def _dyadic_certificate(q: Fraction) -> MembershipCertificate:
     k = dyadic_exponent(q)
     return MembershipCertificate.from_dict({k: q.numerator})
@@ -325,46 +378,7 @@ def membership(spec: PuiseuxMonoid, q: Fraction) -> MembershipResult:
         raise NegativeInputError("membership queries must be nonnegative")
     if q == 0:
         return MembershipResult(MembershipCertificate(()), True)
-    if isinstance(spec, GramsMonoid):
-        dec = grams_decompose(q)
-        cert = None if dec is None else _grams_certificate(dec)
-        return MembershipResult(cert, True)
-    if isinstance(spec, DyadicValuation):
-        cert = _dyadic_certificate(q) if is_dyadic(q) else None
-        return MembershipResult(cert, True)
-    gens = spec.search_generators()
-    if not gens:
-        if isinstance(spec, ExplicitMonoid):
-            return MembershipResult(None, True)  # the monoid {0}
-        raise TruncationError("bounded search needs a positive truncation")
-    combo = _bounded_search(gens, q)
-    if combo is None:
-        return MembershipResult(None, spec.exact)
-    return MembershipResult(MembershipCertificate.from_dict(combo), True)
-
-
-def _splits_as_sum(spec: PuiseuxMonoid, g: Fraction) -> bool:
-    """Does the member g split as x + y with x, y nonzero members?
-
-    In any such split one part can be peeled down to a single generator, so
-    it suffices to test g - h for membership over generators h < g.  For the
-    Grams monoid the unique decomposition answers directly: g splits unless
-    its dyadic part vanishes and its residue weights sum to one.  For the
-    dyadic valuation monoid everything halves.  Searched kinds inherit the
-    truncation of their membership test.
-    """
-    if isinstance(spec, GramsMonoid):
-        dec = grams_decompose(g)
-        if dec is None:
-            return False
-        return not (dec.nu == 0 and sum(c for _, c in dec.coeffs) == 1)
-    if isinstance(spec, DyadicValuation):
-        return g > 0
-    for h in spec.search_generators():
-        rest = g - h
-        if rest > 0 and membership(spec, rest).is_member:
-            return True
-    return False
+    return spec.member(q)
 
 
 def atoms_up_to(spec: PuiseuxMonoid, denom_bound: int) -> list[Fraction]:
@@ -380,28 +394,7 @@ def atoms_up_to(spec: PuiseuxMonoid, denom_bound: int) -> list[Fraction]:
         {g for _, g in spec.generators_with_denominator_up_to(denom_bound)},
         key=lambda g: (g.denominator, g),
     )
-    return [g for g in candidates if not _splits_as_sum(spec, g)]
-
-
-def _usable_atoms(spec: PuiseuxMonoid, b: Fraction, cap: int) -> list[Fraction]:
-    """Atoms that can occur in a factorization of b with length <= cap."""
-    if isinstance(spec, GramsMonoid):
-        idx = set()
-        i = 0
-        while odd_prime(i) <= cap:
-            idx.add(i)
-            i += 1
-        for p, e in factorize(b.denominator).items():
-            if p != 2 and e == 1:
-                idx.add(odd_prime_index(p))
-        return sorted(
-            (spec.generator(i) for i in idx if spec.generator(i) <= b), reverse=True
-        )
-    if isinstance(spec, DyadicValuation):
-        return []  # the dyadic valuation monoid has no atoms
-    max_denom = max((g.denominator for g in spec.search_generators()), default=1)
-    atoms = atoms_up_to(spec, max_denom)
-    return sorted((a for a in atoms if a <= b), reverse=True)
+    return [g for g in candidates if not spec.splits(g)]
 
 
 def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Factorization]:
@@ -417,7 +410,7 @@ def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Fa
         raise NotAMemberError(f"{format_rational(b)} is not a member")
     if b == 0:
         return [Factorization(())]
-    atoms = _usable_atoms(spec, b, length_cap)
+    atoms = spec.usable_atoms(b, length_cap)
     found: list[Factorization] = []
 
     def rec(pos: int, remaining: Fraction, budget: int, acc: list[Fraction]) -> None:
@@ -439,36 +432,20 @@ def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Fa
 def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:
     """Lengths of factorizations found under the cap, with max/min elasticity."""
     b = Fraction(b)
-    facs = factorizations(spec, b, cap)
+    return profile_of(spec, b, cap, factorizations(spec, b, cap))
+
+
+def profile_of(
+    spec: PuiseuxMonoid, b: Fraction, cap: int, facs: list[Factorization]
+) -> LengthProfile:
+    """The length profile of b from its factorizations under the cap."""
     lengths = frozenset(f.length for f in facs)
     if not lengths:
         return LengthProfile(lengths, None, True)
     lo, hi = min(lengths), max(lengths)
     elasticity = Fraction(hi, lo) if lo else Fraction(1)
-    exact, infinite = _length_set_exactness(spec, b, cap, hi)
+    exact, infinite = (True, False) if b == 0 else spec.length_exactness(b, cap)
     return LengthProfile(lengths, elasticity, not exact, infinite)
-
-
-def _length_set_exactness(
-    spec: PuiseuxMonoid, b: Fraction, cap: int, max_found: int
-) -> tuple[bool, bool]:
-    """(complete, provably infinite) for the discovered length set."""
-    if b == 0:
-        return True, False
-    if isinstance(spec, ExplicitMonoid):
-        atoms = _usable_atoms(spec, b, cap)
-        if not atoms:
-            return False, False
-        return cap >= b / min(atoms), False
-    if isinstance(spec, GramsMonoid):
-        dec = grams_decompose(b)
-        if dec is not None and dec.nu == 0:
-            # residues force the unique multiplicity vector c_i
-            unique_length = sum(c for _, c in dec.coeffs)
-            return unique_length <= cap, False
-        # a positive dyadic part can be filled by p_n blocks of any index
-        return False, True
-    return False, False
 
 
 def accp_chain_check(spec: PuiseuxMonoid, n_max: int) -> list[ChainStep]:

@@ -169,16 +169,6 @@ def divisor_corpus() -> list[IVPoly]:
     return corpus
 
 
-def random_member_polynomials(count: int, max_degree: int, rng: random.Random):
-    """Members of Int(Z) built from integer binomial coordinates."""
-    out = []
-    for _ in range(count):
-        deg = rng.randint(0, max_degree)
-        deltas = [rng.randint(-30, 30) for _ in range(deg + 1)]
-        out.append(from_binomial_basis(deltas))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the facts
 

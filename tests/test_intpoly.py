@@ -37,6 +37,13 @@ from ivpoly.intpoly import (
 )
 
 X_ON_0 = ivpoly([0, 1], FiniteSite((0,)))
+#: rationals with denominators in {1, 2, 3, 6}, so that members and
+#: non-members both turn up often
+SMALL_DENOMINATOR_COEFFS = st.lists(
+    st.builds(F, st.integers(-20, 20), st.sampled_from([1, 1, 1, 2, 3, 6])),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestMembership:
@@ -51,6 +58,18 @@ class TestMembership:
 
     def test_all_binomials(self):
         assert all(is_member(binomial(n)) for n in range(12))
+
+    @given(SMALL_DENOMINATOR_COEFFS)
+    @settings(max_examples=200)
+    def test_matches_integral_deltas_on_z(self, coeffs):
+        f = from_binomial_basis(coeffs)
+        assert is_member(f) == all(d.denominator == 1 for d in to_binomial_basis(f).deltas)
+
+    @given(SMALL_DENOMINATOR_COEFFS, st.sets(st.integers(-12, 12), min_size=1, max_size=5))
+    @settings(max_examples=200)
+    def test_matches_fraction_values_on_finite_sites(self, coeffs, points):
+        f = ivpoly(coeffs, FiniteSite(tuple(points)))
+        assert is_member(f) == all(f(F(s)).denominator == 1 for s in f.site.points)
 
 
 class TestBinomialBasis:

@@ -100,6 +100,10 @@ class TestMembership:
         res = membership(spec, F(1))
         assert not res.is_member and res.exact
 
+    def test_empty_explicit_monoid_is_exact_non_member(self):
+        res = membership(ExplicitMonoid(()), F(1, 2))
+        assert not res.is_member and res.exact
+
     def test_truncation_zero_rejected(self):
         with pytest.raises(TruncationError):
             membership(PrimeReciprocal(truncation=0), F(1, 2))
@@ -234,6 +238,27 @@ class TestLengthSets:
         profile = length_set(GRAMS, F(1, 2), 5)
         assert profile.lengths == {5}
         assert profile.infinite and profile.is_lower_bound
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GRAMS, DyadicValuation(), PrimeReciprocal(4), ExplicitMonoid((F(2), F(3))), ExplicitMonoid(())],
+        ids=["grams", "dyadic", "prime-reciprocal", "explicit", "explicit-empty"],
+    )
+    def test_zero_is_exact(self, spec):
+        profile = length_set(spec, F(0), 3)
+        assert profile.lengths == {0} and profile.elasticity == 1
+        assert not profile.is_lower_bound and not profile.infinite
+
+    def test_prime_reciprocal_is_lower_bound(self):
+        profile = length_set(PrimeReciprocal(4), F(5, 6), 4)
+        assert profile.lengths == {2}
+        assert profile.is_lower_bound and not profile.infinite
+
+    def test_dyadic_has_no_factorizations(self):
+        assert factorizations(DyadicValuation(), F(1, 2), 5) == []
+        profile = length_set(DyadicValuation(), F(1, 2), 5)
+        assert profile.lengths == frozenset() and profile.elasticity is None
+        assert profile.is_lower_bound and not profile.infinite
 
 
 class TestAccpChain:
