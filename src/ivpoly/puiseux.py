@@ -164,6 +164,10 @@ class PrimeReciprocal(PuiseuxMonoid):
     def search_generators(self) -> tuple[Fraction, ...]:
         return tuple(self.generator(i) for i in range(self.truncation))
 
+    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
+        """Every 1/p is an atom: a sum of 1/q with q != p has p-adic valuation >= 0."""
+        return [g for g in self.search_generators() if g <= b]
+
 
 @dataclass(frozen=True)
 class ExplicitMonoid(PuiseuxMonoid):
@@ -193,11 +197,15 @@ class ExplicitMonoid(PuiseuxMonoid):
         return super().member(q)
 
     def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
-        """Complete once the cap reaches b over the smallest usable atom."""
-        atoms = self.usable_atoms(b, cap)
-        if not atoms:
+        """Complete once the cap reaches b over the smallest usable atom.
+
+        The smallest generator is always an atom, since every nonzero member
+        is at least as large; it is usable exactly when it is <= b.
+        """
+        small = min(self.generators, default=b + 1)
+        if small > b:
             return False, False
-        return cap >= b / min(atoms), False
+        return cap >= b / small, False
 
 
 @dataclass(frozen=True)

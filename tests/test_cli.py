@@ -296,6 +296,18 @@ def test_module_entrypoint_subprocess():
     assert payload["result"]["coefficients"] == {"1": 1}
 
 
+def test_irreducible_x10_plus_7_in_a_subprocess_within_10_s():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivpoly.cli", "ivp-irreducible", "--poly",
+         "7,0,0,0,0,0,0,0,0,0,1", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"] == {"irreducible": True}
+
+
 def test_verify_paper_full_suite_exits_zero(capsys):
     status, payload = invoke_json(capsys, "verify-paper")
     assert status == 0

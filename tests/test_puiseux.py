@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ivpoly import puiseux
 from ivpoly.errors import (
     NegativeInputError,
     NotAMemberError,
@@ -17,6 +18,7 @@ from ivpoly.puiseux import (
     ExplicitMonoid,
     GramsMonoid,
     PrimeReciprocal,
+    PuiseuxMonoid,
     accp_chain_check,
     atoms_up_to,
     dyadic_divides,
@@ -253,6 +255,38 @@ class TestLengthSets:
         profile = length_set(PrimeReciprocal(4), F(5, 6), 4)
         assert profile.lengths == {2}
         assert profile.is_lower_bound and not profile.infinite
+
+    def test_prime_reciprocal_atoms_need_no_membership_search(self, monkeypatch):
+        calls = []
+        real = puiseux.membership
+        monkeypatch.setattr(puiseux, "membership", lambda *a: calls.append(a) or real(*a))
+        profile = length_set(PrimeReciprocal(16), F(5, 6), 6)
+        assert profile.lengths == {2} and profile.is_lower_bound
+        assert len(calls) == 1  # the membership of b itself
+
+    @pytest.mark.parametrize("truncation", [0, 1, 4, 9])
+    def test_prime_reciprocal_atoms_match_the_search(self, truncation):
+        spec = PrimeReciprocal(truncation)
+        for b in (F(0), F(1, 7), F(5, 6), F(3)):
+            assert spec.usable_atoms(b, 4) == PuiseuxMonoid.usable_atoms(spec, b, 4)
+
+    def test_explicit_length_set_finds_atoms_once(self, monkeypatch):
+        calls = []
+        real = puiseux.atoms_up_to
+        monkeypatch.setattr(puiseux, "atoms_up_to", lambda *a: calls.append(a) or real(*a))
+        profile = length_set(ExplicitMonoid((F(1, 2), F(1, 3), F(1, 5))), F(1), 10)
+        assert profile.lengths == {2, 3, 5} and not profile.is_lower_bound
+        assert len(calls) == 1
+
+    def test_explicit_exactness_matches_the_smallest_usable_atom(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            gens = tuple({F(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
+            spec = ExplicitMonoid(gens)
+            b, cap = F(rng.randint(1, 12), rng.randint(1, 4)), rng.randint(1, 9)
+            atoms = spec.usable_atoms(b, cap)
+            want = (cap >= b / min(atoms), False) if atoms else (False, False)
+            assert spec.length_exactness(b, cap) == want
 
     def test_dyadic_has_no_factorizations(self):
         assert factorizations(DyadicValuation(), F(1, 2), 5) == []

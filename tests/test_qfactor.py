@@ -1,11 +1,22 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from ivpoly import qpoly
-from ivpoly.qfactor import factor_rational, is_irreducible_over_q
+from ivpoly.qfactor import (
+    _factor_mod_prime,
+    _hensel_lift,
+    _mul,
+    factor_rational,
+    is_irreducible_over_q,
+)
 
 
 def reconstruct(c, factors):
@@ -100,3 +111,86 @@ def test_rational_roots_with_denominators_match_sympy(linears):
     found = {g: m for g, m in factors if len(g) == 2}
     for lin in linears:
         assert found[lin] == linears.count(lin)
+
+
+def _int_coeffs_of(expr):
+    x = sympy.Symbol("x")
+    return [int(v) for v in reversed(sympy.Poly(expr, x).all_coeffs())]
+
+
+def _assert_matches_sympy(coeffs):
+    c, factors = factor_rational(coeffs)
+    assert reconstruct(c, factors) == qpoly.poly(coeffs)
+    assert sorted(factors) == _sympy_factor_list(coeffs)
+    assert factors == sorted(factors, key=lambda gm: (len(gm[0]), gm[0]))
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_x_to_the_n_plus_7_matches_sympy(n):
+    _assert_matches_sympy([7] + [0] * (n - 1) + [1])
+
+
+@pytest.mark.parametrize("k", [3, 4], ids=["degree-8", "degree-16"])
+def test_swinnerton_dyer_matches_sympy(k):
+    # irreducible over Q, but split into factors of degree <= 2 mod every prime
+    _assert_matches_sympy(_int_coeffs_of(swinnerton_dyer_poly(k, sympy.Symbol("x"))))
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_cyclotomic_splits_match_sympy(n):
+    _assert_matches_sympy([-1] + [0] * (n - 1) + [1])
+
+
+def test_non_monic_repeated_factor_matches_sympy():
+    f = qpoly.mul(qpoly.poly([3, 0, 0, 0, 2]), qpoly.poly([-5, 0, 0, 0, 3]))
+    f = qpoly.mul(f, qpoly.poly([-5, 0, 0, 0, 3]))
+    c, factors = factor_rational(f)
+    assert c == 1 and factors == [((-5, 0, 0, 0, 3), 2), ((3, 0, 0, 0, 2), 1)]
+    _assert_matches_sympy(f)
+
+
+_primitive_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=6).filter(
+    lambda cs: cs[-1] != 0 and math.gcd(*cs) == 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_primitive_polys, min_size=1, max_size=3))
+def test_products_of_primitive_polynomials_match_sympy(parts):
+    f = qpoly.poly([1])
+    for g in parts:
+        f = qpoly.mul(f, qpoly.poly(g))
+    _assert_matches_sympy(f)
+
+
+STAGE_CASES = [
+    (7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),  # x^10 + 7
+    (-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),  # x^12 - 1, linear factors included
+    (-15, 0, 0, 0, -1, 0, 0, 0, 6),  # (2x^4 + 3)(3x^4 - 5)
+    tuple(_int_coeffs_of(swinnerton_dyer_poly(3, sympy.Symbol("x")))),
+]
+
+
+@pytest.mark.parametrize("g", STAGE_CASES)
+def test_factors_mod_p_multiply_back_and_are_irreducible(g):
+    p, factors = _factor_mod_prime(g)
+    prod = [g[-1] % p]
+    for h in factors:
+        assert h[-1] == 1
+        prod = _mul(prod, h, p)
+    assert prod == [c % p for c in g]
+    _, sym = gf_factor_sqf(gf_from_int_poly(list(reversed(g)), p), p, ZZ)
+    assert sorted(tuple(h) for h in factors) == sorted(tuple(reversed(h)) for h in sym)
+
+
+@pytest.mark.parametrize("g", STAGE_CASES)
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_hensel_lift_multiplies_back_mod_p_to_the_k(g, k):
+    p, factors = _factor_mod_prime(g)
+    lifted = _hensel_lift(g, factors, p, k)
+    m = p**k
+    prod = [g[-1] % m]
+    for low, high in zip(factors, lifted):
+        assert high[-1] == 1 and [c % p for c in high] == low
+        prod = _mul(prod, high, m)
+    assert prod == [c % m for c in g]
