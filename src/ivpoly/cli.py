@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import verify
 from .cone import ConeSpec, cone_member, idf_family_check, tpoly
-from .errors import DuplicatePointsError, IvpolyError, SpecKindError
+from .errors import DuplicatePointsError, InputTooLargeError, IvpolyError, SpecKindError
 from .intpoly import (
     FiniteSite,
     IVPoly,
@@ -49,6 +49,12 @@ from .puiseux import (
 from .rationals import format_rational, parse_rational
 
 
+#: largest --truncation accepted by cone-member, cone-idf and the
+#: prime-reciprocal spec: the cone systems grow with its square, and the
+#: prime-reciprocal atom list runs a membership search per pair of generators
+MAX_TRUNCATION = 100
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -70,6 +76,14 @@ def _parse_site(text: str):
     return FiniteSite(tuple(points))
 
 
+def _truncation(args) -> int:
+    if args.truncation > MAX_TRUNCATION:
+        raise InputTooLargeError(
+            f"truncation {args.truncation} exceeds the cap of {MAX_TRUNCATION}"
+        )
+    return args.truncation
+
+
 def _parse_poly(args) -> IVPoly:
     site = _parse_site(args.site)
     coeffs = _parse_coeff_list(args.poly)
@@ -85,7 +99,7 @@ def _parse_spec(args):
     if kind == "dyadic":
         return DyadicValuation()
     if kind == "prime-reciprocal":
-        return PrimeReciprocal(truncation=args.truncation)
+        return PrimeReciprocal(truncation=_truncation(args))
     if kind == "explicit":
         if not args.gens:
             raise SpecKindError("explicit monoids need --gens")
@@ -274,7 +288,7 @@ def _cmd_ivp_nonatomic(args):
 
 
 def _cmd_cone_member(args):
-    spec = ConeSpec(args.truncation)
+    spec = ConeSpec(_truncation(args))
     target = tpoly(_parse_coeff_list(args.target))
     exclude = set(args.exclude.split(",")) if args.exclude else set()
     cert = cone_member(target, spec, exclude=exclude)
@@ -293,7 +307,7 @@ def _cmd_cone_member(args):
 
 
 def _cmd_cone_idf(args):
-    spec = ConeSpec(args.truncation)
+    spec = ConeSpec(_truncation(args))
     report = idf_family_check(args.index, spec)
     result = {
         "index": report.index,

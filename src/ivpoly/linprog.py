@@ -2,8 +2,8 @@
 
 Two independent engines:
 
-* a two-phase simplex with Bland's rule (dense tableau, ``Fraction``
-  arithmetic, no floating point), solving
+* a two-phase simplex with Bland's rule on a sparse tableau (each row a
+  dict from column to nonzero ``Fraction``, no floating point), solving
   max/min c.x subject to A x = b, x >= 0;
 * Fourier-Motzkin elimination for feasibility of inequality systems,
   used as a cross-check oracle on the simplex verdicts.
@@ -16,6 +16,11 @@ from math import gcd, lcm
 from typing import Sequence
 
 Row = tuple[Fraction, ...]
+#: a tableau row: column -> nonzero entry, the right-hand side under _RHS
+SparseRow = dict[int, Fraction]
+#: reserved key of the right-hand side; original columns are 0..n-1
+_RHS = -1
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -25,29 +30,51 @@ class LPResult:
     solution: tuple[Fraction, ...] | None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = tab[r][c]
-    tab[r] = [v / piv for v in tab[r]]
+def _subtract(row: SparseRow, f: Fraction, prow: SparseRow) -> None:
+    """row -= f * prow at prow's nonzero columns, dropping entries that cancel."""
+    for j, w in prow.items():
+        v = row.get(j)
+        if v is None:
+            row[j] = -f * w
+        else:
+            v -= f * w
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def _pivot(tab: list[SparseRow], basis: list[int], r: int, c: int) -> None:
+    """Make column c basic in row r; only rows with a nonzero in column c change."""
+    prow = tab[r]
+    piv = prow[c]
+    if piv != 1:
+        prow = tab[r] = {j: v / piv for j, v in prow.items()}
     for i, row in enumerate(tab):
-        if i != r and row[c] != 0:
-            f = row[c]
-            tab[i] = [v - f * w for v, w in zip(row, tab[r])]
+        f = row.get(c)
+        if f is not None and i != r:
+            _subtract(row, f, prow)
     basis[r] = c
 
 
-def _bland_min(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str:
-    """Minimize the objective in the last tableau row; Bland's anti-cycling rule."""
+def _bland_min(tab: list[SparseRow], basis: list[int]) -> str:
+    """Minimize the objective in the last tableau row; Bland's anti-cycling rule.
+
+    Only original columns are stored, so any column may enter.  Every entry
+    is a ``Fraction``, whose numerator carries its sign.
+    """
     m = len(tab) - 1
     while True:
-        obj = tab[m]
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = min(
+            (j for j, v in tab[m].items() if v.numerator < 0 and j != _RHS), default=None
+        )
         if enter is None:
             return "optimal"
         best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                key = (ratio, basis[i])
+            a = tab[i].get(enter)
+            if a is not None and a.numerator > 0:
+                key = (tab[i].get(_RHS, _ZERO) / a, basis[i])
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
@@ -61,65 +88,62 @@ def simplex_solve(
     objective: Sequence[Fraction] | None = None,
     maximize: bool = True,
 ) -> LPResult:
-    """Solve max (or min) objective . x subject to a_eq x = b_eq, x >= 0."""
+    """Solve max (or min) objective . x subject to a_eq x = b_eq, x >= 0.
+
+    Row i starts with the artificial n + i basic.  Artificial columns are
+    never stored: they may not re-enter, and no choice reads them.
+    """
     m = len(a_eq)
     n = len(a_eq[0]) if m else (len(objective) if objective else 0)
-    rows = [[Fraction(v) for v in row] for row in a_eq]
-    rhs = [Fraction(v) for v in b_eq]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
+    tab: list[SparseRow] = []
+    for row, b in zip(a_eq, b_eq):
+        sign = -1 if b < 0 else 1
+        entries = {j: sign * Fraction(v) for j, v in enumerate(row) if v}
+        if b:
+            entries[_RHS] = sign * Fraction(b)
+        tab.append(entries)
 
-    # phase 1: artificials must vanish
-    width = n + m + 1
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
-        tab.append(row)
-    # cost row: sum of artificials, expressed through the artificial basis
-    cost = [Fraction(0)] * width
-    for j in range(n):
-        cost[j] = -sum(tab[i][j] for i in range(m))
-    cost[-1] = -sum(tab[i][-1] for i in range(m))
-    tab.append(cost)
+    # phase 1 cost row: sum of artificials, expressed through the artificial basis
+    cost: SparseRow = {}
+    for row in tab:
+        for j, v in row.items():
+            cost[j] = cost.get(j, _ZERO) - v
+    tab.append({j: v for j, v in cost.items() if v})
     basis = [n + i for i in range(m)]
-    _bland_min(tab, basis, n)  # artificial columns never re-enter
-    if tab[m][-1] < 0:
+    _bland_min(tab, basis)
+    if tab[m].get(_RHS, _ZERO) < 0:
         return LPResult("infeasible", None, None)
     # drive leftover artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if tab[i][j] != 0), None)
+            enter = min((j for j in tab[i] if j != _RHS), default=None)
             if enter is not None:
                 _pivot(tab, basis, i, enter)
 
     if objective is None:
-        sol = _extract(tab, basis, n, m)
-        return LPResult("optimal", Fraction(0), sol)
+        return LPResult("optimal", Fraction(0), _extract(tab, basis, n))
 
     # phase 2 on the original columns
-    sign = Fraction(-1 if maximize else 1)
-    obj = [sign * Fraction(c) for c in objective] + [Fraction(0)] * (m + 1)
+    sign = -1 if maximize else 1
+    obj: SparseRow = {j: sign * Fraction(c) for j, c in enumerate(objective) if c}
     # express the objective through the current basis
-    for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            obj = [v - f * w for v, w in zip(obj, tab[i])]
+    for i, col in enumerate(basis):
+        f = obj.get(col)
+        if f is not None:
+            _subtract(obj, f, tab[i])
     tab[m] = obj
-    status = _bland_min(tab, basis, n)
-    if status == "unbounded":
+    if _bland_min(tab, basis) == "unbounded":
         return LPResult("unbounded", None, None)
-    sol = _extract(tab, basis, n, m)
+    sol = _extract(tab, basis, n)
     value = sum((Fraction(c) * x for c, x in zip(objective, sol)), Fraction(0))
     return LPResult("optimal", value, sol)
 
 
-def _extract(tab, basis, n, m) -> tuple[Fraction, ...]:
-    sol = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            sol[basis[i]] = tab[i][-1]
+def _extract(tab: list[SparseRow], basis: list[int], n: int) -> tuple[Fraction, ...]:
+    sol = [_ZERO] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            sol[col] = tab[i].get(_RHS, _ZERO)
     return tuple(sol)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivpoly.cli import run
+from ivpoly.cli import MAX_TRUNCATION, run
 from ivpoly.errors import InputTooLargeError
 from ivpoly.rationals import MAX_DIGITS, parse_rational
 
@@ -202,6 +202,26 @@ class TestErrorsAndExitCodes:
         assert payload["op"] == "monoid-member" and payload["result"] is None
         assert payload["error"]["code"] == "input-too-large"
 
+    @pytest.mark.parametrize("argv", [
+        ("cone-member", "--target", "1"),
+        ("cone-idf", "--index", "1"),
+        ("monoid-member", "--spec", "prime-reciprocal", "--q", "1/2"),
+        ("monoid-atoms", "--spec", "prime-reciprocal", "--denom-bound", "10"),
+    ])
+    def test_truncation_cap(self, capsys, argv):
+        cap = str(MAX_TRUNCATION)
+        status, payload = invoke_json(capsys, *argv, "--truncation", cap)
+        assert status == 0 and payload["error"] is None
+        status, payload = invoke_json(capsys, *argv, "--truncation", str(MAX_TRUNCATION + 1))
+        assert status == 1 and payload["result"] is None
+        assert payload["error"]["code"] == "input-too-large"
+
+    def test_truncation_is_ignored_by_closed_form_specs(self, capsys):
+        status, payload = invoke_json(
+            capsys, "monoid-member", "--spec", "grams", "--q", "1/2", "--truncation", "100000"
+        )
+        assert status == 0 and payload["result"]["member"]
+
     @pytest.mark.parametrize(
         "text",
         ["1e1000", "9" * (MAX_DIGITS + 1), "1/" + "7" * (MAX_DIGITS + 1), "1e-1000",
@@ -306,6 +326,20 @@ def test_irreducible_x10_plus_7_in_a_subprocess_within_10_s():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == {"irreducible": True}
+
+
+def test_huge_cone_truncation_in_a_subprocess_within_10_s():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivpoly.cli", "cone-member", "--target", "1",
+         "--truncation", "100000", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["op"] == "cone-member" and payload["result"] is None
+    assert payload["error"]["code"] == "input-too-large"
 
 
 def test_verify_paper_full_suite_exits_zero(capsys):

@@ -6,6 +6,7 @@ from ivpoly.cone import (
     ConeCertificate,
     ConeSpec,
     _coefficient_system,
+    _mass_system,
     a_gen,
     b_gen,
     cone_member,
@@ -16,6 +17,7 @@ from ivpoly.cone import (
     t_power,
     tpoly,
 )
+from ivpoly.cli import run
 from ivpoly.errors import DegreeBoundError, IndexRangeError, TruncationError
 from ivpoly.linprog import simplex_solve
 
@@ -147,3 +149,116 @@ class TestCertificateExactness:
             if cert is not None:
                 assert cert.total(SPEC6).coeffs == target.coeffs
                 assert all(w > 0 for _, w in cert.weights)
+
+
+def _combo(*terms):
+    """sum w * g over (label, w) pairs, generators taken at truncation 40."""
+    table = {g.label: g.poly for g in ConeSpec(40).generators()}
+    total = tpoly([])
+    for label, w in terms:
+        total = total + tpoly([w * c for c in table[label].coeffs])
+    return total
+
+
+class TestGoldenPivotPath:
+    """Results of the dense-tableau simplex, pinned so that any change to the
+    pivot sequence shows: Bland's rule makes certificates and LP solutions a
+    function of the pivots taken."""
+
+    TARGETS = {
+        "one": tpoly([1]),
+        "mixed": _combo(("a_3", F(7, 2)), ("b_4", F(5, 3)), ("t^5", 2)),
+        "a1_plus_b1": tpoly([1, 1, -2]),
+        "quarter": _combo(("b_2", 3), ("a_5", F(1, 4)), ("t^1", 1), ("b_6", F(2, 9))),
+        "two_plus_t3": tpoly([2, 0, 0, 1]),
+        "one_minus_t": tpoly([1, -1]),
+        "square": tpoly([1, -2, 1]),
+        "fractional": tpoly([F(1, 2), F(-1, 3), 0, F(5, 7)]),
+        "three_minus": tpoly([3, -1, 0, 0, 0, -1]),
+    }
+    CERTIFICATES = {
+        "one": (("t^2", F(1)), ("a_1", F(1))),
+        "mixed": (("t^1", F(5, 3)), ("t^5", F(1, 3)), ("a_3", F(7, 2))),
+        "a1_plus_b1": (("a_1", F(1)), ("b_1", F(1))),
+        "quarter": (("t^1", F(1)), ("a_5", F(1, 36)), ("a_6", F(2, 9)), ("b_2", F(3)),
+                    ("b_5", F(2, 9))),
+        "two_plus_t3": (("t^2", F(2)), ("t^3", F(1)), ("a_1", F(2))),
+        "one_minus_t": None,
+        "square": None,
+        "fractional": None,
+        "three_minus": None,
+    }
+    HIGH = _combo(("a_19", F(5, 4)), ("b_11", F(2, 3)), ("t^17", 3), ("b_22", F(1, 5)))
+    HIGH_CERTIFICATE = (("t^17", F(3)), ("a_19", F(21, 20)), ("a_22", F(1, 5)),
+                        ("b_11", F(2, 3)), ("b_19", F(1, 5)))
+    #: (index, truncation) -> nonzero entries of the mass LP's optimal solution
+    MASS_SOLUTIONS = {
+        (1, 8): {32: 1, 64: 1},
+        (6, 12): {53: 1, 101: 1},
+        (8, 16): {71: 1, 135: 1},
+        (20, 20): {99: 1, 179: 1},
+        (12, 24): {107: 1, 203: 1},
+        (20, 40): {179: 1, 339: 1},
+    }
+
+    @pytest.mark.parametrize("truncation", (6, 12, 24, 40))
+    def test_certificates(self, truncation):
+        spec = ConeSpec(truncation)
+        for name, target in self.TARGETS.items():
+            cert = cone_member(target, spec)
+            got = None if cert is None else cert.weights
+            assert got == self.CERTIFICATES[name], name
+
+    @pytest.mark.parametrize("truncation", (24, 40))
+    def test_high_degree_certificates(self, truncation):
+        spec = ConeSpec(truncation)
+        assert cone_member(self.HIGH, spec).weights == self.HIGH_CERTIFICATE
+        assert cone_member(tpoly([1] + [0] * 19 + [-3]), spec) is None
+
+    def test_mass_lp(self):
+        for (i, n), nonzeros in self.MASS_SOLUTIONS.items():
+            spec = ConeSpec(n)
+            assert common_divisor_mass(i, spec) == 0
+            system, rhs, objective = _mass_system(i, spec)
+            res = simplex_solve(system, rhs, objective, maximize=True)
+            assert res.status == "optimal" and res.value == 0
+            assert {j: v for j, v in enumerate(res.solution) if v} == nonzeros
+
+    #: (row, column) of every pivot, in order
+    PIVOTS = {
+        "quarter": [(1, 0), (2, 1), (4, 3), (5, 4), (0, 6), (2, 7), (0, 12), (3, 13), (2, 10),
+                    (6, 16), (7, 11)],
+        "square": [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (0, 6)],
+        "mass": [(1, 0), (2, 1), (4, 3), (6, 4), (2, 5), (1, 8), (6, 16), (1, 0), (8, 1), (1, 9),
+                 (0, 13), (0, 17), (7, 24), (8, 25), (10, 27), (7, 33), (3, 0), (5, 7), (9, 1),
+                 (11, 19), (3, 2)],
+    }
+
+    def test_pivot_sequences(self, pivots):
+        runs = {
+            "quarter": lambda: cone_member(self.TARGETS["quarter"], SPEC6),
+            "square": lambda: cone_member(self.TARGETS["square"], SPEC6),
+            "mass": lambda: common_divisor_mass(2, ConeSpec(4)),
+        }
+        for name, call in runs.items():
+            pivots.clear()
+            call()
+            assert pivots == self.PIVOTS[name], name
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["--target", "1", "--truncation", "12"],
+         '{"error":null,"op":"cone-member","result":{"certificate":{"a_1":"1","t^2":"1"},'
+         '"member":true,"verified_up_to":12}}'),
+        (["--target", "1,1,-2", "--truncation", "24"],
+         '{"error":null,"op":"cone-member","result":{"certificate":{"a_1":"1","b_1":"1"},'
+         '"member":true,"verified_up_to":24}}'),
+        (["--target", "0,1", "--truncation", "40", "--exclude", "t^1"],
+         '{"error":null,"op":"cone-member","result":{"certificate":{"b_1":"1","t^2":"1"},'
+         '"member":true,"verified_up_to":40}}'),
+        (["--target", "1,-1", "--truncation", "40"],
+         '{"error":null,"op":"cone-member","result":{"certificate":null,"member":false,'
+         '"verified_up_to":40}}'),
+    ])
+    def test_cli_json(self, capsys, argv, stdout):
+        assert run(["cone-member", *argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == stdout + "\n"

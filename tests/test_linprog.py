@@ -3,6 +3,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from ivpoly import linprog
 from ivpoly.linprog import (
     eq_system_to_ineqs,
     fm_feasible,
@@ -107,15 +108,6 @@ def test_fm_eq_gaussian_path():
     assert fm_feasible_eq([[1, 1], [2, 2]], [2, 4])  # consistent redundancy
 
 
-def random_systems():
-    entry = st.integers(-4, 4)
-    return st.tuples(
-        st.integers(1, 3),  # rows
-        st.integers(1, 4),  # cols
-        st.data(),
-    )
-
-
 @given(
     st.integers(1, 3),
     st.integers(1, 4),
@@ -163,3 +155,91 @@ def test_simplex_solution_satisfies_system(m, n, data):
     assert all(x >= 0 for x in sol)
     for row, rhs in zip(a, b):
         assert sum(c * x for c, x in zip(row, sol)) == rhs
+
+
+def _satisfies(a, b, sol):
+    return all(x >= 0 for x in sol) and all(
+        sum(c * x for c, x in zip(row, sol)) == rhs for row, rhs in zip(a, b)
+    )
+
+
+def test_beale_cycling_example_terminates_at_the_optimum(pivots):
+    # Beale (1955): the textbook rule cycles here; Bland's rule must not.
+    # Columns: slacks s1..s3, then x4..x7.
+    a = [
+        [1, 0, 0, F(1, 4), -8, -1, 9],
+        [0, 1, 0, F(1, 2), -12, F(-1, 2), 3],
+        [0, 0, 1, 0, 0, 1, 0],
+    ]
+    b = [0, 0, 1]
+    c = [0, 0, 0, F(-3, 4), 20, F(-1, 2), 6]
+    res = simplex_solve(a, b, c, maximize=False)
+    assert pivots == [(0, 0), (1, 1), (2, 2), (0, 3), (1, 4), (0, 5), (1, 0), (2, 1), (2, 3)]
+    assert res.status == "optimal" and res.value == F(-5, 4)
+    assert _satisfies(a, b, res.solution)
+    assert res.value == -brute_lp_max(a, b, [-v for v in c])
+
+
+def test_redundant_rows_keep_an_artificial_basic(monkeypatch):
+    # rows 2 and 3 are multiples of row 1: after phase 1 their artificials
+    # have no nonzero original column, so the drive-out cannot move them
+    bases = []
+    extract = linprog._extract
+
+    def spy(tab, basis, n, *rest):
+        bases.append((list(basis), n))
+        return extract(tab, basis, n, *rest)
+
+    monkeypatch.setattr(linprog, "_extract", spy)
+    a = [[1, 1, 0], [2, 2, 0], [0, 0, 0], [3, 3, 1]]
+    b = [2, 4, 0, 7]
+    res = simplex_solve(a, b, [1, 2, 1], maximize=True)
+    assert res.status == "optimal" and res.value == 5
+    assert res.solution == (F(0), F(2), F(1))
+    assert _satisfies(a, b, res.solution)
+    basis, n = bases[-1]
+    assert sum(col >= n for col in basis) == 2
+    sol = simplex_feasible(a, b)
+    assert sol is not None and _satisfies(a, b, sol)
+
+
+def test_unbounded_after_a_nontrivial_phase_one():
+    a = [[1, -1, 0], [0, 0, 1]]
+    b = [1, 2]
+    assert simplex_solve(a, b, [0, 1, 0], maximize=True).status == "unbounded"
+    assert simplex_solve(a, b, [-1, 0, 0], maximize=False).status == "unbounded"
+    res = simplex_solve(a, b, [0, 1, 0], maximize=False)
+    assert res.status == "optimal" and res.value == 0
+    assert res.solution == (F(1), F(0), F(2))
+
+
+def test_non_integer_entries_in_matrix_and_rhs():
+    a = [[F(1, 3), F(2, 5), 0, F(-1, 2)], [0, F(3, 7), F(-5, 11), F(1, 6)]]
+    b = [F(7, 6), F(-9, 14)]
+    sol = simplex_feasible(a, b)
+    assert sol is not None and _satisfies(a, b, sol) and fm_feasible_eq(a, b)
+    c = [F(-1, 2), F(2, 3), F(-3, 4), F(-1, 5)]
+    res = simplex_solve(a, b, c, maximize=True)
+    assert res.status == "optimal" and _satisfies(a, b, res.solution)
+    assert res.value == brute_lp_max(a, b, c) == sum(x * y for x, y in zip(c, res.solution))
+    assert res.value.denominator > 1
+    # with row 2 nonnegative, its negative right side cannot be met
+    a[1] = [0, F(3, 7), F(5, 11), F(1, 6)]
+    assert simplex_solve(a, b, c).status == "infeasible" and not fm_feasible_eq(a, b)
+
+
+def _sparse_entries():
+    """About three entries in four are zero; the rest are small fractions."""
+    nonzero = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+    return st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), nonzero)
+
+
+@given(st.integers(1, 8), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_systems_agree_with_fourier_motzkin(m, n, data):
+    a = [[data.draw(_sparse_entries()) for _ in range(n)] for _ in range(m)]
+    b = [data.draw(_sparse_entries()) for _ in range(m)]
+    sol = simplex_feasible(a, b)
+    assert (sol is not None) == fm_feasible_eq(a, b)
+    if sol is not None:
+        assert _satisfies(a, b, sol)
