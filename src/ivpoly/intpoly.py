@@ -5,7 +5,9 @@ integer; Int(S,Z), for a finite set S of integers, only constrains the
 values on S.  Membership in Int(Z) reduces to integrality of the forward
 differences at 0 (the binomial-basis coordinates), which makes divisor
 enumeration, irreducibility, factorization sets, and elasticity fully
-decidable there.  For finite sites, divisor sets are infinite as soon as a
+decidable there.  Each divisor of f is u * G_J for an exponent vector J over
+the Q[x] factors of f, and factorizations are built on the (J, u) keys of
+that finite table.  For finite sites, divisor sets are infinite as soon as a
 polynomial vanishes somewhere on the site, so only the operations the
 theory makes finite are offered: membership, exact division, linear
 irreducibility, irreducible-divisor extraction, and the vanishing
@@ -307,7 +309,7 @@ def _value_gcds(factors, points) -> dict[tuple[int, ...], int]:
 
 
 def _divisor_candidates(f: IVPoly):
-    """Yield every divisor of f (normalized, no associates) as (u, G_J).
+    """Yield every divisor of f (normalized, no associates) as (vec, u, G_J).
 
     f = c * G_J * G_Jc with the G's primitive integer polynomials, G_J the
     product of the Q[x] irreducible factors of f taken with the exponents in
@@ -319,7 +321,8 @@ def _divisor_candidates(f: IVPoly):
 
     f is factored once and every value gcd comes from integer value tables
     (``_value_gcds``); G_J, an integer coefficient tuple, is built only for
-    a vector that yields a divisor.
+    a vector that yields a divisor.  Each divisor is yielded once: G_J is
+    primitive with positive leading coefficient, so (vec, u) determines it.
     """
     c, factors = factor_rational(f.coeffs)
     cn, cd = abs(c.numerator), c.denominator
@@ -352,7 +355,7 @@ def _divisor_candidates(f: IVPoly):
                     for (g, _), e in zip(factors, vec):
                         for _ in range(e):
                             gj = qpoly.int_mul(gj, g)
-                yield Fraction(a, b), gj
+                yield vec, Fraction(a, b), gj
 
 
 def divisors(f: IVPoly) -> DivisorList:
@@ -369,12 +372,8 @@ def divisors(f: IVPoly) -> DivisorList:
         raise ZeroElementError("the zero polynomial is not factored")
     if not is_member(f):
         raise NotAMemberError("f is not integer-valued")
-    seen = {}
-    for u, gj in _divisor_candidates(f):
-        d = IVPoly(qpoly.scale(gj, u), f.site)
-        seen[d.coeffs] = d
-    out = sorted(seen.values(), key=IVPoly.sort_key)
-    return DivisorList(f.normalized(), tuple(out))
+    out = (IVPoly(qpoly.scale(gj, u), f.site) for _, u, gj in _divisor_candidates(f))
+    return DivisorList(f.normalized(), tuple(sorted(out, key=IVPoly.sort_key)))
 
 
 def is_irreducible(f: IVPoly) -> bool:
@@ -391,7 +390,7 @@ def is_irreducible(f: IVPoly) -> bool:
     _reject_trivial(f)
     if isinstance(f.site, AllIntegers):
         trivial = ((Fraction(1),), f.normalized().coeffs)
-        return all(qpoly.scale(gj, u) in trivial for u, gj in _divisor_candidates(f))
+        return all(qpoly.scale(gj, u) in trivial for _, u, gj in _divisor_candidates(f))
     if f.degree >= 2:
         raise UnsupportedSiteError(
             "irreducibility over a finite site is decided for degree <= 1 only"
@@ -431,54 +430,53 @@ class PolyFactorization:
         return " * ".join(f"({p})" for p in self.parts)
 
 
-def _irreducible_divisors(divs: tuple[IVPoly, ...]) -> list[IVPoly]:
-    """Divisors with no two-nonunit-product expression inside the divisor set."""
-    nonunits = [d for d in divs if not d.is_unit()]
-    products = set()
-    for i, d1 in enumerate(nonunits):
-        for d2 in nonunits[i:]:
-            prod = qpoly.mul(d1.coeffs, d2.coeffs)
-            if prod[-1] < 0:
-                prod = qpoly.neg(prod)
-            products.add(prod)
-    return [d for d in nonunits if d.coeffs not in products]
+def _cofactor(table: dict, key, by):
+    """The table key of key / by, or None when by does not divide key."""
+    vec = tuple(a - b for a, b in zip(key[0], by[0]))
+    if min(vec, default=0) < 0:
+        return None
+    rest = (vec, key[1] / by[1])
+    return rest if rest in table else None
 
 
-def factorizations(f: IVPoly, divisor_list: DivisorList | None = None) -> list[PolyFactorization]:
+def _factor_keys(table: dict, irr: list, key, unit, start: int = 0) -> list[tuple[IVPoly, ...]]:
+    """Factorizations of key over the (key, part) pairs irr[start:], parts decreasing.
+
+    Not a closure: a self-referencing closure would keep the table in a
+    reference cycle until the garbage collector runs.
+    """
+    out = []
+    for idx in range(start, len(irr)):
+        by, part = irr[idx]
+        rest = _cofactor(table, key, by)
+        if rest == unit:
+            out.append((part,))
+        elif rest is not None:
+            out.extend(tail + (part,) for tail in _factor_keys(table, irr, rest, unit, idx))
+    return out
+
+
+def factorizations(f: IVPoly) -> list[PolyFactorization]:
     """The complete finite set of factorizations of f into irreducibles.
 
-    Works over Z via recursive splitting along the divisor enumeration; parts
-    are normalized associates in canonical decreasing order, and every
-    distinct multiset appears once.  A precomputed divisor_list for f may be
-    supplied (the stability checks use this to replay the recursion over an
-    independently-derived divisor set).
+    Works over Z on the divisor table of f, keyed by (vec, u) for u * G_J.
+    Products add vectors and multiply u's, and a divisor's divisors are in
+    the table: a nonunit key is reducible iff some other nonunit key leaves
+    its cofactor key in the table.  Irreducibles are taken in ``sort_key``
+    order, so each multiset appears once, parts in decreasing order.
     """
     _reject_trivial(f)
     if not isinstance(f.site, AllIntegers):
         raise UnsupportedSiteError("complete factorization sets exist only over Z")
-    target = f.normalized()
-    divs = (divisor_list or divisors(target)).divisors
-    irr = sorted(_irreducible_divisors(divs), key=IVPoly.sort_key)
-
-    def rec(g: IVPoly, start: int) -> list[tuple[IVPoly, ...]]:
-        out = []
-        for idx in range(start, len(irr)):
-            d = irr[idx]
-            q = divide(g, d)
-            if q is None:
-                continue
-            if q.is_unit():
-                out.append((d,))
-            else:
-                out.extend((d,) + tail for tail in rec(q, idx))
-        return out
-
-    seen = []
-    for parts in rec(target, 0):
-        fac = PolyFactorization(tuple(sorted(parts, key=IVPoly.sort_key, reverse=True)))
-        if fac not in seen:
-            seen.append(fac)
-    return sorted(seen, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
+    table = {(vec, u): gj for vec, u, gj in _divisor_candidates(f)}
+    top = max(table)  # the full vector with the largest u: f itself
+    unit = ((0,) * len(top[0]), Fraction(1))
+    nonunits = [k for k in table if k != unit]
+    irr = [(k, IVPoly(qpoly.scale(table[k], k[1]), f.site)) for k in nonunits
+           if not any(d != k and _cofactor(table, k, d) for d in nonunits)]
+    irr.sort(key=lambda pair: pair[1].sort_key())
+    facs = [PolyFactorization(parts) for parts in _factor_keys(table, irr, top, unit)]
+    return sorted(facs, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
 
 
 @dataclass(frozen=True)
@@ -519,7 +517,7 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     if g >= 2:
         return constant(smallest_prime_factor(g), f.site)
     best: IVPoly | None = None
-    for u, gj in _divisor_candidates(f):
+    for _, u, gj in _divisor_candidates(f):
         cand = IVPoly(qpoly.scale(gj, u), f.site)
         if cand.is_unit():
             continue

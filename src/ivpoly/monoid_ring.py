@@ -80,10 +80,10 @@ class PrimeField(CoefficientRing):
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise CoefficientRingError(f"{self.p} is not prime")
         if self.p >= 2**63:
             raise CoefficientRingError("prime fields are limited to machine-word primes")
+        if not is_prime(self.p):
+            raise CoefficientRingError(f"{self.p} is not prime")
 
     @property
     def tag(self) -> str:  # type: ignore[override]

@@ -1,15 +1,28 @@
 """Small prime utilities shared across the package."""
 from __future__ import annotations
 
+from .errors import InputTooLargeError
+
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+#: Miller-Rabin bases: the first 13 primes
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: these bases decide primality for every n below this (Sorenson-Webster 2017)
+MR_PROVEN_BOUND = 3317044064679887385961981
+#: odd_prime_index answers up to this prime; the Grams generator 1/(2^i p_i)
+#: of the last prime below it (99991, odd index 9590) has about 2900 digits
+MAX_INDEXED_PRIME = 10**5
 
 
 def _extend_to(count: int) -> None:
     n = _PRIMES[-1]
     while len(_PRIMES) < count:
         n += 2
-        if all(n % p for p in _PRIMES if p * p <= n):
-            _PRIMES.append(n)
+        for p in _PRIMES:
+            if p * p > n:
+                _PRIMES.append(n)
+                break
+            if n % p == 0:
+                break
 
 
 def nth_prime(i: int) -> int:
@@ -26,7 +39,12 @@ def odd_prime(i: int) -> int:
 
 
 def odd_prime_index(p: int) -> int:
-    """Position of p in the odd primes 3, 5, 7, 11, ..."""
+    """Position of p in the odd primes 3, 5, 7, 11, ...
+
+    Primes above MAX_INDEXED_PRIME raise InputTooLargeError.
+    """
+    if p > MAX_INDEXED_PRIME:
+        raise InputTooLargeError(f"prime {p} exceeds the index bound {MAX_INDEXED_PRIME}")
     i = 0
     while odd_prime(i) < p:
         i += 1
@@ -36,13 +54,33 @@ def odd_prime_index(p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    A composite verdict comes with a witness, so it always holds.  A prime
+    verdict is proven below MR_PROVEN_BOUND; above it, n passing every base
+    raises InputTooLargeError rather than answering from a probable-prime
+    test.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
+    if n >= MR_PROVEN_BOUND:
+        raise InputTooLargeError(f"primality of a {len(str(n))}-digit number is not proven")
     return True
 
 

@@ -25,7 +25,7 @@ from .errors import (
     SpecKindError,
     TruncationError,
 )
-from .primes import factorize, nth_prime, odd_prime, odd_prime_index
+from .primes import factorize, is_prime, nth_prime, odd_prime, odd_prime_index
 from .rationals import dyadic_exponent, format_rational, is_dyadic
 
 
@@ -163,6 +163,14 @@ class PrimeReciprocal(PuiseuxMonoid):
 
     def search_generators(self) -> tuple[Fraction, ...]:
         return tuple(self.generator(i) for i in range(self.truncation))
+
+    def splits(self, g: Fraction) -> bool:
+        """A nonzero member splits iff it is not a generator 1/p.
+
+        A member other than a generator is a sum of two or more of them; 1/p
+        is an atom, since a sum of 1/q with q != p has p-adic valuation >= 0.
+        """
+        return not (g.numerator == 1 and is_prime(g.denominator))
 
     def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
         """Every 1/p is an atom: a sum of 1/q with q != p has p-adic valuation >= 0."""

@@ -35,8 +35,6 @@ def parse_rational(text: str) -> Fraction:
         q = Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedRationalError(f"malformed rational {text!r}") from exc
-    if q.denominator < 0:  # Fraction normalizes; defensive
-        q = Fraction(q.numerator, q.denominator)
     if max(abs(q.numerator), q.denominator) >= 10**MAX_DIGITS:
         raise InputTooLargeError(f"rational {text[:40]!r} exceeds {MAX_DIGITS} digits")
     return q

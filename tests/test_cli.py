@@ -278,6 +278,11 @@ class TestErrorsAndExitCodes:
         status = self._status_of(["grams-decompose", "--q", text, "--format", "json"])
         assert status in (0, 1, 2)
 
+    def test_grams_prime_beyond_index_bound(self, capsys):
+        # 935414457 = 3 * 163 * 1912913; the Grams index of 1912913 is refused
+        status, payload = invoke_json(capsys, "grams-decompose", "--q", "9/935414457")
+        assert status == 1 and payload["error"]["code"] == "input-too-large"
+
     @given(st.text(alphabet="0123456789,-", min_size=0, max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_site_strings_never_crash(self, text):
@@ -326,6 +331,21 @@ def test_irreducible_x10_plus_7_in_a_subprocess_within_10_s():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == {"irreducible": True}
+
+
+def test_ring_mul_over_a_mersenne_prime_field_in_a_subprocess_within_10_s():
+    a = json.dumps({"ring": "F2305843009213693951", "terms": [["1", "1/2"], ["3", "0"]]})
+    b = json.dumps({"ring": "F2305843009213693951", "terms": [["1", "1/2"], ["-1", "0"]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivpoly.cli", "ring-mul", "--a", a, "--b", b,
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    product = json.loads(proc.stdout)["result"]["product"]
+    assert product["terms"] == [["1", "1"], ["2", "1/2"], [str(2**61 - 4), "0"]]
 
 
 def test_huge_cone_truncation_in_a_subprocess_within_10_s():

@@ -36,6 +36,8 @@ from ivpoly.intpoly import (
     vanishing_nonatomic_witness,
 )
 
+from ivpoly.verify import _replay_factorizations, bruteforce_divisors
+
 X_ON_0 = ivpoly([0, 1], FiniteSite((0,)))
 #: rationals with denominators in {1, 2, 3, 6}, so that members and
 #: non-members both turn up often
@@ -301,6 +303,63 @@ class TestFactorizations:
         assert {z.length for z in facs} == {4, 5}
         assert all(z.product().coeffs == f.coeffs for z in facs)
         assert all(is_irreducible(p) for z in facs for p in z.parts)
+
+
+def _product(k, roots, m=0, extra=(1,)):
+    """k * C(x, m) * extra * prod (x - a) over the roots: many divisors."""
+    f = binomial(m).scale(k).mul(ivpoly(extra))
+    for a in roots:
+        f = f.mul(ivpoly([-a, 1]))
+    return f
+
+
+class TestFactorizationReplay:
+    """``factorizations`` on divisor keys against verify's polynomial replay."""
+
+    @given(
+        st.integers(1, 12),
+        st.lists(st.integers(-3, 3), max_size=2),
+        st.integers(0, 2),
+        # 1, x^2 + 1, 2x + 1, x^2 - x + 2 (fixed divisor 2), C(x, 2) + 1
+        st.sampled_from([(1,), (1, 0, 1), (1, 2), (2, -1, 1), (1, F(-1, 2), F(1, 2))]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_replay_over_divisors(self, k, roots, m, extra):
+        f = _product(k, roots, m, extra)
+        if f.is_unit():
+            return
+        assert factorizations(f) == _replay_factorizations(f, divisors(f).divisors)
+
+    @given(st.integers(1, 6), st.lists(st.integers(-2, 2), max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_replay_over_brute_force_divisors(self, k, roots):
+        f = _product(k, roots)
+        if f.is_unit():
+            return
+        assert factorizations(f) == _replay_factorizations(f, bruteforce_divisors(f))
+
+    def test_seven_factorial_binomial_seven(self):
+        # counted at the commit before divisor keys, by the recursion over
+        # polynomial products (26 s there)
+        facs = factorizations(binomial(7).scale(5040))
+        assert len(facs) == 205
+        lengths = [z.length for z in facs]
+        assert sorted(set(lengths)) == [5, 6, 7, 8, 9]
+        assert [lengths.count(n) for n in range(5, 10)] == [2, 12, 169, 19, 3]
+
+    def test_replay_is_independent_of_the_library(self, monkeypatch):
+        from ivpoly import intpoly, verify
+
+        f = ivpoly([0, -4, 0, 4])
+        want = factorizations(f)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay called intpoly.factorizations")
+
+        monkeypatch.setattr(intpoly, "factorizations", refuse)
+        monkeypatch.setattr(verify, "factorizations", refuse)
+        assert _replay_factorizations(f, bruteforce_divisors(f)) == want
+        assert len(want) > 1
 
 
 class TestFindIrreducibleDivisor:

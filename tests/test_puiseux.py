@@ -174,6 +174,18 @@ class TestAtoms:
         assert atoms == [F(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
                                            31, 37, 41, 43, 47, 53)]
 
+    @pytest.mark.parametrize("truncation", range(13))
+    def test_prime_reciprocal_splits_matches_the_search(self, truncation):
+        spec = PrimeReciprocal(truncation)
+        gens = spec.search_generators()
+        members = list(gens) + [g + h for i, g in enumerate(gens) for h in gens[i:]]
+        for g in members:
+            assert spec.splits(g) == PuiseuxMonoid.splits(spec, g), g
+
+    def test_prime_reciprocal_atoms_at_truncation_200(self):
+        spec = PrimeReciprocal(truncation=200)
+        assert atoms_up_to(spec, 10**6) == list(spec.search_generators())
+
     def test_interval_rule_on_rational_points(self):
         # rational points of {0} u [1, oo): atoms are exactly those in [1, 2)
         spec = ExplicitMonoid((F(1), F(3, 2), F(2), F(5, 2), F(3), F(7, 4)))
