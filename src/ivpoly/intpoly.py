@@ -7,11 +7,16 @@ differences at 0 (the binomial-basis coordinates), which makes divisor
 enumeration, irreducibility, factorization sets, and elasticity fully
 decidable there.  Each divisor of f is u * G_J for an exponent vector J over
 the Q[x] factors of f, and factorizations are built on the (J, u) keys of
-that finite table.  For finite sites, divisor sets are infinite as soon as a
-polynomial vanishes somewhere on the site, so only the operations the
-theory makes finite are offered: membership, exact division, linear
-irreducibility, irreducible-divisor extraction, and the vanishing
-non-atomicity witness.
+that finite table.  With f = (cn/cd) * G, a vector J carries a divisor iff
+cd | d(G_J) * d(G_Jc), d the fixed divisor (value gcd).  The walk over the
+vectors keeps the value tables of J and its complement as residues mod d(G)
+and cuts every subtree whose bound fails that test, so C(x, n), whose only
+divisor vectors are the empty and the full one, costs a few hundred nodes
+instead of 2^n.
+For finite sites, divisor sets are infinite as soon as a polynomial
+vanishes somewhere on the site, so only the operations the theory makes
+finite are offered: membership, exact division, linear irreducibility,
+irreducible-divisor extraction, and the vanishing non-atomicity witness.
 
 Units of Int(S,Z) are +1 and -1; associates are normalized to a positive
 leading coefficient throughout.
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from . import qpoly
@@ -278,78 +284,91 @@ class DivisorList:
     divisors: tuple[IVPoly, ...]
 
 
-def _value_gcds(factors, points) -> dict[tuple[int, ...], int]:
-    """gcd of the values of prod g_i^e_i at the points, for every exponent vector.
+def _split_walk(factors, points, cd: int):
+    """Yield (vec, d(G_J), d(G_Jc)) for every exponent vector J with cd | d(G_J) * d(G_Jc).
 
-    Each factor is evaluated once at the points; the powers of its value
-    table are kept up to its multiplicity, and a vector's table is the
-    element-wise product of the tables along it.  The walk is depth first,
-    so only one running table per factor is held at a time.
+    d(.) is the gcd of the values at the points, G_J = prod g_i^vec_i and G_Jc
+    the complementary product.  Every d(G_J) divides D = d(G) (``top``), so
+    the walk keeps the value tables of J and Jc as residues mod D (the capped
+    valuations at all primes of D at once): at a leaf gcd(D, table) is
+    exactly d(G_J).  At an inner node the tables times ``rest``, the values
+    of the unassigned factors at full multiplicity, bound d(G_J) and d(G_Jc)
+    for every completion, so a node whose bounds have a product that cd does
+    not divide is cut with its subtree.  The stack is explicit, and vectors
+    come out in increasing order.
     """
-    powers = []
-    for g, mult in factors:
-        vals = [qpoly.int_eval(g, s) for s in points]
-        table = [1] * len(vals)
-        row = [table]
-        for _ in range(mult):
-            table = [a * v for a, v in zip(table, vals)]
-            row.append(table)
-        powers.append(row)
-    out: dict[tuple[int, ...], int] = {}
-
-    def walk(i: int, vec: tuple[int, ...], table: list[int]) -> None:
+    ones = [1] * len(points)
+    powers = []  # powers[i][e]: the values of g_i^e
+    for g, m in factors:
+        row = [qpoly.int_eval(g, s) for s in points]
+        pw = [ones, row]
+        for _ in range(m - 1):
+            pw.append([a * v for a, v in zip(pw[-1], row)])
+        powers.append(pw)
+    rest = [ones]  # rest[i]: the values of prod_{k >= i} g_k^m_k, built from the end
+    for pw in reversed(powers):
+        rest.append(list(map(mul, rest[-1], pw[-1])))
+    rest.reverse()
+    top = gcd(*rest[0])
+    if top == 0:
+        # G vanishes on the whole finite site: constants are unbounded there,
+        # so no finite enumeration exists
+        raise UnsupportedSiteError("divisor enumeration needs values that do not all vanish")
+    stack = [((), ones, ones)]
+    while stack:
+        vec, tj, tjc = stack.pop()
+        i = len(vec)
         if i == len(powers):
-            out[vec] = gcd(*table)
-            return
-        for e, p in enumerate(powers[i]):
-            walk(i + 1, vec + (e,), table if e == 0 else [a * b for a, b in zip(table, p)])
-
-    walk(0, (), [1] * len(points))
-    return out
+            dj, djc = gcd(top, *tj), gcd(top, *tjc)
+            if dj * djc % cd == 0:
+                yield vec, dj, djc
+            continue
+        # the root's bound is D * D, and cd divides D
+        if i and gcd(top, *map(mul, tj, rest[i])) * gcd(top, *map(mul, tjc, rest[i])) % cd:
+            continue
+        pw = powers[i]
+        m = len(pw) - 1
+        for e in range(m, -1, -1):
+            stack.append((
+                vec + (e,),
+                tj if e == 0 else [a * b % top for a, b in zip(tj, pw[e])],
+                tjc if e == m else [a * b % top for a, b in zip(tjc, pw[m - e])],
+            ))
 
 
 def _divisor_candidates(f: IVPoly):
     """Yield every divisor of f (normalized, no associates) as (vec, u, G_J).
 
-    f = c * G_J * G_Jc with the G's primitive integer polynomials, G_J the
-    product of the Q[x] irreducible factors of f taken with the exponents in
-    vec and G_Jc the complementary product.  A divisor is u * G_J with
-    u = a/b in lowest terms; u * G_J is a member iff b | gcd of the G_J
-    values, and the cofactor (c b / a) G_Jc is a member iff
-    cd * a | |cn| * b * gcd of the G_Jc values.  Both conditions follow from
-    gcd-linearity of the value sets, so the enumeration is complete.
+    f = c * G_J * G_Jc with c = cn/cd, the G's primitive integer polynomials,
+    G_J the product of the Q[x] irreducible factors of f taken with the
+    exponents in vec and G_Jc the complementary product.  A divisor is
+    u * G_J with u = a/b in lowest terms; u * G_J is a member iff b | d(G_J),
+    and the cofactor (c b / a) G_Jc is a member iff cd * a | cn * b * d(G_Jc),
+    with d the value gcd on the site's sample points.  Both conditions follow
+    from gcd-linearity of the value sets, so the enumeration is complete.
 
-    f is factored once and every value gcd comes from integer value tables
-    (``_value_gcds``); G_J, an integer coefficient tuple, is built only for
-    a vector that yields a divisor.  Each divisor is yielded once: G_J is
-    primitive with positive leading coefficient, so (vec, u) determines it.
+    Some (a, b) exists iff cd | d(G_J) * d(G_Jc) (take a = 1, b = d(G_J)),
+    which is the condition ``_split_walk`` prunes on.  The pairs are then
+    listed exactly: cd | b * d(G_Jc) makes b a multiple of
+    b0 = cd / gcd(cd, d(G_Jc)) dividing d(G_J), and a runs over the divisors
+    of cn * b * d(G_Jc) / cd prime to b.  G_J, an integer coefficient tuple,
+    is built only for a vector that yields a divisor.  Each divisor is
+    yielded once: G_J is primitive with positive leading coefficient, so
+    (vec, u) determines it.
     """
     c, factors = factor_rational(f.coeffs)
     cn, cd = abs(c.numerator), c.denominator
-    gcds = _value_gcds(factors, f.site.sample_points(f.degree))
-    full = tuple(m for _, m in factors)
     fact = lru_cache(maxsize=None)(factorize)
-    cn_fact = fact(cn)
+    cn_fact, cd_fact = fact(cn), fact(cd)
 
-    for vec, dj in gcds.items():
-        djc = gcds[tuple(m - e for m, e in zip(full, vec))]
-        if dj == 0 or djc == 0:
-            # some G vanishes everywhere on a finite site: constants are
-            # unbounded there, so no finite enumeration exists for this J
-            raise UnsupportedSiteError(
-                "divisor enumeration needs values that do not all vanish"
-            )
+    for vec, dj, djc in _split_walk(factors, f.site.sample_points(f.degree), cd):
+        b0 = cd // gcd(cd, djc)
+        num = merge_factorizations(cn_fact, fact(djc))  # the primes of cn * d(G_Jc)
         gj = None
-        for b in divisors_from_factorization(fact(dj)):
-            bound = cn * b * djc
-            if bound % cd:
-                continue
-            afact = merge_factorizations(cn_fact, fact(b), fact(djc))
+        for k in divisors_from_factorization(fact(dj // b0)):
+            b = b0 * k
+            afact = {p: e - cd_fact.get(p, 0) for p, e in num.items() if b % p}
             for a in divisors_from_factorization(afact):
-                if gcd(a, b) != 1:
-                    continue
-                if bound % (cd * a):
-                    continue
                 if gj is None:
                     gj = (1,)
                     for (g, _), e in zip(factors, vec):

@@ -359,27 +359,31 @@ def _bounded_search(gens: tuple[Fraction, ...], q: Fraction) -> dict[int, int] |
     suffix_lcm = [1] * (len(order) + 1)
     for idx in range(len(order) - 1, -1, -1):
         suffix_lcm[idx] = lcm(suffix_lcm[idx + 1], gens[order[idx]].denominator)
-    failed: set[tuple[int, Fraction]] = set()
+    return _search_from(gens, order, suffix_lcm, set(), 0, q)
 
-    def rec(pos: int, remaining: Fraction) -> dict[int, int] | None:
-        if remaining == 0:
-            return {}
-        if pos == len(order) or suffix_lcm[pos] % remaining.denominator:
-            return None
-        key = (pos, remaining)
-        if key in failed:
-            return None
-        g = gens[order[pos]]
-        for k in range(int(remaining / g), -1, -1):
-            found = rec(pos + 1, remaining - k * g)
-            if found is not None:
-                if k:
-                    found[order[pos]] = k
-                return found
-        failed.add(key)
+
+def _search_from(gens, order, suffix_lcm, failed: set, pos: int, remaining: Fraction):
+    """``_bounded_search`` from position pos of order, recording failed states.
+
+    Not a closure: a self-referencing closure would keep its state in a
+    reference cycle until the garbage collector runs.
+    """
+    if remaining == 0:
+        return {}
+    if pos == len(order) or suffix_lcm[pos] % remaining.denominator:
         return None
-
-    return rec(0, q)
+    key = (pos, remaining)
+    if key in failed:
+        return None
+    g = gens[order[pos]]
+    for k in range(int(remaining / g), -1, -1):
+        found = _search_from(gens, order, suffix_lcm, failed, pos + 1, remaining - k * g)
+        if found is not None:
+            if k:
+                found[order[pos]] = k
+            return found
+    failed.add(key)
+    return None
 
 
 def membership(spec: PuiseuxMonoid, q: Fraction) -> MembershipResult:

@@ -134,45 +134,46 @@ def _replay_factorizations(target: IVPoly, divs) -> list[PolyFactorization]:
         for d2 in nonunits[i:]
     }
     irr = sorted((d for d in nonunits if d.coeffs not in products), key=IVPoly.sort_key)
-
-    def rec(g: IVPoly, start: int) -> list[tuple[IVPoly, ...]]:
-        out = []
-        for idx in range(start, len(irr)):
-            q = divide(g, irr[idx])
-            if q is None:
-                continue
-            if q.is_unit():
-                out.append((irr[idx],))
-            else:
-                out.extend((irr[idx],) + tail for tail in rec(q, idx))
-        return out
-
     facs = [
         PolyFactorization(tuple(sorted(parts, key=IVPoly.sort_key, reverse=True)))
-        for parts in rec(target, 0)
+        for parts in _replay_from(irr, target, 0)
     ]
     return sorted(facs, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
 
 
+def _replay_from(irr: list[IVPoly], g: IVPoly, start: int) -> list[tuple[IVPoly, ...]]:
+    """Factorizations of g over irr[start:], parts in increasing order."""
+    out = []
+    for idx in range(start, len(irr)):
+        q = divide(g, irr[idx])
+        if q is None:
+            continue
+        if q.is_unit():
+            out.append((irr[idx],))
+        else:
+            out.extend((irr[idx],) + tail for tail in _replay_from(irr, q, idx))
+    return out
+
+
 def bruteforce_monoid_factorizations(gens, b: Fraction, cap: int):
     """All multisets over gens summing to b with size <= cap, by plain recursion."""
-    gens = sorted(gens, reverse=True)
     out: list[tuple[Fraction, ...]] = []
-
-    def rec(i: int, remaining: Fraction, acc: list[Fraction]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(gens) or len(acc) >= cap:
-            return
-        g = gens[i]
-        k = 0
-        while k * g <= remaining and len(acc) + k <= cap:
-            rec(i + 1, remaining - k * g, acc + [g] * k)
-            k += 1
-
-    rec(0, Fraction(b), [])
+    _monoid_from(sorted(gens, reverse=True), cap, 0, Fraction(b), [], out)
     return sorted(set(out))
+
+
+def _monoid_from(gens, cap: int, i: int, remaining: Fraction, acc: list[Fraction], out) -> None:
+    """Append to out every acc extended over gens[i:] to sum remaining, size <= cap."""
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    if i == len(gens) or len(acc) >= cap:
+        return
+    g = gens[i]
+    k = 0
+    while k * g <= remaining and len(acc) + k <= cap:
+        _monoid_from(gens, cap, i + 1, remaining - k * g, acc + [g] * k, out)
+        k += 1
 
 
 # ---------------------------------------------------------------------------

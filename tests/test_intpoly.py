@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ivpoly import qpoly
 from ivpoly.errors import (
@@ -17,6 +18,7 @@ from ivpoly.errors import (
 from ivpoly.intpoly import (
     FiniteSite,
     IVPoly,
+    _divisor_candidates,
     binomial,
     constant,
     divide,
@@ -35,8 +37,12 @@ from ivpoly.intpoly import (
     to_json_dict,
     vanishing_nonatomic_witness,
 )
-
-from ivpoly.verify import _replay_factorizations, bruteforce_divisors
+from ivpoly.qfactor import factor_rational
+from ivpoly.verify import (
+    _product as _factor_product,
+    _replay_factorizations,
+    bruteforce_divisors,
+)
 
 X_ON_0 = ivpoly([0, 1], FiniteSite((0,)))
 #: rationals with denominators in {1, 2, 3, 6}, so that members and
@@ -498,3 +504,92 @@ class TestValueTableCore:
     def test_binomial_matches_reference(self):
         for n in range(15):
             assert binomial(n).coeffs == _binomial_reference(n)
+
+
+def _values_gcd(coeffs, points):
+    """gcd of the values at the points, by Fraction evaluation."""
+    return gcd(*(int(qpoly.eval_at(coeffs, s)) for s in points))
+
+
+@st.composite
+def _content_denominator_products(draw):
+    """k * C(x, m) * extra * prod (x - a) of degree <= 4 whose content has a denominator."""
+    m = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 6).filter(lambda k: k % factorial(m)))
+    # 1, 2x + 1, and for m = 2: x^2 + 1, x^2 - x + 2 (fixed divisor 2), C(x, 2) + 1
+    extras = [(1,), (1, 2)] + ([(1, 0, 1), (2, -1, 1), (1, F(-1, 2), F(1, 2))] if m == 2 else [])
+    extra = draw(st.sampled_from(extras))
+    roots = draw(st.lists(st.integers(-3, 3), max_size=4 - m - (len(extra) - 1)))
+    return _product(k, roots, m, extra)
+
+
+@st.composite
+def _site_members(draw):
+    """h / den on a finite site, h a product of degree 1..3, den | the value gcd of h."""
+    site = FiniteSite(tuple(draw(st.sets(st.integers(-5, 5), min_size=1, max_size=4))))
+    extra = draw(st.sampled_from([(1,), (1,), (1, 0, 1), (2, -1, 1), (1, 1, 1)]))
+    linears = st.tuples(st.integers(-3, 3), st.integers(1, 3))
+    parts = draw(st.lists(linears, min_size=1 if extra == (1,) else 0, max_size=4 - len(extra)))
+    h = qpoly.poly(extra)
+    for part in parts:
+        h = qpoly.mul(h, qpoly.poly(part))
+    g = _values_gcd(h, site.points)
+    assume(g != 0)
+    # most often den = g: the values of f are then coprime, so the walk runs,
+    # and the content has a denominator it prunes against
+    dens = [g // d for d in range(1, abs(g) + 1) if g % d == 0]
+    return ivpoly(qpoly.scale(h, F(1, dens[draw(st.integers(0, 3)) % len(dens)])), site)
+
+
+class TestSplitWalk:
+    """The pruned J walk against brute force, on Z and on finite sites."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_binomial_is_irreducible(self, n):
+        assert is_irreducible(binomial(n))
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_binomial_candidates_are_the_two_trivial_keys(self, n):
+        keys = {(vec, u) for vec, u, _ in _divisor_candidates(binomial(n))}
+        assert keys == {((0,) * n, F(1)), ((1,) * n, F(1, factorial(n)))}
+
+    @given(_content_denominator_products())
+    @settings(max_examples=60, deadline=None)
+    def test_divisors_match_bruteforce_with_a_content_denominator(self, f):
+        brute = bruteforce_divisors(f)
+        assert tuple(d.coeffs for d in divisors(f).divisors) == tuple(d.coeffs for d in brute)
+        assert is_irreducible(f) == (len(brute) == 2)
+
+    @given(_site_members())
+    @settings(max_examples=80, deadline=None)
+    def test_finite_site_irreducible_divisor_has_least_degree(self, f):
+        site = f.site
+        d = find_irreducible_divisor(f)
+        assert not d.is_unit()
+        assert divide(f, d) is not None
+        # brute force over u * G_J with deg G_J < deg d: every b | d(G_J) and
+        # every a | cn * b * d(G_Jc), each candidate tested directly
+        c, factors = factor_rational(f.coeffs)
+        cn = abs(c.numerator)
+        full = tuple(m for _, m in factors)
+        vecs = [()]
+        for m in full:
+            vecs = [v + (e,) for v in vecs for e in range(m + 1)]
+        for vec in vecs:
+            gj = _factor_product(factors, vec)
+            if qpoly.degree(gj) >= d.degree:
+                continue
+            dj = _values_gcd(gj, site.points)
+            gjc = _factor_product(factors, tuple(m - e for m, e in zip(full, vec)))
+            djc = _values_gcd(gjc, site.points)
+            for b in range(1, dj + 1):
+                if dj % b:
+                    continue
+                top = cn * b * djc
+                for a in range(1, top + 1):
+                    if top % a or gcd(a, b) != 1:
+                        continue
+                    cand = IVPoly(qpoly.scale(gj, F(a, b)), site)
+                    if cand.is_unit() or not all(cand(s).denominator == 1 for s in site.points):
+                        continue
+                    assert divide(f, cand) is None, (str(f), str(cand))
