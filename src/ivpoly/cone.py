@@ -7,6 +7,10 @@ membership of a target is a finite system of exact linear equations over
 the generator weights -- decided here by exact rational LP, with
 Fourier-Motzkin elimination available as an independent feasibility oracle.
 
+The systems are sparse from the start: row d maps a generator's column to
+its nonzero coefficient of t^d, filled from the two or three nonzero
+coefficients of each generator, and goes to ``linprog`` as a mapping.
+
 Truncation semantics: a certificate proves membership outright (it survives
 any larger truncation), while infeasibility only certifies nonexistence
 within the truncated generator set; results carry the truncation used.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import qpoly
 from .errors import DegreeBoundError, IndexRangeError, TruncationError
@@ -35,9 +39,6 @@ class TPoly:
     @property
     def degree(self) -> int:
         return qpoly.degree(self.coeffs)
-
-    def coefficient(self, d: int) -> Fraction:
-        return self.coeffs[d] if d < len(self.coeffs) else Fraction(0)
 
     def __add__(self, other: "TPoly") -> "TPoly":
         return TPoly(qpoly.add(self.coeffs, other.coeffs))
@@ -72,6 +73,11 @@ class ConeGenerator:
     label: str
     poly: TPoly
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """(d, coefficient of t^d) for each nonzero coefficient."""
+        return tuple((d, c) for d, c in enumerate(self.poly.coeffs) if c)
+
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -93,14 +99,14 @@ class ConeSpec:
 
 @lru_cache(maxsize=None)
 def _generators(n_max: int) -> tuple[ConeGenerator, ...]:
-    gens = []
-    for n in range(1, n_max + 1):
-        gens.append(ConeGenerator(f"t^{n}", t_power(n)))
-    for n in range(1, n_max + 1):
-        gens.append(ConeGenerator(f"a_{n}", a_gen(n)))
-    for n in range(1, n_max + 1):
-        gens.append(ConeGenerator(f"b_{n}", b_gen(n)))
-    return tuple(gens)
+    """t^1..t^N, a_1..a_N, b_1..b_N; every truncation shares the same objects."""
+    return tuple(_generator(kind, n) for kind in ("t^", "a_", "b_") for n in range(1, n_max + 1))
+
+
+@lru_cache(maxsize=None)
+def _generator(kind: str, n: int) -> ConeGenerator:
+    make = {"t^": t_power, "a_": a_gen, "b_": b_gen}[kind]
+    return ConeGenerator(f"{kind}{n}", make(n))
 
 
 @dataclass(frozen=True)
@@ -131,17 +137,35 @@ class ConeCertificate:
         )
 
 
-def _coefficient_system(
-    spec: ConeSpec, gens: tuple[ConeGenerator, ...], targets: list[TPoly]
-) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Coefficient-matching rows A (per generator block) and right sides."""
-    rows = []
-    rhs_cols = []
-    for d in range(spec.degree_bound + 1):
-        rows.append([g.poly.coefficient(d) for g in gens])
-    for target in targets:
-        rhs_cols.append([target.coefficient(d) for d in range(spec.degree_bound + 1)])
-    return rows, rhs_cols
+#: a coefficient-matching row: column of a generator -> its coefficient of t^d
+ConeRow = dict[int, Fraction]
+
+
+def _rows(spec: ConeSpec, gens: tuple[ConeGenerator, ...]) -> list[ConeRow]:
+    """Row d, for 0 <= d <= the degree bound, holds the t^d coefficients."""
+    rows: list[ConeRow] = [{} for _ in range(spec.degree_bound + 1)]
+    for j, g in enumerate(gens):
+        for d, c in g.terms:
+            rows[d][j] = c
+    return rows
+
+
+def _rhs(spec: ConeSpec, target: TPoly) -> list[Fraction]:
+    """The target's coefficients of t^0 .. t^(degree bound)."""
+    if target.degree > spec.degree_bound:
+        raise DegreeBoundError(
+            f"target degree {target.degree} exceeds the truncation bound "
+            f"{spec.degree_bound}"
+        )
+    return list(target.coeffs) + [Fraction(0)] * (spec.degree_bound + 1 - len(target.coeffs))
+
+
+def _membership_system(
+    target: TPoly, spec: ConeSpec, exclude: frozenset[str] | set[str]
+) -> tuple[tuple[ConeGenerator, ...], list[ConeRow], list[Fraction]]:
+    """The generators kept, and the rows and right side of target = sum w_g * g."""
+    gens = tuple(g for g in spec.generators() if g.label not in exclude)
+    return gens, _rows(spec, gens), _rhs(spec, target)
 
 
 def cone_member(
@@ -152,39 +176,35 @@ def cone_member(
     ``exclude`` removes generators by label, e.g. to decide whether t lies in
     the cone of the remaining generators.
     """
-    if target.degree > spec.degree_bound:
-        raise DegreeBoundError(
-            f"target degree {target.degree} exceeds the truncation bound "
-            f"{spec.degree_bound}"
-        )
-    gens = tuple(g for g in spec.generators() if g.label not in exclude)
-    rows, (rhs,) = _coefficient_system(spec, gens, [target])
-    sol = simplex_feasible(rows, rhs)
+    gens, rows, rhs = _membership_system(target, spec, exclude)
+    sol = simplex_feasible(rows, rhs, ncols=len(gens))
     if sol is None:
         return None
     weights = tuple((g.label, w) for g, w in zip(gens, sol) if w != 0)
     return ConeCertificate(weights)
 
 
-def _mass_system(i: int, spec: ConeSpec):
-    """Equality system for: c, a_i - c, b_i - c all in the cone.
+def _pair_system(spec: ConeSpec, first: TPoly, second: TPoly):
+    """Equality system for: c, first - c, second - c all in the cone.
 
     Variables are three weight blocks u, v, w (the representations of c,
-    a_i - c, and b_i - c); eliminating c leaves u+v summing to a_i and u+w
-    summing to b_i, coefficientwise.
+    first - c, and second - c); eliminating c leaves u+v summing to first
+    and u+w summing to second, coefficientwise.  The objective is the total
+    weight of u.
     """
     gens = spec.generators()
     k = len(gens)
-    rows_a, rhs = _coefficient_system(spec, gens, [a_gen(i), b_gen(i)])
-    a_rows = []
-    b_rows = []
-    for d, base in enumerate(rows_a):
-        a_rows.append(base + base + [Fraction(0)] * k)
-        b_rows.append(base + [Fraction(0)] * k + base)
-    system = a_rows + b_rows
-    rhs_all = rhs[0] + rhs[1]
+    base = _rows(spec, gens)
+    system = [{**row, **{j + k: v for j, v in row.items()}} for row in base]
+    system += [{**row, **{j + 2 * k: v for j, v in row.items()}} for row in base]
+    rhs = _rhs(spec, first) + _rhs(spec, second)
     objective = [Fraction(1)] * k + [Fraction(0)] * (2 * k)
-    return system, rhs_all, objective
+    return system, rhs, objective
+
+
+def _mass_system(i: int, spec: ConeSpec):
+    """The system of ``_pair_system`` for the family pair (a_i, b_i)."""
+    return _pair_system(spec, a_gen(i), b_gen(i))
 
 
 def common_divisor_mass(i: int, spec: ConeSpec) -> Fraction:
@@ -256,16 +276,15 @@ def membership_system_agreement(
     target: TPoly, spec: ConeSpec, exclude: frozenset[str] | set[str] = frozenset()
 ) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one membership system."""
-    gens = tuple(g for g in spec.generators() if g.label not in exclude)
-    rows, (rhs,) = _coefficient_system(spec, gens, [target])
-    simplex = simplex_feasible(rows, rhs) is not None
-    fm = fm_feasible_eq(rows, rhs)
+    gens, rows, rhs = _membership_system(target, spec, exclude)
+    simplex = simplex_feasible(rows, rhs, ncols=len(gens)) is not None
+    fm = fm_feasible_eq(rows, rhs, ncols=len(gens))
     return simplex, fm
 
 
 def mass_system_agreement(i: int, spec: ConeSpec) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one mass-LP base system."""
-    system, rhs, _ = _mass_system(i, spec)
-    simplex = simplex_feasible(system, rhs) is not None
-    fm = fm_feasible_eq(system, rhs)
+    system, rhs, objective = _mass_system(i, spec)
+    simplex = simplex_feasible(system, rhs, ncols=len(objective)) is not None
+    fm = fm_feasible_eq(system, rhs, ncols=len(objective))
     return simplex, fm

@@ -336,8 +336,10 @@ def _split_walk(factors, points, cd: int):
             ))
 
 
-def _divisor_candidates(f: IVPoly):
+def _divisor_candidates(f: IVPoly, split=None):
     """Yield every divisor of f (normalized, no associates) as (vec, u, G_J).
+
+    ``split`` is ``factor_rational(f.coeffs)`` when the caller has it.
 
     f = c * G_J * G_Jc with c = cn/cd, the G's primitive integer polynomials,
     G_J the product of the Q[x] irreducible factors of f taken with the
@@ -356,7 +358,7 @@ def _divisor_candidates(f: IVPoly):
     yielded once: G_J is primitive with positive leading coefficient, so
     (vec, u) determines it.
     """
-    c, factors = factor_rational(f.coeffs)
+    c, factors = split or factor_rational(f.coeffs)
     cn, cd = abs(c.numerator), c.denominator
     fact = lru_cache(maxsize=None)(factorize)
     cn_fact, cd_fact = fact(cn), fact(cd)
@@ -400,7 +402,9 @@ def is_irreducible(f: IVPoly) -> bool:
 
     Over Z the divisor candidates decide it: the answer is False at the
     first candidate that is neither 1 nor the normalized f, without building
-    or sorting the divisor list.  Over a finite site only
+    or sorting the divisor list.  Their keys tell: with f = c * prod g_i^e_i,
+    1 is the key ((0, ..., 0), 1) and the normalized f the key
+    ((e_1, ..., e_k), |c|).  Over a finite site only
     degrees <= 1 are supported: a constant is irreducible iff it is a prime
     up to sign, and a linear member iff no integer >= 2 divides all of its
     values (in particular any unit value forces constant factors to be
@@ -408,8 +412,9 @@ def is_irreducible(f: IVPoly) -> bool:
     """
     _reject_trivial(f)
     if isinstance(f.site, AllIntegers):
-        trivial = ((Fraction(1),), f.normalized().coeffs)
-        return all(qpoly.scale(gj, u) in trivial for _, u, gj in _divisor_candidates(f))
+        c, factors = split = factor_rational(f.coeffs)
+        trivial = (((0,) * len(factors), Fraction(1)), (tuple(e for _, e in factors), abs(c)))
+        return all((vec, u) in trivial for vec, u, _ in _divisor_candidates(f, split))
     if f.degree >= 2:
         raise UnsupportedSiteError(
             "irreducibility over a finite site is decided for degree <= 1 only"

@@ -6,21 +6,50 @@ Two independent engines:
   dict from column to nonzero ``Fraction``, no floating point), solving
   max/min c.x subject to A x = b, x >= 0;
 * Fourier-Motzkin elimination for feasibility of inequality systems,
-  used as a cross-check oracle on the simplex verdicts.
+  used as a cross-check oracle on the simplex verdicts.  Its rows are
+  sparse primitive integer rows: sorted ``(variable, coefficient)`` pairs
+  and a constant.
+
+Both take the rows of A either dense, as sequences, or sparse, as mappings
+from column to entry; mapping rows need the column count passed as
+``ncols`` (or, for ``simplex_solve``, the length of the objective).
 """
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Sequence, Union
 
 Row = tuple[Fraction, ...]
+#: a row of A: dense, or column -> entry with zeros left out
+InputRow = Union[Sequence[Fraction], Mapping[int, Fraction]]
 #: a tableau row: column -> nonzero entry, the right-hand side under _RHS
 SparseRow = dict[int, Fraction]
 #: reserved key of the right-hand side; original columns are 0..n-1
 _RHS = -1
 _ZERO = Fraction(0)
+
+
+def _sparse(row: InputRow) -> SparseRow:
+    """A row of A as column -> nonzero Fraction, dense or mapping alike."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
+
+
+def _width(a_eq: Sequence[InputRow], ncols: int | None, objective=None) -> int:
+    """The column count: ncols, else the dense rows' length, else the objective's."""
+    if ncols is not None:
+        return ncols
+    if a_eq and not isinstance(a_eq[0], Mapping):
+        return len(a_eq[0])
+    if objective is not None:
+        return len(objective)
+    if a_eq:
+        raise ValueError("mapping rows need the column count ncols")
+    return 0
 
 
 @dataclass(frozen=True)
@@ -83,24 +112,28 @@ def _bland_min(tab: list[SparseRow], basis: list[int]) -> str:
 
 
 def simplex_solve(
-    a_eq: Sequence[Sequence[Fraction]],
+    a_eq: Sequence[InputRow],
     b_eq: Sequence[Fraction],
     objective: Sequence[Fraction] | None = None,
     maximize: bool = True,
+    ncols: int | None = None,
 ) -> LPResult:
     """Solve max (or min) objective . x subject to a_eq x = b_eq, x >= 0.
 
-    Row i starts with the artificial n + i basic.  Artificial columns are
-    never stored: they may not re-enter, and no choice reads them.
+    Rows of a_eq are dense sequences or column -> entry mappings; with
+    mappings, the column count is ncols or the objective's length.  Row i
+    starts with the artificial n + i basic.  Artificial columns are never
+    stored: they may not re-enter, and no choice reads them.
     """
     m = len(a_eq)
-    n = len(a_eq[0]) if m else (len(objective) if objective else 0)
+    n = _width(a_eq, ncols, objective)
     tab: list[SparseRow] = []
     for row, b in zip(a_eq, b_eq):
-        sign = -1 if b < 0 else 1
-        entries = {j: sign * Fraction(v) for j, v in enumerate(row) if v}
+        entries = _sparse(row)
         if b:
-            entries[_RHS] = sign * Fraction(b)
+            entries[_RHS] = Fraction(b)
+        if b < 0:
+            entries = {j: -v for j, v in entries.items()}
         tab.append(entries)
 
     # phase 1 cost row: sum of artificials, expressed through the artificial basis
@@ -148,88 +181,120 @@ def _extract(tab: list[SparseRow], basis: list[int], n: int) -> tuple[Fraction, 
 
 
 def simplex_feasible(
-    a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]
+    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], ncols: int | None = None
 ) -> tuple[Fraction, ...] | None:
     """A nonnegative solution of a_eq x = b_eq, or None."""
-    res = simplex_solve(a_eq, b_eq, objective=None)
+    res = simplex_solve(a_eq, b_eq, objective=None, ncols=ncols)
     return res.solution if res.status == "optimal" else None
 
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 
-IntRow = tuple[tuple[int, ...], int]
+#: the nonzero coefficients of a row as (variable, coefficient), sorted by variable
+Terms = tuple[tuple[int, int], ...]
+#: the inequality sum coefficient * x_variable <= constant, primitive
+IntRow = tuple[Terms, int]
 
 
-def _norm_int_row(coeffs: tuple[int, ...], const: int) -> IntRow:
+def _primitive(terms: Terms, const: int) -> IntRow:
     """Divide a row by the gcd of its entries (primitive representative)."""
-    g = gcd(*(abs(v) for v in coeffs), abs(const))
+    g = gcd(*(a for _, a in terms), const)
     if g > 1:
-        coeffs = tuple(v // g for v in coeffs)
+        terms = tuple((v, a // g) for v, a in terms)
         const //= g
-    return coeffs, const
+    return terms, const
 
 
-def _to_int_row(coeffs: Sequence[Fraction], const: Fraction) -> IntRow:
-    denom = lcm(*(c.denominator for c in coeffs), const.denominator)
-    return _norm_int_row(
-        tuple(int(c * denom) for c in coeffs), int(const * denom)
+def _int_row(terms: Sequence[tuple[int, Fraction]], const: Fraction) -> IntRow:
+    """The primitive integer multiple of a row of nonzero Fraction terms."""
+    denom = lcm(*(c.denominator for _, c in terms), const.denominator)
+    return _primitive(
+        tuple((v, c.numerator * (denom // c.denominator)) for v, c in terms),
+        const.numerator * (denom // const.denominator),
     )
 
 
 def _prune(rows: list[IntRow]) -> list[IntRow] | None:
     """Deduplicate, keep the tightest constant per direction, detect falsehood."""
-    best: dict[tuple[int, ...], int] = {}
-    for coeffs, const in rows:
-        if not any(coeffs):
+    best: dict[Terms, int] = {}
+    for terms, const in rows:
+        if not terms:
             if const < 0:
                 return None
             continue
-        prev = best.get(coeffs)
+        prev = best.get(terms)
         if prev is None or const < prev:
-            best[coeffs] = const
+            best[terms] = const
     return list(best.items())
 
 
-def fm_feasible(ineqs: list[tuple[Sequence[Fraction], Fraction]], nvars: int) -> bool:
-    """Feasibility of { x : sum coeffs.x <= const } by variable elimination.
+def _combine(pos: IntRow, a: int, neg: IntRow, b: int) -> IntRow:
+    """b * pos + a * neg, for a > 0 and -b < 0 the two rows' coefficients of
+    the variable being eliminated, which cancels."""
+    acc = {v: b * x for v, x in pos[0]}
+    for v, y in neg[0]:
+        acc[v] = acc.get(v, 0) + a * y
+    terms = tuple(sorted((v, w) for v, w in acc.items() if w))
+    return _primitive(terms, b * pos[1] + a * neg[1])
 
-    Variables are unrestricted; encode x_i >= 0 as an explicit row.  Each
-    round eliminates the variable minimizing the positive*negative row
-    product; rows are kept as primitive integer vectors and pruned to curb
-    growth.
+
+def _eliminate(rows: list[IntRow], nvars: int) -> bool:
+    """Fourier-Motzkin on sparse integer rows over the variables 0..nvars-1.
+
+    Each round eliminates the variable minimizing (pos*neg, pos+neg, v),
+    pos and neg counting the rows where its coefficient is positive and
+    negative; combinations are made primitive and pruned.  The system is
+    infeasible iff some round derives 0 <= negative.
     """
-    rows = [
-        _to_int_row(tuple(Fraction(c) for c in coeffs), Fraction(const))
-        for coeffs, const in ineqs
-    ]
     pruned = _prune(rows)
     if pruned is None:
         return False
     rows = pruned
     remaining = set(range(nvars))
     while remaining:
-        counts = {}
-        for var in remaining:
-            pos = sum(1 for c, _ in rows if c[var] > 0)
-            neg = sum(1 for c, _ in rows if c[var] < 0)
-            counts[var] = (pos * neg, pos + neg)
-        var = min(remaining, key=lambda v: (counts[v], v))
-        pos_rows = [r for r in rows if r[0][var] > 0]
-        neg_rows = [r for r in rows if r[0][var] < 0]
-        new_rows = [r for r in rows if r[0][var] == 0]
-        for pc, pconst in pos_rows:
-            a = pc[var]
-            for nc, nconst in neg_rows:
-                b = -nc[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-                new_rows.append(_norm_int_row(coeffs, b * pconst + a * nconst))
+        pos: Counter[int] = Counter()
+        neg: Counter[int] = Counter()
+        for terms, _ in rows:
+            for v, a in terms:
+                if a > 0:
+                    pos[v] += 1
+                else:
+                    neg[v] += 1
+        var = min(remaining, key=lambda v: (pos[v] * neg[v], pos[v] + neg[v], v))
+        pos_rows, neg_rows, new_rows = [], [], []
+        for row in rows:
+            for v, a in row[0]:
+                if v == var:
+                    if a > 0:
+                        pos_rows.append((row, a))
+                    else:
+                        neg_rows.append((row, -a))
+                    break
+            else:
+                new_rows.append(row)
+        for prow, a in pos_rows:
+            for nrow, b in neg_rows:
+                new_rows.append(_combine(prow, a, nrow, b))
         pruned = _prune(new_rows)
         if pruned is None:
             return False
         rows = pruned
         remaining.discard(var)
     return True
+
+
+def fm_feasible(ineqs: list[tuple[Sequence[Fraction], Fraction]], nvars: int) -> bool:
+    """Feasibility of { x : sum coeffs.x <= const } by variable elimination.
+
+    Variables are unrestricted; encode x_i >= 0 as an explicit row.  The
+    dense rows are read once into sparse primitive integer rows.
+    """
+    rows = [
+        _int_row([(v, Fraction(c)) for v, c in enumerate(coeffs) if c], Fraction(const))
+        for coeffs, const in ineqs
+    ]
+    return _eliminate(rows, nvars)
 
 
 def eq_system_to_ineqs(
@@ -249,60 +314,61 @@ def eq_system_to_ineqs(
 
 
 def fm_feasible_eq(
-    a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]
+    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], ncols: int | None = None
 ) -> bool:
     """Feasibility of {A x = b, x >= 0} decided by Fourier-Motzkin.
 
-    The equalities are first removed by exact Gaussian substitution (each
-    pivot variable is expressed through the nonbasic ones), which preserves
-    the solution set and leaves a pure inequality system -- the
-    nonnegativity of every variable -- for the elimination proper.
+    The equalities are first removed by exact Gaussian substitution on
+    sparse rows (each pivot variable is expressed through the nonbasic
+    ones), which preserves the solution set and leaves a pure inequality
+    system -- the nonnegativity of every variable -- for the elimination
+    proper.  Rows of a_eq are dense sequences or, with ncols given,
+    column -> entry mappings.
     """
-    m = len(a_eq)
-    n = len(a_eq[0]) if m else 0
-    mat = [
-        [Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(a_eq, b_eq)
-    ]
+    n = _width(a_eq, ncols)
+    mat = [_sparse(row) for row in a_eq]
+    rhs = [Fraction(c) for c in b_eq]
     pivots: list[tuple[int, int]] = []
-    free_rows = set(range(m))
-    free_cols = set(range(n))
-    while free_rows and free_cols:
+    # a free (not yet pivoted) row has nonzeros only in free columns
+    free_rows = set(range(len(rhs)))
+    while free_rows:
         # Markowitz-style pivot: minimize fill to keep substitutions sparse
+        col_nnz = Counter(c for i in free_rows for c in mat[i])
         best = None
         for i in free_rows:
-            row_nnz = sum(1 for c in free_cols if mat[i][c] != 0)
-            if row_nnz == 0:
-                continue
-            for c in free_cols:
-                if mat[i][c] != 0:
-                    col_nnz = sum(1 for k in free_rows if mat[k][c] != 0)
-                    key = ((row_nnz - 1) * (col_nnz - 1), c, i)
-                    if best is None or key < best[0]:
-                        best = (key, i, c)
+            row_nnz = len(mat[i])
+            for c in mat[i]:
+                key = ((row_nnz - 1) * (col_nnz[c] - 1), c, i)
+                if best is None or key < best:
+                    best = key
         if best is None:
             break
-        _, r, c = best
+        _, c, r = best
         piv = mat[r][c]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        prow = mat[r] = {j: v / piv for j, v in mat[r].items()}
+        rhs[r] /= piv
+        for i, row in enumerate(mat):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, w in prow.items():
+                v = row.get(j, _ZERO) - f * w
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            rhs[i] -= f * rhs[r]
         pivots.append((r, c))
         free_rows.discard(r)
-        free_cols.discard(c)
-    for i in free_rows:
-        if mat[i][-1] != 0:
-            return False  # 0 = nonzero: inconsistent equalities
+    if any(rhs[i] for i in free_rows):
+        return False  # 0 = nonzero: inconsistent equalities
     basic = {c for _, c in pivots}
-    nonbasic = [c for c in range(n) if c not in basic]
-    k = len(nonbasic)
-    ineqs: list[tuple[Row, Fraction]] = []
-    for row, col in pivots:
-        # x_col = rhs - sum coeffs * z >= 0
-        coeffs = tuple(mat[row][j] for j in nonbasic)
-        ineqs.append((coeffs, mat[row][-1]))
-    for i in range(k):
-        unit = tuple(Fraction(-int(i == j)) for j in range(k))
-        ineqs.append((unit, Fraction(0)))
-    return fm_feasible(ineqs, k)
+    position = {c: p for p, c in enumerate(c for c in range(n) if c not in basic)}
+    k = len(position)
+    # x_col = rhs - sum coeffs * z >= 0, and z >= 0
+    rows = [
+        _int_row(sorted((position[j], v) for j, v in mat[r].items() if j != c), rhs[r])
+        for r, c in pivots
+    ]
+    rows += [(((p, -1),), 0) for p in range(k)]
+    return _eliminate(rows, k)

@@ -373,3 +373,21 @@ def test_verify_paper_subset(capsys):
     status, payload = invoke_json(capsys, "verify-paper", "--facts", "grams-atoms,ckd-family")
     assert status == 0
     assert [f["id"] for f in payload["result"]["facts"]] == ["grams-atoms", "ckd-family"]
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["ivp-irreducible", "--poly", "1000000000000000003"], {"irreducible": True}),
+    (["ivp-divisors", "--poly", "1000000016000000063"],
+     {"count": 4, "divisors": [["1"], ["1000000007"], ["1000000009"], ["1000000016000000063"]]}),
+    (["ivp-furstenberg", "--poly", "0,1000000016000000063", "--site", "0,1"],
+     {"divisor": ["1000000007"]}),
+])
+def test_large_constants_in_a_subprocess_within_10_s(argv, result):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivpoly.cli", *argv, "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"] == result

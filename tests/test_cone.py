@@ -5,8 +5,9 @@ import pytest
 from ivpoly.cone import (
     ConeCertificate,
     ConeSpec,
-    _coefficient_system,
     _mass_system,
+    _membership_system,
+    _pair_system,
     a_gen,
     b_gen,
     cone_member,
@@ -19,7 +20,7 @@ from ivpoly.cone import (
 )
 from ivpoly.cli import run
 from ivpoly.errors import DegreeBoundError, IndexRangeError, TruncationError
-from ivpoly.linprog import simplex_solve
+from ivpoly.linprog import fm_feasible_eq, simplex_feasible, simplex_solve
 
 SPEC6 = ConeSpec(6)
 ONE = tpoly([1])
@@ -99,13 +100,8 @@ class TestCommonDivisorMass:
         # for the degenerate pair (a_1, a_1) the element c = a_1 itself is a
         # common divisor, so the analogous maximization must exceed zero
         spec = ConeSpec(2)
-        gens = spec.generators()
-        k = len(gens)
-        rows, rhs = _coefficient_system(spec, gens, [a_gen(1), a_gen(1)])
-        system = [base + base + [F(0)] * k for base in rows]
-        system += [base + [F(0)] * k + base for base in rows]
-        objective = [F(1)] * k + [F(0)] * (2 * k)
-        res = simplex_solve(system, rhs[0] + rhs[1], objective, maximize=True)
+        system, rhs, objective = _pair_system(spec, a_gen(1), a_gen(1))
+        res = simplex_solve(system, rhs, objective, maximize=True)
         assert res.status == "optimal" and res.value == 1
 
 
@@ -140,6 +136,60 @@ class TestOracleAgreement:
         for i in range(1, 5):
             simplex, fm = mass_system_agreement(i, spec8)
             assert simplex == fm
+
+
+def _dense_rows(spec, gens):
+    """Row d holds every generator's coefficient of t^d, zeros included."""
+    return [[g.poly.coeffs[d] if d < len(g.poly.coeffs) else F(0) for g in gens]
+            for d in range(spec.degree_bound + 1)]
+
+
+def _nonzeros(dense):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+class TestSparseSystems:
+    """The sparse rows against a dense matrix built here from the coefficients."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_membership_rows(self, n):
+        spec = ConeSpec(n)
+        target = tpoly([F(1, 2)] + [0] * n + [-3])
+        for exclude in (set(), {"t^1"}, {"a_1", f"b_{n}", f"t^{n}"}):
+            gens, rows, rhs = _membership_system(target, spec, exclude)
+            kept = [g for g in spec.generators() if g.label not in exclude]
+            assert list(gens) == kept
+            assert rows == _nonzeros(_dense_rows(spec, kept))
+            assert rhs == [F(1, 2)] + [F(0)] * n + [F(-3)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mass_rows(self, n):
+        spec = ConeSpec(n)
+        gens = spec.generators()
+        k = len(gens)
+        dense = _dense_rows(spec, gens)
+        want = [base + base + [F(0)] * k for base in dense]
+        want += [base + [F(0)] * k + base for base in dense]
+        for i in range(1, n + 1):
+            system, rhs, objective = _mass_system(i, spec)
+            assert system == _nonzeros(want)
+            a, b = a_gen(i).coeffs, b_gen(i).coeffs
+            assert rhs == ([a[d] if d < len(a) else 0 for d in range(n + 2)]
+                           + [b[d] if d < len(b) else 0 for d in range(n + 2)])
+            assert objective == [1] * k + [0] * (2 * k)
+
+    def test_target_above_the_degree_bound(self):
+        with pytest.raises(DegreeBoundError):
+            membership_system_agreement(tpoly([0] * 8 + [1]), SPEC6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fourier_motzkin_agrees_on_every_mass_system(self, n):
+        spec = ConeSpec(n)
+        for i in range(1, n + 1):
+            system, rhs, objective = _mass_system(i, spec)
+            k = len(objective)
+            assert simplex_feasible(system, rhs, ncols=k) is not None
+            assert fm_feasible_eq(system, rhs, ncols=k)
 
 
 class TestCertificateExactness:

@@ -264,6 +264,42 @@ class TestIrreducibility:
         assert not is_irreducible(X_ON_0)
 
 
+@st.composite
+def _members(draw):
+    """k * prod g_i / den of degree <= 5, g_i small integer polynomials and
+    den a divisor of the fixed divisor: a member of Int(Z), often with a
+    content denominator and repeated factors."""
+    part = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda cs: cs[-1])
+    h = (draw(st.integers(1, 12)),)
+    for cs in draw(st.lists(part, min_size=1, max_size=3)):
+        if qpoly.degree(h) + len(cs) - 1 <= 5:
+            h = qpoly.int_mul(h, tuple(cs))
+    f = ivpoly(h)
+    d = fixed_divisor(f)
+    den = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
+    return f.scale(F(1, den))
+
+
+def _irreducible_by_scaling(f):
+    """The former test: build u * G_J for every candidate and compare it with
+    1 and the normalized f."""
+    trivial = ((F(1),), f.normalized().coeffs)
+    return all(qpoly.scale(gj, u) in trivial for _, u, gj in _divisor_candidates(f))
+
+
+class TestIrreducibleKeys:
+    @given(_members())
+    @settings(max_examples=150, deadline=None)
+    def test_keys_decide_as_the_built_candidates_do(self, f):
+        assume(not f.is_unit())
+        assert is_irreducible(f) == _irreducible_by_scaling(f)
+
+    def test_negative_content_and_repeated_factors(self):
+        for coeffs in ([0, 0, -2], [0, F(1, 2), F(-1, 2)], [-3], [0, 0, 1, -2, 1], [0, 1]):
+            f = ivpoly(coeffs)
+            assert is_irreducible(f) == _irreducible_by_scaling(f), coeffs
+
+
 class TestFactorizations:
     def test_x_squared_minus_x(self):
         facs = factorizations(ivpoly([0, -1, 1]))

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivpoly import linprog
@@ -243,3 +244,47 @@ def test_sparse_systems_agree_with_fourier_motzkin(m, n, data):
     assert (sol is not None) == fm_feasible_eq(a, b)
     if sol is not None:
         assert _satisfies(a, b, sol)
+
+
+def _as_mappings(a):
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+@given(st.integers(1, 8), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mapping_rows_give_the_same_results(m, n, data):
+    a = [[data.draw(_sparse_entries()) for _ in range(n)] for _ in range(m)]
+    b = [data.draw(_sparse_entries()) for _ in range(m)]
+    c = [data.draw(_sparse_entries()) for _ in range(n)]
+    sparse = _as_mappings(a)
+    for maximize in (True, False):
+        assert simplex_solve(sparse, b, c, maximize) == simplex_solve(a, b, c, maximize)
+        assert simplex_solve(sparse, b, c, maximize, ncols=n) == simplex_solve(a, b, c, maximize)
+    assert simplex_solve(sparse, b, ncols=n) == simplex_solve(a, b)
+    assert simplex_feasible(sparse, b, ncols=n) == simplex_feasible(a, b)
+    assert fm_feasible_eq(sparse, b, ncols=n) == fm_feasible_eq(a, b)
+
+
+def test_mapping_rows_need_a_column_count():
+    with pytest.raises(ValueError):
+        simplex_feasible([{0: 1}], [1])
+    with pytest.raises(ValueError):
+        fm_feasible_eq([{0: 1}], [1])
+    assert simplex_feasible([{1: 1}], [1], ncols=2) == (F(0), F(1))
+    assert fm_feasible_eq([{1: 1}, {}], [1, 0], ncols=2)
+    assert not fm_feasible_eq([{1: 1}, {}], [1, 1], ncols=2)
+
+
+def test_fm_rows_stay_sparse_and_primitive(monkeypatch):
+    seen = []
+    prune = linprog._prune
+
+    def spy(rows):
+        seen.extend(rows)
+        return prune(rows)
+
+    monkeypatch.setattr(linprog, "_prune", spy)
+    assert fm_feasible([((F(2), F(0), F(4)), F(6)), ((F(0), F(-1, 3), F(0)), F(0))], 3)
+    assert seen[:2] == [(((0, 1), (2, 2)), 3), (((1, -1),), 0)]
+    for terms, const in seen:
+        assert all(a for _, a in terms) and [v for v, _ in terms] == sorted(v for v, _ in terms)

@@ -3,8 +3,18 @@ import random
 import pytest
 import sympy
 
+from ivpoly import primes
 from ivpoly.errors import InputTooLargeError
-from ivpoly.primes import MAX_INDEXED_PRIME, MR_PROVEN_BOUND, _PRIMES, is_prime, odd_prime_index
+from ivpoly.primes import (
+    MAX_INDEXED_PRIME,
+    MR_PROVEN_BOUND,
+    TRIAL_BOUND,
+    _PRIMES,
+    factorize,
+    is_prime,
+    odd_prime_index,
+    smallest_prime_factor,
+)
 
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 62745, 63973, 75361, 101101, 126217, 172081, 188461, 252601)
@@ -53,3 +63,61 @@ def test_odd_prime_index_up_to_its_bound():
     assert _PRIMES[:9592] == list(sympy.primerange(2, 10**5))
     with pytest.raises(InputTooLargeError):
         odd_prime_index(sympy.nextprime(MAX_INDEXED_PRIME))
+
+
+def _random_prime(rng, digits):
+    return sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits))
+
+
+def test_factorize_matches_sympy_up_to_ten_thousand():
+    for n in range(1, 10**4):
+        assert factorize(n) == sympy.factorint(n), n
+    for n in (*range(2, 10**4), 4099**2, TRIAL_BOUND**2 + 1):
+        assert smallest_prime_factor(n) == min(sympy.factorint(n)), n
+
+
+def test_factorize_semiprimes_and_prime_powers_match_sympy():
+    rng = random.Random(12)
+    cases = []
+    for _ in range(40):
+        digits = rng.randint(12, 20)
+        small = rng.randint(4, digits // 2)
+        cases.append(_random_prime(rng, small) * _random_prime(rng, digits - small))
+    for _ in range(20):
+        e = rng.randint(2, 4)
+        cases.append(_random_prime(rng, rng.randint(12, 20) // e) ** e)
+    for n in cases:
+        fact = factorize(n)
+        assert fact == sympy.factorint(n), n
+        assert list(fact) == sorted(fact)
+        assert smallest_prime_factor(n) == min(fact)
+
+
+def test_large_cli_constants():
+    assert factorize(1000000000000000003) == {1000000000000000003: 1}
+    assert factorize(1000000016000000063) == {1000000007: 1, 1000000009: 1}
+    assert factorize(2**4 * 3 * 1000000007**2) == {2: 4, 3: 1, 1000000007: 2}
+
+
+def test_small_factors_never_leave_trial_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("left the trial-division stage")
+
+    monkeypatch.setattr(primes, "is_prime", refuse)
+    monkeypatch.setattr(primes, "_rho_divisor", refuse)
+    for n in (2**41, 39916800, 257 * 2**32, 4093 * 4091 * 13, TRIAL_BOUND**2 + 1):
+        assert factorize(n) == sympy.factorint(n)
+
+
+def test_rho_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(primes, "RHO_BUDGET", 64)
+    with pytest.raises(InputTooLargeError):
+        factorize(1000000007 * 1000000009)
+
+
+def test_unproven_cofactor():
+    # 2^89 - 1 is prime but above the proven Miller-Rabin range
+    with pytest.raises(InputTooLargeError):
+        factorize(6 * (2**89 - 1))
+    assert smallest_prime_factor(6 * (2**89 - 1)) == 2
+    assert smallest_prime_factor(4093 * (2**89 - 1)) == 4093
