@@ -50,8 +50,8 @@ from .rationals import format_rational, parse_rational
 
 
 #: largest --truncation accepted by cone-member, cone-idf and the
-#: prime-reciprocal spec: the cone systems grow with its square, and the
-#: prime-reciprocal atom list runs a membership search per pair of generators
+#: prime-reciprocal spec: the cone systems grow with its square, and
+#: prime-reciprocal membership and factorizations search that many generators
 MAX_TRUNCATION = 100
 
 
@@ -366,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    def add_spec_args(p, truncation_default=16):
+    def add_spec_args(p):
         p.add_argument("--spec", required=True,
                        choices=("grams", "dyadic", "prime-reciprocal", "explicit"))
         p.add_argument("--gens", help="comma-separated generators for explicit monoids")
-        p.add_argument("--truncation", type=int, default=truncation_default)
+        p.add_argument("--truncation", type=int, default=16)
 
     def add_poly_args(p):
         p.add_argument("--poly", required=True,

@@ -190,11 +190,6 @@ def divisors_from_factorization(fact: dict[int, int]) -> list[int]:
     return sorted(divs)
 
 
-def divisors_of(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    return divisors_from_factorization(factorize(n))
-
-
 def merge_factorizations(*facts: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for fact in facts:

@@ -430,23 +430,23 @@ def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Fa
         raise NotAMemberError(f"{format_rational(b)} is not a member")
     if b == 0:
         return [Factorization(())]
-    atoms = spec.usable_atoms(b, length_cap)
     found: list[Factorization] = []
-
-    def rec(pos: int, remaining: Fraction, budget: int, acc: list[Fraction]) -> None:
-        if remaining == 0:
-            found.append(Factorization(tuple(acc)))
-            return
-        if pos == len(atoms) or budget == 0:
-            return
-        g = atoms[pos]
-        if remaining > budget * g:
-            return  # even the largest remaining atom cannot reach b
-        for k in range(min(budget, int(remaining / g)), -1, -1):
-            rec(pos + 1, remaining - k * g, budget - k, acc + [g] * k)
-
-    rec(0, b, length_cap, [])
+    _factor_from(spec.usable_atoms(b, length_cap), found, 0, b, length_cap, [])
     return found
+
+
+def _factor_from(atoms, found: list, pos: int, remaining: Fraction, budget: int, acc: list):
+    """``factorizations`` from atoms[pos:]; not a closure, see ``_search_from``."""
+    if remaining == 0:
+        found.append(Factorization(tuple(acc)))
+        return
+    if pos == len(atoms) or budget == 0:
+        return
+    g = atoms[pos]
+    if remaining > budget * g:
+        return  # even the largest remaining atom cannot reach b
+    for k in range(min(budget, int(remaining / g)), -1, -1):
+        _factor_from(atoms, found, pos + 1, remaining - k * g, budget - k, acc + [g] * k)
 
 
 def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:

@@ -8,9 +8,9 @@ Python ints (integer tuples, lowest degree first); no ``Fraction`` is built.
 1. The power of x is split off.
 2. Yun's algorithm writes the rest as a_1 a_2^2 a_3^3 ... with the a_i
    square-free and pairwise coprime, which fixes every multiplicity.
-3. One pass of the rational root theorem over each a_i divides out all of
-   its linear factors; each candidate p/q is tested with the integer
-   q^n * a(p/q).  A remaining part of degree 2 or 3 is irreducible.
+3. One pass over each a_i divides out all of its linear factors: its roots
+   mod one prime are Newton-lifted until lc * root is read off (Loos, *SIAM
+   J. Comput.* 12 (1983)).  A remaining part of degree 2 or 3 is irreducible.
 4. A remaining part g of degree 4 or more is factored by Zassenhaus's
    method (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15):
    of the first few odd primes p that keep g square-free mod p, the one
@@ -33,7 +33,7 @@ from itertools import combinations, count, zip_longest
 from math import gcd, isqrt
 
 from . import qpoly
-from .primes import divisors_of, odd_prime
+from .primes import odd_prime
 from .qpoly import IntPoly
 
 #: odd primes that keep g square-free mod p, compared before factoring mod p
@@ -174,26 +174,40 @@ def _yun(g: IntPoly) -> list[tuple[tuple[int, ...], int]]:
 def _split_rational_roots(a: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Linear factors of a square-free primitive a with a(0) != 0, and the rest.
 
-    One pass over the candidates p/q of the rational root theorem; every
-    root found is divided out at once, and later candidates must divide the
-    constant and leading coefficients of what is left.
+    A root s/q of a is a root r mod the first odd prime p not dividing lc(a) at
+    which all roots are simple; Newton's iteration on a lifts r until m exceeds
+    2 |lc(a) a(0)|, and then lc(a) r mod m has symmetric residue lc(a) s/q.
     """
     if len(a) <= 2:
         return [a]
-    out = []
-    qs = divisors_of(a[-1])
-    for p in divisors_of(abs(a[0])):
-        for q in qs:
-            if gcd(p, q) != 1:
-                continue
-            for s in (p, -p):
-                if a[0] % s or a[-1] % q or qpoly.int_eval_homogeneous(a, s, q):
-                    continue
-                out.append((-s, q))
-                a = _int_divexact(a, (-s, q))
-                if len(a) <= 2:
-                    return out + [a] if len(a) == 2 else out
-    return out + [a]
+    da = _derivative(a)
+    for p in map(odd_prime, count()):
+        if a[-1] % p == 0:
+            continue
+        roots = []
+        for r in range(p):
+            if qpoly.int_eval(a, r) % p == 0:
+                if qpoly.int_eval(da, r) % p == 0:
+                    break  # a multiple root mod p
+                roots.append(r)
+        else:
+            break
+    bound = 2 * abs(a[-1] * a[0])
+    out, rest = [], a
+    for r in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - qpoly.int_eval(a, r) * pow(qpoly.int_eval(da, r), -1, m)) % m
+        v = a[-1] * r % m
+        h = _primitive((m - v if 2 * v > m else -v, a[-1]))
+        quot = _int_divexact(rest, h)
+        if quot is not None:
+            out.append(h)
+            rest = quot
+            if len(rest) <= 2:
+                break
+    return out + [rest]
 
 
 # ---------------------------------------------------------------------------

@@ -134,16 +134,6 @@ def int_eval(g: IntPoly, x: int) -> int:
     return acc
 
 
-def int_eval_homogeneous(g: IntPoly, p: int, q: int) -> int:
-    """q^deg(g) * g(p/q), an integer, by homogeneous Horner."""
-    acc = 0
-    qk = 1
-    for c in reversed(g):
-        acc = acc * p + c * qk
-        qk *= q
-    return acc
-
-
 def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     """Product of two nonzero integer polynomials."""
     out = [0] * (len(a) + len(b) - 1)

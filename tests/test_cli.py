@@ -377,6 +377,8 @@ def test_verify_paper_subset(capsys):
 
 @pytest.mark.parametrize("argv, result", [
     (["ivp-irreducible", "--poly", "1000000000000000003"], {"irreducible": True}),
+    # x^4 + (10^12+39)(10^12+61): no factor of the constant is needed
+    (["ivp-irreducible", "--poly", "1000000000100000000002379,0,0,0,1"], {"irreducible": True}),
     (["ivp-divisors", "--poly", "1000000016000000063"],
      {"count": 4, "divisors": [["1"], ["1000000007"], ["1000000009"], ["1000000016000000063"]]}),
     (["ivp-furstenberg", "--poly", "0,1000000016000000063", "--site", "0,1"],

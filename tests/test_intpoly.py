@@ -580,7 +580,7 @@ def _site_members(draw):
 class TestSplitWalk:
     """The pruned J walk against brute force, on Z and on finite sites."""
 
-    @pytest.mark.parametrize("n", range(1, 25))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_binomial_is_irreducible(self, n):
         assert is_irreducible(binomial(n))
 

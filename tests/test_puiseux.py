@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -230,6 +231,16 @@ class TestFactorizations:
                 for ms in bruteforce_monoid_factorizations(atoms, b, cap)
             ]
             assert mine == sorted(brute)
+
+    def test_grams_factorizations_leave_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            facs = factorizations(GRAMS, F(1), 16)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert facs and all(z.total() == 1 for z in facs)
 
 
 class TestLengthSets:

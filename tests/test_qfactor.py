@@ -9,7 +9,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 
-from ivpoly import qpoly
+from ivpoly import primes, qpoly
 from ivpoly.qfactor import (
     _factor_mod_prime,
     _hensel_lift,
@@ -161,6 +161,48 @@ def test_products_of_primitive_polynomials_match_sympy(parts):
     for g in parts:
         f = qpoly.mul(f, qpoly.poly(g))
     _assert_matches_sympy(f)
+
+
+#: irreducible over Q: x^2 + 1, x^4 + 2, 3x^3 - 2 and 5x^2 + 3x + 7
+_IRREDUCIBLES = [(1, 0, 1), (2, 0, 0, 0, 1), (-2, 0, 0, 3), (7, 3, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(2, 10**30)),
+             min_size=1, max_size=6),
+    st.sampled_from([None] + _IRREDUCIBLES),
+)
+def test_products_of_non_monic_linear_factors_match_sympy(linears, extra):
+    f = qpoly.poly([1] if extra is None else extra)
+    for lin in linears:
+        f = qpoly.mul(f, qpoly.poly(lin))
+    _assert_matches_sympy(f)
+
+
+@pytest.mark.parametrize(
+    "linears",
+    [
+        [(-1, 1), (-4, 1), (-16, 1)],  # roots 1, 4, 16 collide mod 3 and mod 5
+        [(-1, 2), (1, 1), (1, 2)],  # (2x - 1)(x + 1)(2x + 1)
+    ],
+)
+def test_roots_that_collide_mod_small_primes(linears):
+    f = qpoly.poly([1])
+    for lin in linears:
+        f = qpoly.mul(f, qpoly.poly(lin))
+    assert factor_rational(f) == (1, [(g, 1) for g in sorted(linears)])
+
+
+def test_rational_roots_factor_no_integer(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(primes, "factorize", refuse)
+    *_, numerator = qpoly.int_falling_factorials(30)  # 30! * C(x, 30)
+    assert factor_rational(numerator) == (1, [((-j, 1), 1) for j in range(29, -1, -1)])
+    quartic = (1000000000100000000002379, 0, 0, 0, 1)  # x^4 + (10^12+39)(10^12+61)
+    assert factor_rational(quartic) == (1, [(quartic, 1)])
 
 
 STAGE_CASES = [

@@ -71,13 +71,6 @@ def test_int_eval_matches_fraction_eval(g, x):
     assert qpoly.int_eval(tuple(g), x) == qpoly.eval_at(qpoly.poly(g), x)
 
 
-@given(int_lists, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=9))
-def test_int_eval_homogeneous_clears_the_denominator(g, p, q):
-    n = len(g) - 1
-    want = qpoly.eval_at(qpoly.poly(g), F(p, q)) * q**n
-    assert qpoly.int_eval_homogeneous(tuple(g), p, q) == want
-
-
 @given(int_lists, int_lists)
 def test_int_mul_matches_fraction_mul(a, b):
     a, b = tuple(a) + (1,), tuple(b) + (-3,)  # nonzero leading coefficients
