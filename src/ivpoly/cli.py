@@ -18,7 +18,13 @@ from fractions import Fraction
 
 from . import verify
 from .cone import ConeSpec, cone_member, idf_family_check, tpoly
-from .errors import DuplicatePointsError, InputTooLargeError, IvpolyError, SpecKindError
+from .errors import (
+    DuplicatePointsError,
+    InputTooLargeError,
+    IvpolyError,
+    MalformedInputError,
+    SpecKindError,
+)
 from .intpoly import (
     FiniteSite,
     IVPoly,
@@ -87,7 +93,7 @@ def _truncation(args) -> int:
 def _parse_poly(args) -> IVPoly:
     site = _parse_site(args.site)
     coeffs = _parse_coeff_list(args.poly)
-    if getattr(args, "binomial", False):
+    if args.binomial:
         return from_binomial_basis(coeffs, site)
     return IVPoly(tuple(coeffs), site)
 
@@ -105,6 +111,19 @@ def _parse_spec(args):
             raise SpecKindError("explicit monoids need --gens")
         return ExplicitMonoid(tuple(_parse_coeff_list(args.gens)))
     raise SpecKindError(f"unknown monoid kind {kind!r}")
+
+
+def _parse_element(text: str):
+    """A monoid-ring element from its JSON text.
+
+    Nesting too deep for the decoder, an integer too long to convert and
+    invalid JSON are all malformed input.
+    """
+    try:
+        data = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise MalformedInputError(f"unreadable element JSON: {exc}") from exc
+    return from_json_dict(data)
 
 
 def _certificate_json(cert) -> dict | None:
@@ -196,14 +215,14 @@ def _cmd_accp_chain(args):
 
 
 def _cmd_ring_mul(args):
-    a = from_json_dict(json.loads(args.a))
-    b = from_json_dict(json.loads(args.b))
+    a = _parse_element(args.a)
+    b = _parse_element(args.b)
     prod = ring_mul(a, b)
     return {"product": to_json_dict(prod)}, [f"product: {prod}"]
 
 
 def _cmd_ring_root(args):
-    f = from_json_dict(json.loads(args.f))
+    f = _parse_element(args.f)
     root = pth_root(f, cone_closed=not args.not_cone_closed)
     if root is None:
         return {"root": None, "verified": False}, ["no root (exponent monoid not closed)"]
@@ -441,7 +460,7 @@ def run(argv=None) -> int:
     op = args.command
     try:
         out = args.func(args)
-    except (IvpolyError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (IvpolyError, KeyError, TypeError) as exc:
         code = getattr(exc, "code", "malformed-input")
         if args.format == "json":
             print(_dump({"op": op, "result": None,

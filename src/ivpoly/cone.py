@@ -9,7 +9,7 @@ Fourier-Motzkin elimination available as an independent feasibility oracle.
 
 The systems are sparse from the start: row d maps a generator's column to
 its nonzero coefficient of t^d, filled from the two or three nonzero
-coefficients of each generator, and goes to ``linprog`` as a mapping.
+coefficients of each generator, and goes to ``linprog`` as it is.
 
 Truncation semantics: a certificate proves membership outright (it survives
 any larger truncation), while infeasibility only certifies nonexistence
@@ -177,7 +177,7 @@ def cone_member(
     the cone of the remaining generators.
     """
     gens, rows, rhs = _membership_system(target, spec, exclude)
-    sol = simplex_feasible(rows, rhs, ncols=len(gens))
+    sol = simplex_feasible(rows, rhs, len(gens))
     if sol is None:
         return None
     weights = tuple((g.label, w) for g, w in zip(gens, sol) if w != 0)
@@ -189,8 +189,8 @@ def _pair_system(spec: ConeSpec, first: TPoly, second: TPoly):
 
     Variables are three weight blocks u, v, w (the representations of c,
     first - c, and second - c); eliminating c leaves u+v summing to first
-    and u+w summing to second, coefficientwise.  The objective is the total
-    weight of u.
+    and u+w summing to second, coefficientwise.  Returns the rows, the
+    right side, the column count 3k and the objective, the total weight of u.
     """
     gens = spec.generators()
     k = len(gens)
@@ -198,13 +198,7 @@ def _pair_system(spec: ConeSpec, first: TPoly, second: TPoly):
     system = [{**row, **{j + k: v for j, v in row.items()}} for row in base]
     system += [{**row, **{j + 2 * k: v for j, v in row.items()}} for row in base]
     rhs = _rhs(spec, first) + _rhs(spec, second)
-    objective = [Fraction(1)] * k + [Fraction(0)] * (2 * k)
-    return system, rhs, objective
-
-
-def _mass_system(i: int, spec: ConeSpec):
-    """The system of ``_pair_system`` for the family pair (a_i, b_i)."""
-    return _pair_system(spec, a_gen(i), b_gen(i))
+    return system, rhs, 3 * k, {j: 1 for j in range(k)}
 
 
 def common_divisor_mass(i: int, spec: ConeSpec) -> Fraction:
@@ -215,8 +209,7 @@ def common_divisor_mass(i: int, spec: ConeSpec) -> Fraction:
     """
     if not 1 <= i <= spec.truncation:
         raise IndexRangeError(f"index {i} outside 1..{spec.truncation}")
-    system, rhs, objective = _mass_system(i, spec)
-    res = simplex_solve(system, rhs, objective, maximize=True)
+    res = simplex_solve(*_pair_system(spec, a_gen(i), b_gen(i)))
     if res.status != "optimal":
         raise ArithmeticError(f"mass LP unexpectedly {res.status}")
     return res.value
@@ -277,14 +270,14 @@ def membership_system_agreement(
 ) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one membership system."""
     gens, rows, rhs = _membership_system(target, spec, exclude)
-    simplex = simplex_feasible(rows, rhs, ncols=len(gens)) is not None
-    fm = fm_feasible_eq(rows, rhs, ncols=len(gens))
+    simplex = simplex_feasible(rows, rhs, len(gens)) is not None
+    fm = fm_feasible_eq(rows, rhs, len(gens))
     return simplex, fm
 
 
 def mass_system_agreement(i: int, spec: ConeSpec) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one mass-LP base system."""
-    system, rhs, objective = _mass_system(i, spec)
-    simplex = simplex_feasible(system, rhs, ncols=len(objective)) is not None
-    fm = fm_feasible_eq(system, rhs, ncols=len(objective))
+    system, rhs, n, _ = _pair_system(spec, a_gen(i), b_gen(i))
+    simplex = simplex_feasible(system, rhs, n) is not None
+    fm = fm_feasible_eq(system, rhs, n)
     return simplex, fm

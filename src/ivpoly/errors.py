@@ -11,6 +11,10 @@ class MalformedRationalError(IvpolyError):
     code = "malformed-rational"
 
 
+class MalformedInputError(IvpolyError):
+    code = "malformed-input"
+
+
 class InputTooLargeError(IvpolyError):
     code = "input-too-large"
 
@@ -57,6 +61,10 @@ class UnitElementError(IvpolyError):
 
 class DuplicatePointsError(IvpolyError):
     code = "duplicate-site-points"
+
+
+class DuplicateGeneratorsError(IvpolyError):
+    code = "duplicate-generators"
 
 
 class SiteMismatchError(IvpolyError):

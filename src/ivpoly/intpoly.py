@@ -48,7 +48,6 @@ from .primes import (
     smallest_prime_factor,
 )
 from .qfactor import factor_rational
-from .rationals import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -595,13 +594,3 @@ def vanishing_nonatomic_witness(f: IVPoly) -> VanishingWitness:
         splits_for_all_integers=all_vanish,
         complete_proof=len(f.site.points) == 1,
     )
-
-
-def to_json_dict(f: IVPoly) -> dict:
-    site = "Z" if isinstance(f.site, AllIntegers) else list(f.site.points)
-    return {"coeffs": [format_rational(c) for c in f.coeffs], "site": site}
-
-
-def from_json_dict(d: dict) -> IVPoly:
-    site: Site = Z_SITE if d["site"] == "Z" else FiniteSite(tuple(d["site"]))
-    return IVPoly(qpoly.poly([parse_rational(c) for c in d["coeffs"]]), site)

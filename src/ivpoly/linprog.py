@@ -3,29 +3,26 @@
 Two independent engines:
 
 * a two-phase simplex with Bland's rule on a sparse tableau (each row a
-  dict from column to nonzero ``Fraction``, no floating point), solving
-  max/min c.x subject to A x = b, x >= 0;
+  dict from column to nonzero ``Fraction``, no floating point), maximizing
+  c.x subject to A x = b, x >= 0;
 * Fourier-Motzkin elimination for feasibility of inequality systems,
   used as a cross-check oracle on the simplex verdicts.  Its rows are
   sparse primitive integer rows: sorted ``(variable, coefficient)`` pairs
   and a constant.
 
-Both take the rows of A either dense, as sequences, or sparse, as mappings
-from column to entry; mapping rows need the column count passed as
-``ncols`` (or, for ``simplex_solve``, the length of the objective).
+Both take each row of A as a mapping from column to entry, zeros left out,
+and the column count n.
 """
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
 
-Row = tuple[Fraction, ...]
-#: a row of A: dense, or column -> entry with zeros left out
-InputRow = Union[Sequence[Fraction], Mapping[int, Fraction]]
+#: a row of A, or a linear form: column -> entry, zeros left out
+InputRow = Mapping[int, Fraction]
 #: a tableau row: column -> nonzero entry, the right-hand side under _RHS
 SparseRow = dict[int, Fraction]
 #: reserved key of the right-hand side; original columns are 0..n-1
@@ -34,22 +31,8 @@ _ZERO = Fraction(0)
 
 
 def _sparse(row: InputRow) -> SparseRow:
-    """A row of A as column -> nonzero Fraction, dense or mapping alike."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
-
-
-def _width(a_eq: Sequence[InputRow], ncols: int | None, objective=None) -> int:
-    """The column count: ncols, else the dense rows' length, else the objective's."""
-    if ncols is not None:
-        return ncols
-    if a_eq and not isinstance(a_eq[0], Mapping):
-        return len(a_eq[0])
-    if objective is not None:
-        return len(objective)
-    if a_eq:
-        raise ValueError("mapping rows need the column count ncols")
-    return 0
+    """A row of A as column -> nonzero Fraction."""
+    return {j: v if type(v) is Fraction else Fraction(v) for j, v in row.items() if v}
 
 
 @dataclass(frozen=True)
@@ -114,19 +97,16 @@ def _bland_min(tab: list[SparseRow], basis: list[int]) -> str:
 def simplex_solve(
     a_eq: Sequence[InputRow],
     b_eq: Sequence[Fraction],
-    objective: Sequence[Fraction] | None = None,
-    maximize: bool = True,
-    ncols: int | None = None,
+    n: int,
+    objective: InputRow | None = None,
 ) -> LPResult:
-    """Solve max (or min) objective . x subject to a_eq x = b_eq, x >= 0.
+    """Maximize objective . x subject to a_eq x = b_eq, x >= 0 over n columns.
 
-    Rows of a_eq are dense sequences or column -> entry mappings; with
-    mappings, the column count is ncols or the objective's length.  Row i
+    Without an objective, phase 1 alone finds a feasible point.  Row i
     starts with the artificial n + i basic.  Artificial columns are never
     stored: they may not re-enter, and no choice reads them.
     """
     m = len(a_eq)
-    n = _width(a_eq, ncols, objective)
     tab: list[SparseRow] = []
     for row, b in zip(a_eq, b_eq):
         entries = _sparse(row)
@@ -156,9 +136,8 @@ def simplex_solve(
     if objective is None:
         return LPResult("optimal", Fraction(0), _extract(tab, basis, n))
 
-    # phase 2 on the original columns
-    sign = -1 if maximize else 1
-    obj: SparseRow = {j: sign * Fraction(c) for j, c in enumerate(objective) if c}
+    # phase 2 on the original columns: minimize -objective
+    obj: SparseRow = {j: -Fraction(c) for j, c in objective.items() if c}
     # express the objective through the current basis
     for i, col in enumerate(basis):
         f = obj.get(col)
@@ -168,7 +147,7 @@ def simplex_solve(
     if _bland_min(tab, basis) == "unbounded":
         return LPResult("unbounded", None, None)
     sol = _extract(tab, basis, n)
-    value = sum((Fraction(c) * x for c, x in zip(objective, sol)), Fraction(0))
+    value = sum((Fraction(c) * sol[j] for j, c in objective.items()), Fraction(0))
     return LPResult("optimal", value, sol)
 
 
@@ -181,10 +160,10 @@ def _extract(tab: list[SparseRow], basis: list[int], n: int) -> tuple[Fraction, 
 
 
 def simplex_feasible(
-    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], ncols: int | None = None
+    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int
 ) -> tuple[Fraction, ...] | None:
-    """A nonnegative solution of a_eq x = b_eq, or None."""
-    res = simplex_solve(a_eq, b_eq, objective=None, ncols=ncols)
+    """A nonnegative solution of a_eq x = b_eq over n columns, or None."""
+    res = simplex_solve(a_eq, b_eq, n)
     return res.solution if res.status == "optimal" else None
 
 
@@ -284,48 +263,38 @@ def _eliminate(rows: list[IntRow], nvars: int) -> bool:
     return True
 
 
-def fm_feasible(ineqs: list[tuple[Sequence[Fraction], Fraction]], nvars: int) -> bool:
+def fm_feasible(ineqs: list[tuple[InputRow, Fraction]], nvars: int) -> bool:
     """Feasibility of { x : sum coeffs.x <= const } by variable elimination.
 
     Variables are unrestricted; encode x_i >= 0 as an explicit row.  The
-    dense rows are read once into sparse primitive integer rows.
+    rows are read once into sparse primitive integer rows.
     """
-    rows = [
-        _int_row([(v, Fraction(c)) for v, c in enumerate(coeffs) if c], Fraction(const))
-        for coeffs, const in ineqs
-    ]
+    rows = [_int_row(sorted(_sparse(coeffs).items()), Fraction(const)) for coeffs, const in ineqs]
     return _eliminate(rows, nvars)
 
 
 def eq_system_to_ineqs(
-    a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]
-) -> tuple[list[tuple[Row, Fraction]], int]:
-    """Encode {A x = b, x >= 0} as a pure inequality system for fm_feasible."""
-    n = len(a_eq[0]) if a_eq else 0
-    ineqs: list[tuple[Row, Fraction]] = []
+    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int
+) -> list[tuple[SparseRow, Fraction]]:
+    """Encode {A x = b, x >= 0} over n columns as inequalities for fm_feasible."""
+    ineqs: list[tuple[SparseRow, Fraction]] = []
     for row, c in zip(a_eq, b_eq):
-        r = tuple(Fraction(v) for v in row)
+        r = _sparse(row)
         ineqs.append((r, Fraction(c)))
-        ineqs.append((tuple(-v for v in r), -Fraction(c)))
-    for i in range(n):
-        unit = tuple(Fraction(-int(i == j)) for j in range(n))
-        ineqs.append((unit, Fraction(0)))
-    return ineqs, n
+        ineqs.append(({j: -v for j, v in r.items()}, -Fraction(c)))
+    ineqs += [({i: Fraction(-1)}, _ZERO) for i in range(n)]
+    return ineqs
 
 
-def fm_feasible_eq(
-    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], ncols: int | None = None
-) -> bool:
-    """Feasibility of {A x = b, x >= 0} decided by Fourier-Motzkin.
+def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -> bool:
+    """Feasibility of {A x = b, x >= 0} over n columns, decided by Fourier-Motzkin.
 
     The equalities are first removed by exact Gaussian substitution on
     sparse rows (each pivot variable is expressed through the nonbasic
     ones), which preserves the solution set and leaves a pure inequality
     system -- the nonnegativity of every variable -- for the elimination
-    proper.  Rows of a_eq are dense sequences or, with ncols given,
-    column -> entry mappings.
+    proper.
     """
-    n = _width(a_eq, ncols)
     mat = [_sparse(row) for row in a_eq]
     rhs = [Fraction(c) for c in b_eq]
     pivots: list[tuple[int, int]] = []

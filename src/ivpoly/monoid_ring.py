@@ -6,12 +6,14 @@ exponents, no zero coefficients, prime-field coefficients reduced.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
     CoefficientRingError,
+    MalformedInputError,
     NegativeExponentError,
     NotAMemberError,
     RingMismatchError,
@@ -36,9 +38,6 @@ class CoefficientRing:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def format(self, c) -> str:
         return str(c)
@@ -101,9 +100,6 @@ class PrimeField(CoefficientRing):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return -a % self.p
-
     def is_unit(self, c):
         return c % self.p != 0
 
@@ -121,8 +117,10 @@ def ring_from_tag(tag: str) -> CoefficientRing:
         return ZZ
     if tag == "Q":
         return QQ
-    if tag.startswith("F") and tag[1:].isdigit():
-        return GF(int(tag[1:]))
+    # at most 19 ASCII digits: PrimeField rejects anything longer as too large
+    prime = re.fullmatch(r"F([0-9]{1,19})", tag)
+    if prime:
+        return GF(int(prime[1]))
     raise CoefficientRingError(f"unknown coefficient ring tag {tag!r}")
 
 
@@ -280,6 +278,20 @@ def to_json_dict(a: MonoidRingElement) -> dict:
     }
 
 
-def from_json_dict(d: dict) -> MonoidRingElement:
+def from_json_dict(d: object) -> MonoidRingElement:
+    """The element {"ring": tag, "terms": [[coefficient, exponent], ...]}, all strings."""
+    if not (
+        isinstance(d, dict)
+        and d.keys() == {"ring", "terms"}
+        and isinstance(d["ring"], str)
+        and isinstance(d["terms"], list)
+        and all(
+            isinstance(t, list) and len(t) == 2 and all(isinstance(x, str) for x in t)
+            for t in d["terms"]
+        )
+    ):
+        raise MalformedInputError(
+            'an element is {"ring": str, "terms": [[str, str], ...]}'
+        )
     ring = ring_from_tag(d["ring"])
     return element(ring, [(ring.parse(c), parse_rational(e)) for c, e in d["terms"]])

@@ -19,6 +19,7 @@ from itertools import count, takewhile
 from math import lcm
 
 from .errors import (
+    DuplicateGeneratorsError,
     NegativeInputError,
     NotAMemberError,
     NotDyadicError,
@@ -46,10 +47,7 @@ class PuiseuxMonoid:
 
     def member(self, q: Fraction) -> MembershipResult:
         """Membership of q > 0 with a certificate."""
-        gens = self.search_generators()
-        if not gens:
-            raise TruncationError("bounded search needs a positive truncation")
-        combo = _bounded_search(gens, q)
+        combo = _bounded_search(self.search_generators(), q)
         if combo is None:
             return MembershipResult(None, self.exact)
         return MembershipResult(MembershipCertificate.from_dict(combo), True)
@@ -155,8 +153,8 @@ class PrimeReciprocal(PuiseuxMonoid):
     truncation: int = 16
 
     def __post_init__(self):
-        if self.truncation < 0:
-            raise TruncationError("truncation must be nonnegative")
+        if self.truncation < 1:
+            raise TruncationError("prime-reciprocal truncation must be at least 1")
 
     def generator(self, i: int) -> Fraction:
         return Fraction(1, nth_prime(i))
@@ -190,7 +188,7 @@ class ExplicitMonoid(PuiseuxMonoid):
         if any(g <= 0 for g in gens):
             raise NegativeInputError("explicit generators must be strictly positive")
         if len(set(gens)) != len(gens):
-            raise ValueError("explicit generator lists must be duplicate-free")
+            raise DuplicateGeneratorsError("explicit generator lists must be duplicate-free")
         object.__setattr__(self, "generators", gens)
 
     def generator(self, i: int) -> Fraction:
@@ -198,11 +196,6 @@ class ExplicitMonoid(PuiseuxMonoid):
 
     def search_generators(self) -> tuple[Fraction, ...]:
         return self.generators
-
-    def member(self, q: Fraction) -> MembershipResult:
-        if not self.generators:
-            return MembershipResult(None, True)  # the monoid {0}
-        return super().member(q)
 
     def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
         """Complete once the cap reaches b over the smallest usable atom.

@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -290,6 +292,80 @@ class TestErrorsAndExitCodes:
             ["ivp-member", "--poly", "0,1", "--site", text, "--format", "json"]
         )
         assert status in (0, 1, 2)
+
+
+class TestInputsThatOnceCrashed:
+    """Each of these exited through a traceback, with no envelope."""
+
+    EMPTY_Z = '{"ring":"Z","terms":[]}'
+
+    def _error_code(self, capsys, *argv):
+        status, payload = invoke_json(capsys, *argv)
+        assert status == 1 and payload["result"] is None
+        return payload["error"]["code"]
+
+    def test_duplicate_explicit_generators(self, capsys):
+        code = self._error_code(capsys, "monoid-member", "--spec", "explicit",
+                                "--gens", "1,1", "--q", "2")
+        assert code == "duplicate-generators"
+
+    def test_term_that_is_not_a_pair(self, capsys):
+        code = self._error_code(capsys, "ring-mul", "--a", '{"ring":"Z","terms":[["1"]]}',
+                                "--b", self.EMPTY_Z)
+        assert code == "malformed-input"
+
+    def test_root_term_that_is_not_a_pair(self, capsys):
+        code = self._error_code(capsys, "ring-root", "--f",
+                                '{"ring":"F3","terms":[["1","1","x"]]}')
+        assert code == "malformed-input"
+
+    def test_ring_tag_that_is_not_a_string(self, capsys):
+        code = self._error_code(capsys, "ring-mul", "--a", '{"ring":5,"terms":[]}',
+                                "--b", self.EMPTY_Z)
+        assert code == "malformed-input"
+
+    def test_nesting_too_deep_for_the_decoder(self, capsys):
+        code = self._error_code(capsys, "ring-mul", "--a", "[" * 50_000, "--b", self.EMPTY_Z)
+        assert code == "malformed-input"
+
+    def test_integer_too_long_for_the_decoder(self, capsys):
+        code = self._error_code(capsys, "ring-mul", "--a", "[" + "1" * 5000 + "]",
+                                "--b", self.EMPTY_Z)
+        assert code == "malformed-input"
+
+    @pytest.mark.parametrize("tag", ["F²", "F" + "7" * 5000, "F"],
+                             ids=["superscript", "5000-digits", "no-digits"])
+    def test_ring_tags_that_are_not_primes(self, capsys, tag):
+        a = json.dumps({"ring": tag, "terms": []})
+        code = self._error_code(capsys, "ring-mul", "--a", a, "--b", self.EMPTY_Z)
+        assert code == "unsupported-coefficient-ring"
+
+    def test_prime_reciprocal_truncation_zero(self, capsys):
+        code = self._error_code(capsys, "monoid-atoms", "--spec", "prime-reciprocal",
+                                "--truncation", "0", "--denom-bound", "10")
+        assert code == "bad-truncation"
+
+
+#: JSON values, with the element's own keys and some valid strings mixed in so
+#: that near misses of {"ring": str, "terms": [[str, str], ...]} turn up
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from(["Z", "Q", "F3", "1", "1/2"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["ring", "terms"]) | st.text(), inner, max_size=3),
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_any_json_element_gets_an_envelope(x):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        status = run(["ring-mul", "--a", json.dumps(x), "--b", '{"ring":"Z","terms":[]}',
+                      "--format", "json"])
+    assert status in (0, 1)
+    envelope = json.loads(out.getvalue())
+    assert envelope.keys() == {"op", "result", "error"} and envelope["op"] == "ring-mul"
 
 
 class TestJsonEnvelope:

@@ -5,7 +5,6 @@ import pytest
 from ivpoly.cone import (
     ConeCertificate,
     ConeSpec,
-    _mass_system,
     _membership_system,
     _pair_system,
     a_gen,
@@ -100,8 +99,7 @@ class TestCommonDivisorMass:
         # for the degenerate pair (a_1, a_1) the element c = a_1 itself is a
         # common divisor, so the analogous maximization must exceed zero
         spec = ConeSpec(2)
-        system, rhs, objective = _pair_system(spec, a_gen(1), a_gen(1))
-        res = simplex_solve(system, rhs, objective, maximize=True)
+        res = simplex_solve(*_pair_system(spec, a_gen(1), a_gen(1)))
         assert res.status == "optimal" and res.value == 1
 
 
@@ -171,12 +169,12 @@ class TestSparseSystems:
         want = [base + base + [F(0)] * k for base in dense]
         want += [base + [F(0)] * k + base for base in dense]
         for i in range(1, n + 1):
-            system, rhs, objective = _mass_system(i, spec)
-            assert system == _nonzeros(want)
+            system, rhs, ncols, objective = _pair_system(spec, a_gen(i), b_gen(i))
+            assert system == _nonzeros(want) and ncols == 3 * k
             a, b = a_gen(i).coeffs, b_gen(i).coeffs
             assert rhs == ([a[d] if d < len(a) else 0 for d in range(n + 2)]
                            + [b[d] if d < len(b) else 0 for d in range(n + 2)])
-            assert objective == [1] * k + [0] * (2 * k)
+            assert objective == {j: 1 for j in range(k)}
 
     def test_target_above_the_degree_bound(self):
         with pytest.raises(DegreeBoundError):
@@ -186,10 +184,9 @@ class TestSparseSystems:
     def test_fourier_motzkin_agrees_on_every_mass_system(self, n):
         spec = ConeSpec(n)
         for i in range(1, n + 1):
-            system, rhs, objective = _mass_system(i, spec)
-            k = len(objective)
-            assert simplex_feasible(system, rhs, ncols=k) is not None
-            assert fm_feasible_eq(system, rhs, ncols=k)
+            system, rhs, ncols, _ = _pair_system(spec, a_gen(i), b_gen(i))
+            assert simplex_feasible(system, rhs, ncols) is not None
+            assert fm_feasible_eq(system, rhs, ncols)
 
 
 class TestCertificateExactness:
@@ -269,8 +266,7 @@ class TestGoldenPivotPath:
         for (i, n), nonzeros in self.MASS_SOLUTIONS.items():
             spec = ConeSpec(n)
             assert common_divisor_mass(i, spec) == 0
-            system, rhs, objective = _mass_system(i, spec)
-            res = simplex_solve(system, rhs, objective, maximize=True)
+            res = simplex_solve(*_pair_system(spec, a_gen(i), b_gen(i)))
             assert res.status == "optimal" and res.value == 0
             assert {j: v for j, v in enumerate(res.solution) if v} == nonzeros
 

@@ -27,14 +27,12 @@ from ivpoly.intpoly import (
     find_irreducible_divisor,
     fixed_divisor,
     from_binomial_basis,
-    from_json_dict,
     is_irreducible,
     is_member,
     ivpoly,
     length_profile,
     pulling_sequence,
     to_binomial_basis,
-    to_json_dict,
     vanishing_nonatomic_witness,
 )
 from ivpoly.qfactor import factor_rational
@@ -449,17 +447,6 @@ class TestVanishingWitness:
     def test_odd_value_blocks_the_split(self):
         with pytest.raises(NoWitnessError):
             vanishing_nonatomic_witness(ivpoly([0, 1], FiniteSite((0, 1))))
-
-
-class TestSerialization:
-    def test_roundtrip_z(self):
-        f = ivpoly([F(1, 2), F(-3)])
-        assert from_json_dict(to_json_dict(f)).coeffs == f.coeffs
-
-    def test_roundtrip_finite(self):
-        f = ivpoly([1, 2], FiniteSite((3, -1)))
-        back = from_json_dict(to_json_dict(f))
-        assert back.site == f.site and back.coeffs == f.coeffs
 
 
 def _binomial_reference(j):

@@ -1,7 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivpoly import linprog
@@ -59,54 +58,62 @@ def brute_lp_max(a, b, c):
     return best
 
 
+def _row(dense):
+    """A dense row or objective as column -> entry, zeros left out."""
+    return {j: v for j, v in enumerate(dense) if v}
+
+
+def _as_mappings(a):
+    return [_row(row) for row in a]
+
+
 def test_feasible_square_system():
-    sol = simplex_feasible([[1, 1], [1, -1]], [3, 1])
+    sol = simplex_feasible([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2)
     assert sol == (F(2), F(1))
 
 
 def test_infeasible_negative_rhs():
-    assert simplex_feasible([[1, 1]], [-1]) is None
+    assert simplex_feasible([{0: 1, 1: 1}], [-1], 2) is None
 
 
 def test_optimization_directions():
-    res = simplex_solve([[1, 1]], [4], [1, 2], maximize=True)
+    res = simplex_solve([{0: 1, 1: 1}], [4], 2, {0: 1, 1: 2})
     assert res.status == "optimal" and res.value == 8
-    res = simplex_solve([[1, 1]], [4], [1, 2], maximize=False)
-    assert res.status == "optimal" and res.value == 4
+    # the minimum of c.x is minus the maximum of -c.x
+    res = simplex_solve([{0: 1, 1: 1}], [4], 2, {0: -1, 1: -2})
+    assert res.status == "optimal" and -res.value == 4
 
 
 def test_unbounded():
-    res = simplex_solve([[1, -1]], [0], [1, 0], maximize=True)
+    res = simplex_solve([{0: 1, 1: -1}], [0], 2, {0: 1})
     assert res.status == "unbounded"
 
 
 def test_degenerate_redundant_rows():
-    sol = simplex_feasible([[1, 1], [2, 2]], [2, 4])
+    sol = simplex_feasible([{0: 1, 1: 1}, {0: 2, 1: 2}], [2, 4], 2)
     assert sol is not None and sum(sol) == 2
 
 
 def test_exact_fractions_survive():
-    res = simplex_solve([[F(1, 3), F(1, 7)]], [F(1)], [F(1), F(0)], maximize=True)
+    res = simplex_solve([{0: F(1, 3), 1: F(1, 7)}], [F(1)], 2, {0: F(1)})
     assert res.status == "optimal" and res.value == 3
 
 
 def test_fm_simple_bounds():
-    assert fm_feasible([((F(1),), F(2)), ((F(-1),), F(-1))], 1)
-    assert not fm_feasible([((F(1),), F(1)), ((F(-1),), F(-2))], 1)
+    assert fm_feasible([({0: F(1)}, F(2)), ({0: F(-1)}, F(-1))], 1)
+    assert not fm_feasible([({0: F(1)}, F(1)), ({0: F(-1)}, F(-2))], 1)
 
 
 def test_fm_equality_encoding():
-    ineqs, n = eq_system_to_ineqs([[1, 1], [1, -1]], [3, 1])
-    assert fm_feasible(ineqs, n)
-    ineqs, n = eq_system_to_ineqs([[1, 1]], [-1])
-    assert not fm_feasible(ineqs, n)
+    assert fm_feasible(eq_system_to_ineqs([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2), 2)
+    assert not fm_feasible(eq_system_to_ineqs([{0: 1, 1: 1}], [-1], 2), 2)
 
 
 def test_fm_eq_gaussian_path():
-    assert fm_feasible_eq([[1, 1], [1, -1]], [3, 1])
-    assert not fm_feasible_eq([[1, 1]], [-1])
-    assert not fm_feasible_eq([[1, 1], [1, 1]], [2, 3])  # inconsistent equalities
-    assert fm_feasible_eq([[1, 1], [2, 2]], [2, 4])  # consistent redundancy
+    assert fm_feasible_eq([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2)
+    assert not fm_feasible_eq([{0: 1, 1: 1}], [-1], 2)
+    assert not fm_feasible_eq([{0: 1, 1: 1}, {0: 1, 1: 1}], [2, 3], 2)  # inconsistent equalities
+    assert fm_feasible_eq([{0: 1, 1: 1}, {0: 2, 1: 2}], [2, 4], 2)  # consistent redundancy
 
 
 @given(
@@ -121,10 +128,10 @@ def test_simplex_and_fm_agree_on_random_systems(m, n, data):
         for _ in range(m)
     ]
     b = [F(data.draw(st.integers(-6, 6))) for _ in range(m)]
-    simplex_verdict = simplex_feasible(a, b) is not None
-    ineqs, nvars = eq_system_to_ineqs(a, b)
-    assert fm_feasible(ineqs, nvars) == simplex_verdict
-    assert fm_feasible_eq(a, b) == simplex_verdict
+    rows = _as_mappings(a)
+    simplex_verdict = simplex_feasible(rows, b, n) is not None
+    assert fm_feasible(eq_system_to_ineqs(rows, b, n), n) == simplex_verdict
+    assert fm_feasible_eq(rows, b, n) == simplex_verdict
 
 
 @given(st.integers(1, 3), st.integers(1, 5), st.data())
@@ -136,7 +143,7 @@ def test_simplex_optimum_matches_vertex_enumeration(m, n, data):
     ]
     b = [F(data.draw(st.integers(-4, 4))) for _ in range(m)]
     c = [F(data.draw(st.integers(-3, 3))) for _ in range(n)]
-    res = simplex_solve(a, b, c, maximize=True)
+    res = simplex_solve(_as_mappings(a), b, n, _row(c))
     if res.status != "optimal":
         return  # infeasibility is cross-checked elsewhere; unboundedness has no vertex max
     assert res.value == brute_lp_max(a, b, c)
@@ -150,7 +157,7 @@ def test_simplex_solution_satisfies_system(m, n, data):
         for _ in range(m)
     ]
     b = [F(data.draw(st.integers(-6, 6))) for _ in range(m)]
-    sol = simplex_feasible(a, b)
+    sol = simplex_feasible(_as_mappings(a), b, n)
     if sol is None:
         return
     assert all(x >= 0 for x in sol)
@@ -174,11 +181,12 @@ def test_beale_cycling_example_terminates_at_the_optimum(pivots):
     ]
     b = [0, 0, 1]
     c = [0, 0, 0, F(-3, 4), 20, F(-1, 2), 6]
-    res = simplex_solve(a, b, c, maximize=False)
+    # minimize c.x as the maximum of -c.x
+    res = simplex_solve(_as_mappings(a), b, 7, _row([-v for v in c]))
     assert pivots == [(0, 0), (1, 1), (2, 2), (0, 3), (1, 4), (0, 5), (1, 0), (2, 1), (2, 3)]
-    assert res.status == "optimal" and res.value == F(-5, 4)
+    assert res.status == "optimal" and -res.value == F(-5, 4)
     assert _satisfies(a, b, res.solution)
-    assert res.value == -brute_lp_max(a, b, [-v for v in c])
+    assert res.value == brute_lp_max(a, b, [-v for v in c])
 
 
 def test_redundant_rows_keep_an_artificial_basic(monkeypatch):
@@ -194,22 +202,22 @@ def test_redundant_rows_keep_an_artificial_basic(monkeypatch):
     monkeypatch.setattr(linprog, "_extract", spy)
     a = [[1, 1, 0], [2, 2, 0], [0, 0, 0], [3, 3, 1]]
     b = [2, 4, 0, 7]
-    res = simplex_solve(a, b, [1, 2, 1], maximize=True)
+    res = simplex_solve(_as_mappings(a), b, 3, {0: 1, 1: 2, 2: 1})
     assert res.status == "optimal" and res.value == 5
     assert res.solution == (F(0), F(2), F(1))
     assert _satisfies(a, b, res.solution)
     basis, n = bases[-1]
     assert sum(col >= n for col in basis) == 2
-    sol = simplex_feasible(a, b)
+    sol = simplex_feasible(_as_mappings(a), b, 3)
     assert sol is not None and _satisfies(a, b, sol)
 
 
 def test_unbounded_after_a_nontrivial_phase_one():
-    a = [[1, -1, 0], [0, 0, 1]]
+    a = [{0: 1, 1: -1}, {2: 1}]
     b = [1, 2]
-    assert simplex_solve(a, b, [0, 1, 0], maximize=True).status == "unbounded"
-    assert simplex_solve(a, b, [-1, 0, 0], maximize=False).status == "unbounded"
-    res = simplex_solve(a, b, [0, 1, 0], maximize=False)
+    assert simplex_solve(a, b, 3, {1: 1}).status == "unbounded"
+    assert simplex_solve(a, b, 3, {0: 1}).status == "unbounded"
+    res = simplex_solve(a, b, 3, {1: -1})
     assert res.status == "optimal" and res.value == 0
     assert res.solution == (F(1), F(0), F(2))
 
@@ -217,16 +225,18 @@ def test_unbounded_after_a_nontrivial_phase_one():
 def test_non_integer_entries_in_matrix_and_rhs():
     a = [[F(1, 3), F(2, 5), 0, F(-1, 2)], [0, F(3, 7), F(-5, 11), F(1, 6)]]
     b = [F(7, 6), F(-9, 14)]
-    sol = simplex_feasible(a, b)
-    assert sol is not None and _satisfies(a, b, sol) and fm_feasible_eq(a, b)
+    sol = simplex_feasible(_as_mappings(a), b, 4)
+    assert sol is not None and _satisfies(a, b, sol) and fm_feasible_eq(_as_mappings(a), b, 4)
     c = [F(-1, 2), F(2, 3), F(-3, 4), F(-1, 5)]
-    res = simplex_solve(a, b, c, maximize=True)
+    res = simplex_solve(_as_mappings(a), b, 4, _row(c))
     assert res.status == "optimal" and _satisfies(a, b, res.solution)
     assert res.value == brute_lp_max(a, b, c) == sum(x * y for x, y in zip(c, res.solution))
     assert res.value.denominator > 1
     # with row 2 nonnegative, its negative right side cannot be met
     a[1] = [0, F(3, 7), F(5, 11), F(1, 6)]
-    assert simplex_solve(a, b, c).status == "infeasible" and not fm_feasible_eq(a, b)
+    rows = _as_mappings(a)
+    assert simplex_solve(rows, b, 4, _row(c)).status == "infeasible"
+    assert not fm_feasible_eq(rows, b, 4)
 
 
 def _sparse_entries():
@@ -240,39 +250,18 @@ def _sparse_entries():
 def test_sparse_systems_agree_with_fourier_motzkin(m, n, data):
     a = [[data.draw(_sparse_entries()) for _ in range(n)] for _ in range(m)]
     b = [data.draw(_sparse_entries()) for _ in range(m)]
-    sol = simplex_feasible(a, b)
-    assert (sol is not None) == fm_feasible_eq(a, b)
+    rows = _as_mappings(a)
+    sol = simplex_feasible(rows, b, n)
+    assert (sol is not None) == fm_feasible_eq(rows, b, n)
     if sol is not None:
         assert _satisfies(a, b, sol)
 
 
-def _as_mappings(a):
-    return [{j: v for j, v in enumerate(row) if v} for row in a]
-
-
-@given(st.integers(1, 8), st.integers(1, 12), st.data())
-@settings(max_examples=150, deadline=None)
-def test_mapping_rows_give_the_same_results(m, n, data):
-    a = [[data.draw(_sparse_entries()) for _ in range(n)] for _ in range(m)]
-    b = [data.draw(_sparse_entries()) for _ in range(m)]
-    c = [data.draw(_sparse_entries()) for _ in range(n)]
-    sparse = _as_mappings(a)
-    for maximize in (True, False):
-        assert simplex_solve(sparse, b, c, maximize) == simplex_solve(a, b, c, maximize)
-        assert simplex_solve(sparse, b, c, maximize, ncols=n) == simplex_solve(a, b, c, maximize)
-    assert simplex_solve(sparse, b, ncols=n) == simplex_solve(a, b)
-    assert simplex_feasible(sparse, b, ncols=n) == simplex_feasible(a, b)
-    assert fm_feasible_eq(sparse, b, ncols=n) == fm_feasible_eq(a, b)
-
-
 def test_mapping_rows_need_a_column_count():
-    with pytest.raises(ValueError):
-        simplex_feasible([{0: 1}], [1])
-    with pytest.raises(ValueError):
-        fm_feasible_eq([{0: 1}], [1])
-    assert simplex_feasible([{1: 1}], [1], ncols=2) == (F(0), F(1))
-    assert fm_feasible_eq([{1: 1}, {}], [1, 0], ncols=2)
-    assert not fm_feasible_eq([{1: 1}, {}], [1, 1], ncols=2)
+    # a column no row mentions still gets a value, and an empty row is 0 = b
+    assert simplex_feasible([{1: 1}], [1], 2) == (F(0), F(1))
+    assert fm_feasible_eq([{1: 1}, {}], [1, 0], 2)
+    assert not fm_feasible_eq([{1: 1}, {}], [1, 1], 2)
 
 
 def test_fm_rows_stay_sparse_and_primitive(monkeypatch):
@@ -284,7 +273,7 @@ def test_fm_rows_stay_sparse_and_primitive(monkeypatch):
         return prune(rows)
 
     monkeypatch.setattr(linprog, "_prune", spy)
-    assert fm_feasible([((F(2), F(0), F(4)), F(6)), ((F(0), F(-1, 3), F(0)), F(0))], 3)
+    assert fm_feasible([({0: F(2), 1: F(0), 2: F(4)}, F(6)), ({1: F(-1, 3)}, F(0))], 3)
     assert seen[:2] == [(((0, 1), (2, 2)), 3), (((1, -1),), 0)]
     for terms, const in seen:
         assert all(a for _, a in terms) and [v for v, _ in terms] == sorted(v for v, _ in terms)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ivpoly import puiseux
 from ivpoly.errors import (
+    DuplicateGeneratorsError,
     NegativeInputError,
     NotAMemberError,
     NotDyadicError,
@@ -108,8 +109,9 @@ class TestMembership:
         assert not res.is_member and res.exact
 
     def test_truncation_zero_rejected(self):
-        with pytest.raises(TruncationError):
-            membership(PrimeReciprocal(truncation=0), F(1, 2))
+        for truncation in (0, -1):
+            with pytest.raises(TruncationError):
+                PrimeReciprocal(truncation)
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeInputError):
@@ -131,7 +133,7 @@ class TestGeneratorFamilies:
         ]
 
     def test_explicit_duplicates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateGeneratorsError):
             ExplicitMonoid((F(1, 2), F(1, 2)))
 
     def test_explicit_nonpositive_rejected(self):
@@ -175,7 +177,7 @@ class TestAtoms:
         assert atoms == [F(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
                                            31, 37, 41, 43, 47, 53)]
 
-    @pytest.mark.parametrize("truncation", range(13))
+    @pytest.mark.parametrize("truncation", range(1, 13))
     def test_prime_reciprocal_splits_matches_the_search(self, truncation):
         spec = PrimeReciprocal(truncation)
         gens = spec.search_generators()
@@ -287,7 +289,7 @@ class TestLengthSets:
         assert profile.lengths == {2} and profile.is_lower_bound
         assert len(calls) == 1  # the membership of b itself
 
-    @pytest.mark.parametrize("truncation", [0, 1, 4, 9])
+    @pytest.mark.parametrize("truncation", [1, 4, 9])
     def test_prime_reciprocal_atoms_match_the_search(self, truncation):
         spec = PrimeReciprocal(truncation)
         for b in (F(0), F(1, 7), F(5, 6), F(3)):
