@@ -6,8 +6,8 @@ human-readable text or as a canonical JSON envelope
     {"error": null, "op": "<subcommand>", "result": ...}
 
 with rationals as lowest-terms strings.  Exit status: 0 on success, 1 on a
-domain error (the envelope carries a machine-readable error code), 2 on
-usage errors.
+domain error (the envelope carries a machine-readable error code) or on an
+error inside a handler (code ``internal-error``), 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import verify
 from .cone import ConeSpec, cone_member, idf_family_check, tpoly
 from .errors import (
-    DuplicatePointsError,
     InputTooLargeError,
     IvpolyError,
     MalformedInputError,
@@ -78,7 +77,7 @@ def _parse_site(text: str):
         try:
             points.append(int(cleaned))
         except ValueError as exc:
-            raise DuplicatePointsError(f"bad site point {part!r}") from exc
+            raise MalformedInputError(f"bad site point {part!r}") from exc
     return FiniteSite(tuple(points))
 
 
@@ -460,13 +459,17 @@ def run(argv=None) -> int:
     op = args.command
     try:
         out = args.func(args)
-    except (IvpolyError, KeyError, TypeError) as exc:
-        code = getattr(exc, "code", "malformed-input")
+    except Exception as exc:
+        # a domain error carries its own code; anything else is a handler bug
+        if isinstance(exc, IvpolyError):
+            code, message = exc.code, str(exc)
+        else:
+            code, message = "internal-error", f"{type(exc).__name__}: {exc}"
         if args.format == "json":
             print(_dump({"op": op, "result": None,
-                         "error": {"code": code, "message": str(exc)}}))
+                         "error": {"code": code, "message": message}}))
         else:
-            print(f"error[{code}]: {exc}", file=sys.stderr)
+            print(f"error[{code}]: {message}", file=sys.stderr)
         return 1
     if len(out) == 3:
         result, text, status = out

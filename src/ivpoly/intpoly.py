@@ -2,21 +2,22 @@
 
 Int(Z) is the ring of rational polynomials mapping every integer to an
 integer; Int(S,Z), for a finite set S of integers, only constrains the
-values on S.  Membership in Int(Z) reduces to integrality of the forward
-differences at 0 (the binomial-basis coordinates), which makes divisor
-enumeration, irreducibility, factorization sets, and elasticity fully
-decidable there.  Each divisor of f is u * G_J for an exponent vector J over
-the Q[x] factors of f, and factorizations are built on the (J, u) keys of
-that finite table.  With f = (cn/cd) * G, a vector J carries a divisor iff
-cd | d(G_J) * d(G_Jc), d the fixed divisor (value gcd).  The walk over the
-vectors keeps the value tables of J and its complement as residues mod d(G)
-and cuts every subtree whose bound fails that test, so C(x, n), whose only
-divisor vectors are the empty and the full one, costs a few hundred nodes
-instead of 2^n.
-For finite sites, divisor sets are infinite as soon as a polynomial
-vanishes somewhere on the site, so only the operations the theory makes
-finite are offered: membership, exact division, linear irreducibility,
-irreducible-divisor extraction, and the vanishing non-atomicity witness.
+values on S.  Each site names the sample points whose values decide
+membership and the value gcd: 0..deg f on Z (the forward differences at 0
+are integer combinations of those values), the points themselves on S.
+Divisor enumeration, irreducibility, factorization sets, and elasticity
+run on those values with the same code on every site.  Each divisor of f
+is u * G_J for an exponent vector J over the Q[x] factors of f, and
+factorizations are built on the (J, u) keys of that finite table.  With
+f = (cn/cd) * G, a vector J carries a divisor iff cd | d(G_J) * d(G_Jc),
+d the value gcd on the sample points.  The walk over the vectors keeps the
+value tables of J and its complement as residues mod d(G) and cuts every
+subtree whose bound fails that test, so C(x, n), whose only divisor
+vectors are the empty and the full one, costs a few hundred nodes instead
+of 2^n.
+The table is finite unless f vanishes on the whole of a finite site: then
+f/n divides f for every n, and divisors and factorizations raise
+``UnsupportedSiteError`` while irreducibility still answers False.
 
 Units of Int(S,Z) are +1 and -1; associates are normalized to a positive
 leading coefficient throughout.
@@ -225,18 +226,18 @@ def is_member(f: IVPoly) -> bool:
 
 
 def fixed_divisor(f: IVPoly) -> int:
-    """gcd of the values of an integer-coefficient polynomial over all of Z.
+    """gcd of the values of the member f on its site; 0 when f vanishes on all of it.
 
-    Equals gcd(f(0), ..., f(deg f)): the forward differences at 0 are integer
-    combinations of those values and conversely, so both gcds agree with the
-    gcd over every integer argument.
+    The gcd of the values at the site's sample points: on Z the values at
+    0..deg f, whose integer combinations are the forward differences at 0
+    and conversely, so the gcd agrees with the gcd over every integer.
     """
     if f.is_zero():
         raise ZeroElementError("the zero polynomial has no fixed divisor")
-    ints = qpoly.int_coeffs(f.coeffs)
-    if ints is None:
-        raise ValueError("fixed divisors are defined for integer coefficients")
-    return gcd(*(qpoly.int_eval(ints, k) for k in range(f.degree + 1)))
+    values, den = _scaled_values(f)
+    if any(v % den for v in values):
+        raise NotAMemberError("f is not integer-valued on its site")
+    return gcd(*values) // den
 
 
 @dataclass(frozen=True)
@@ -379,15 +380,14 @@ def _divisor_candidates(f: IVPoly, split=None):
 
 
 def divisors(f: IVPoly) -> DivisorList:
-    """All non-associate divisors of f in Int(Z), leading coefficients positive.
+    """All non-associate divisors of f in Int(S,Z), leading coefficients positive.
 
     Constructive finiteness: candidates are rational multiples of products of
     the Q[x] irreducible factors, with the multiplier's denominator dividing
     the fixed divisor of the product and its numerator bounded through the
-    cofactor's membership constraint.
+    cofactor's membership constraint.  ``UnsupportedSiteError`` when f
+    vanishes on the whole of its finite site, where no finite list exists.
     """
-    if not isinstance(f.site, AllIntegers):
-        raise UnsupportedSiteError("complete divisor lists exist only over Z")
     if f.is_zero():
         raise ZeroElementError("the zero polynomial is not factored")
     if not is_member(f):
@@ -397,31 +397,27 @@ def divisors(f: IVPoly) -> DivisorList:
 
 
 def is_irreducible(f: IVPoly) -> bool:
-    """Irreducibility in Int(S,Z).
+    """Irreducibility in Int(S,Z), with the same rules on every site.
 
-    Over Z the divisor candidates decide it: the answer is False at the
-    first candidate that is neither 1 nor the normalized f, without building
-    or sorting the divisor list.  Their keys tell: with f = c * prod g_i^e_i,
-    1 is the key ((0, ..., 0), 1) and the normalized f the key
-    ((e_1, ..., e_k), |c|).  Over a finite site only
-    degrees <= 1 are supported: a constant is irreducible iff it is a prime
-    up to sign, and a linear member iff no integer >= 2 divides all of its
-    values (in particular any unit value forces constant factors to be
-    units).
+    A constant is irreducible iff it is a prime up to sign.  A nonconstant f
+    whose fixed divisor is not 1 is reducible: f = p * (f/p), or
+    f = 2 * (f/2) when f vanishes on the whole site.  Otherwise no constant
+    nonunit divides f, so a linear f is irreducible.  Beyond that the divisor
+    candidates decide: the answer is False at the first candidate that is
+    neither 1 nor the normalized f, without building or sorting the divisor
+    list.  Their keys tell: with f = c * prod g_i^e_i, 1 is the key
+    ((0, ..., 0), 1) and the normalized f the key ((e_1, ..., e_k), |c|).
     """
     _reject_trivial(f)
-    if isinstance(f.site, AllIntegers):
-        c, factors = split = factor_rational(f.coeffs)
-        trivial = (((0,) * len(factors), Fraction(1)), (tuple(e for _, e in factors), abs(c)))
-        return all((vec, u) in trivial for vec, u, _ in _divisor_candidates(f, split))
-    if f.degree >= 2:
-        raise UnsupportedSiteError(
-            "irreducibility over a finite site is decided for degree <= 1 only"
-        )
     if f.degree == 0:
         return is_prime(abs(int(f.coeffs[0])))
-    values, den = _scaled_values(f)
-    return gcd(*values) == den  # the values of f have gcd 1
+    if fixed_divisor(f) != 1:
+        return False
+    if f.degree == 1:
+        return True
+    c, factors = split = factor_rational(f.coeffs)
+    trivial = (((0,) * len(factors), Fraction(1)), (tuple(e for _, e in factors), abs(c)))
+    return all((vec, u) in trivial for vec, u, _ in _divisor_candidates(f, split))
 
 
 def _reject_trivial(f: IVPoly) -> None:
@@ -482,15 +478,14 @@ def _factor_keys(table: dict, irr: list, key, unit, start: int = 0) -> list[tupl
 def factorizations(f: IVPoly) -> list[PolyFactorization]:
     """The complete finite set of factorizations of f into irreducibles.
 
-    Works over Z on the divisor table of f, keyed by (vec, u) for u * G_J.
-    Products add vectors and multiply u's, and a divisor's divisors are in
-    the table: a nonunit key is reducible iff some other nonunit key leaves
-    its cofactor key in the table.  Irreducibles are taken in ``sort_key``
-    order, so each multiset appears once, parts in decreasing order.
+    Works on the divisor table of f, keyed by (vec, u) for u * G_J, and so
+    raises ``UnsupportedSiteError`` as ``divisors`` does.  Products add
+    vectors and multiply u's, and a divisor's divisors are in the table: a
+    nonunit key is reducible iff some other nonunit key leaves its cofactor
+    key in the table.  Irreducibles are taken in ``sort_key`` order, so each
+    multiset appears once, parts in decreasing order.
     """
     _reject_trivial(f)
-    if not isinstance(f.site, AllIntegers):
-        raise UnsupportedSiteError("complete factorization sets exist only over Z")
     table = {(vec, u): gj for vec, u, gj in _divisor_candidates(f)}
     top = max(table)  # the full vector with the largest u: f itself
     unit = ((0,) * len(top[0]), Fraction(1))
@@ -533,8 +528,7 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     degree nonunit divisor of f.
     """
     _reject_trivial(f)
-    values, den = _scaled_values(f)
-    g = gcd(*values) // den  # the gcd of the values of the member f
+    g = fixed_divisor(f)
     if g == 0:
         return constant(2, f.site)
     if g >= 2:

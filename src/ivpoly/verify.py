@@ -75,14 +75,14 @@ class VerifyReport:
 
 
 def bruteforce_divisors(f: IVPoly, bound_scale: int = 1) -> tuple[IVPoly, ...]:
-    """Divisor list of f in Int(Z) by raw constant search.
+    """Divisor list of f in Int(S,Z) by raw constant search.
 
     For every sub-multiset product G of the irreducible factors of f over Q,
     every fraction a/b with both parts bounded by bound_scale times the
     product of the relevant fixed divisors (and numerator data of f) is
-    tried directly: the candidate's values decide membership, and the
-    cofactor is checked through exact division.  Independent of the
-    divisor-enumeration shortcuts.
+    tried directly: the candidate's values at the site's points (0..deg on
+    Z) decide membership, and the cofactor is checked through exact division.
+    Independent of the divisor-enumeration shortcuts.
     """
     target = f.normalized()
     c, factors = factor_rational(target.coeffs)
@@ -91,13 +91,19 @@ def bruteforce_divisors(f: IVPoly, bound_scale: int = 1) -> tuple[IVPoly, ...]:
     for _, mult in factors:
         vecs = [v + (e,) for v in vecs for e in range(mult + 1)]
     full = tuple(m for _, m in factors)
+    # read from the site itself, not from its sample_points, which the code under test uses
+    site_points = target.site.points if isinstance(target.site, FiniteSite) else None
+
+    def values(g):
+        return [int(qpoly.eval_at(g, k)) for k in site_points or range(qpoly.degree(g) + 1)]
+
     found: dict[tuple, IVPoly] = {}
     for vec in vecs:
         gj = _product(factors, vec)
         gjc = _product(factors, tuple(m - e for m, e in zip(full, vec)))
-        vals = [int(qpoly.eval_at(gj, k)) for k in range(qpoly.degree(gj) + 1)]
+        vals = values(gj)
         dj = gcd(*vals)
-        djc = gcd(*(int(qpoly.eval_at(gjc, k)) for k in range(qpoly.degree(gjc) + 1)))
+        djc = gcd(*values(gjc))
         bound = bound_scale * max(cn, 1) * cd * max(dj, 1) * max(djc, 1)
         for b in range(1, bound + 1):
             for a in range(1, bound + 1):
@@ -202,6 +208,34 @@ def divisor_corpus() -> list[IVPoly]:
         if not any(coeffs):
             continue
         corpus.append(ivpoly(coeffs))
+    return corpus
+
+
+def finite_site_corpus() -> list[IVPoly]:
+    """60 members of Int(S,Z), S of 1-4 points in [-3, 3], degree <= 3.
+
+    Five crafted instances plus seeded random h / den with integer
+    coefficients in [-3, 3] and den a divisor of the value gcd of h on S;
+    members vanishing on the whole site, which have no finite divisor list,
+    are skipped.
+    """
+    crafted = [
+        ivpoly([0, 0, 1], FiniteSite((0, 1))),  # x^2 = x * x
+        ivpoly([1, 0, 1], FiniteSite((0, 1, 2))),  # x^2 + 1, values 1, 2, 5
+        ivpoly([0, Fraction(1, 2), Fraction(1, 2)], FiniteSite((1, 3))),  # x (x+1) / 2
+        ivpoly([1, 6], FiniteSite((0, 1))),  # 6x + 1
+        ivpoly([0, -1, 0, 1], FiniteSite((-2, 2))),  # x^3 - x, values -6, 6
+    ]
+    rng = random.Random(CORPUS_SEED + 4)
+    corpus = list(crafted)
+    while len(corpus) < 60:
+        points = tuple(rng.sample(range(-3, 4), rng.randint(1, 4)))
+        h = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+        g = gcd(*(qpoly.int_eval(h, s) for s in points))
+        if g == 0:
+            continue
+        den = rng.choice([d for d in range(1, g + 1) if g % d == 0])
+        corpus.append(IVPoly(tuple(Fraction(c, den) for c in h), FiniteSite(points)))
     return corpus
 
 
@@ -394,6 +428,22 @@ def _fact_ffd_stability():
     return True, "divisor lists stable under doubled bounds; factorizations match brute force"
 
 
+def _fact_finite_site_divisors():
+    corpus = finite_site_corpus()
+    for f in corpus:
+        brute = bruteforce_divisors(f)
+        if tuple(d.coeffs for d in divisors(f).divisors) != tuple(d.coeffs for d in brute):
+            return False, f"divisor mismatch for {f} on {f.site}"
+        if f.is_unit():
+            continue
+        if is_irreducible(f) != (len(brute) == 2):
+            return False, f"irreducibility mismatch for {f} on {f.site}"
+        target = f.normalized()
+        if _replay_factorizations(target, brute) != factorizations(target):
+            return False, f"factorizations over brute-force divisors differ for {f} on {f.site}"
+    return True, f"{len(corpus)}/{len(corpus)} finite-site members agree with brute force"
+
+
 FACTS: tuple[tuple[str, str, object], ...] = (
     ("grams-atoms", "atoms of the Grams monoid up to denominator 100 are 1/3, 1/10, 1/28, 1/88", _fact_grams_atoms),
     ("grams-accp", "the chain (1/2^n + M) ascends strictly through n = 10 with explicit certificates", _fact_grams_accp),
@@ -407,6 +457,7 @@ FACTS: tuple[tuple[str, str, object], ...] = (
     ("cone-idf", "cone certificates for 1 and t, zero common-divisor mass, family checks, FM/simplex agreement", _fact_cone),
     ("frobenius-roots", "p-th roots over F_2 and F_3 invert Frobenius on 200 random elements", _fact_frobenius_roots),
     ("ffd-stability", "brute-force divisor lists are unchanged under doubled search bounds, and factorizations over them equal those over ivpoly's own divisor enumeration", _fact_ffd_stability),
+    ("finite-site-divisors", "on 60 members of Int(S,Z) for finite S, divisors, irreducibility and factorizations match brute-force constant search", _fact_finite_site_divisors),
 )
 
 

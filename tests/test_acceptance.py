@@ -71,7 +71,11 @@ def test_c12_ffd_stability():
     _run(12, "ffd-stability")
 
 
+def test_c13_finite_site_divisors():
+    _run(13, "finite-site-divisors", budget_seconds=2.0)
+
+
 def test_all_facts_pass_together():
     report = run_facts()
     assert report.all_passed
-    assert len(report.results) == 12
+    assert len(report.results) == 13

@@ -133,6 +133,30 @@ class TestIvpCommands:
         )
         assert status == 0 and payload["result"]["irreducible"]
 
+    def test_irreducible_on_site_at_degree_two(self, capsys):
+        status, payload = invoke_json(
+            capsys, "ivp-irreducible", "--poly", "0,0,1", "--site", "0,1"
+        )
+        assert status == 0 and payload["result"] == {"irreducible": False}
+
+    def test_divisors_on_site(self, capsys):
+        # x^2 - x takes the values 0, 0, 2 on {0, 1, 2}
+        status, payload = invoke_json(
+            capsys, "ivp-divisors", "--poly", "0,-1,1", "--site", "0,1,2"
+        )
+        assert status == 0
+        assert payload["result"]["divisors"] == [
+            ["1"], ["2"], ["-1", "1"], ["0", "1"], ["0", "-1", "1"], ["0", "-1/2", "1/2"]
+        ]
+
+    def test_factor_on_site(self, capsys):
+        status, payload = invoke_json(
+            capsys, "ivp-factor", "--poly", "0,0,1", "--site", "0,1"
+        )
+        assert status == 0
+        assert payload["result"]["factorizations"] == [[["0", "1"], ["0", "1"]]]
+        assert payload["result"]["lengths"] == [2]
+
     def test_furstenberg(self, capsys):
         status, payload = invoke_json(
             capsys, "ivp-furstenberg", "--poly", "0,1", "--site", "0"
@@ -185,11 +209,33 @@ class TestErrorsAndExitCodes:
         assert payload["error"]["code"] == "duplicate-site-points"
 
     def test_unsupported_site_degree(self, capsys):
+        # x vanishes on all of {0}, so x / n divides x for every n
         status, payload = invoke_json(
-            capsys, "ivp-irreducible", "--poly", "0,0,1", "--site", "0,1"
+            capsys, "ivp-divisors", "--poly", "0,1", "--site", "0"
         )
         assert status == 1
         assert payload["error"]["code"] == "unsupported-site-degree"
+
+    def test_non_integer_site_point(self, capsys):
+        status, payload = invoke_json(
+            capsys, "ivp-member", "--poly", "0,1", "--site", "0,x"
+        )
+        assert status == 1
+        assert payload["error"]["code"] == "malformed-input"
+
+    def test_handler_bug_is_an_internal_error(self, capsys, monkeypatch):
+        from ivpoly import cli
+
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "_cmd_ivp_member", broken)
+        status, payload = invoke_json(capsys, "ivp-member", "--poly", "0,1")
+        assert status == 1 and payload["result"] is None
+        assert payload["error"] == {"code": "internal-error", "message": "KeyError: 'missing'"}
+        status, out, err = invoke(capsys, "ivp-member", "--poly", "0,1")
+        assert status == 1 and out == ""
+        assert err == "error[internal-error]: KeyError: 'missing'\n"
 
     def test_non_member_rejected(self, capsys):
         status, payload = invoke_json(capsys, "ivp-divisors", "--poly", "0,1/2")
@@ -442,7 +488,7 @@ def test_verify_paper_full_suite_exits_zero(capsys):
     status, payload = invoke_json(capsys, "verify-paper")
     assert status == 0
     assert payload["result"]["all_passed"]
-    assert len(payload["result"]["facts"]) == 12
+    assert len(payload["result"]["facts"]) == 13
 
 
 def test_verify_paper_subset(capsys):

@@ -116,6 +116,25 @@ class TestFixedDivisor:
         with pytest.raises(ZeroElementError):
             fixed_divisor(ivpoly([]))
 
+    def test_rational_coefficients(self):
+        assert fixed_divisor(binomial(2)) == 1
+        assert fixed_divisor(ivpoly([0, F(3, 2), F(3, 2)])) == 3  # 3 * C(x+1, 2)
+
+    def test_finite_site_value_gcd(self):
+        # 4x + 2 takes the values 6 and 14 on {1, 3}
+        assert fixed_divisor(ivpoly([2, 4], FiniteSite((1, 3)))) == 2
+        assert fixed_divisor(ivpoly([0, F(1, 2), F(1, 2)], FiniteSite((1, 3)))) == 1
+
+    def test_vanishing_member_gives_zero(self):
+        assert fixed_divisor(X_ON_0) == 0
+        assert fixed_divisor(ivpoly([0, -1, 1], FiniteSite((0, 1)))) == 0
+
+    def test_non_member_rejected(self):
+        with pytest.raises(NotAMemberError):
+            fixed_divisor(ivpoly([0, F(1, 2)]))
+        with pytest.raises(NotAMemberError):
+            fixed_divisor(ivpoly([0, F(1, 2)], FiniteSite((0, 1))))
+
     def test_agrees_with_value_sampling(self):
         rng = random.Random(5)
         from math import gcd
@@ -208,9 +227,20 @@ class TestDivisors:
         ds = [d.coeffs for d in divisors(f).divisors]
         assert len(ds) == len({tuple(abs(c) for c in cs) for cs in ds})
 
-    def test_finite_site_rejected(self):
+    def test_vanishing_finite_site_rejected(self):
+        # x vanishes on all of {0}: x / n divides x for every n
         with pytest.raises(UnsupportedSiteError):
             divisors(X_ON_0)
+        with pytest.raises(UnsupportedSiteError):
+            factorizations(ivpoly([0, -1, 1], FiniteSite((0, 1))))
+
+    def test_finite_site(self):
+        # x^2 - x is 0, 0, 2 on {0, 1, 2}: x / 2 is not a member, (x^2 - x) / 2 is
+        dl = divisors(ivpoly([0, -1, 1], FiniteSite((0, 1, 2))))
+        assert [d.coeffs for d in dl.divisors] == [
+            (F(1),), (F(2),), (F(-1), F(1)), (F(0), F(1)),
+            (F(0), F(-1), F(1)), (F(0), F(-1, 2), F(1, 2)),
+        ]
 
     def test_non_member_rejected(self):
         with pytest.raises(NotAMemberError):
@@ -249,9 +279,9 @@ class TestIrreducibility:
         with pytest.raises(UnitElementError):
             is_irreducible(constant(1))
 
-    def test_finite_site_degree_two_unsupported(self):
-        with pytest.raises(UnsupportedSiteError):
-            is_irreducible(ivpoly([0, 0, 1], FiniteSite((0, 1))))
+    def test_finite_site_degree_two(self):
+        assert not is_irreducible(ivpoly([0, 0, 1], FiniteSite((0, 1))))  # x * x
+        assert is_irreducible(ivpoly([1, 0, 1], FiniteSite((0, 1, 2))))  # values 1, 2, 5
 
     def test_constant_primes_on_finite_site(self):
         site = FiniteSite((0, 3))
@@ -260,6 +290,13 @@ class TestIrreducibility:
 
     def test_vanishing_linear_reducible(self):
         assert not is_irreducible(X_ON_0)
+
+    def test_composite_beyond_the_rho_budget(self):
+        # (10^14 + 31)(2 * 10^14 + 27): Miller-Rabin finds it composite, and
+        # no factoring of it is needed to see that N and N x are reducible
+        n = 20000000000008900000000000837
+        assert not is_irreducible(constant(n))
+        assert not is_irreducible(ivpoly([0, n]))
 
 
 @st.composite
@@ -420,11 +457,7 @@ class TestFindIrreducibleDivisor:
         for f in (ivpoly([0, -1, 1]), binomial(4).scale(2), ivpoly([3, 4], FiniteSite((0, 2)))):
             d = find_irreducible_divisor(f)
             assert divide(f.normalized(), d) is not None
-            if isinstance(f.site, FiniteSite):
-                if d.degree <= 1:
-                    assert is_irreducible(d)
-            else:
-                assert is_irreducible(d)
+            assert is_irreducible(d)
 
 
 class TestVanishingWitness:
@@ -512,8 +545,7 @@ class TestValueTableCore:
             d = find_irreducible_divisor(f)
             assert d.coeffs == want
             assert divide(f, d) is not None
-            if d.degree <= 1:
-                assert is_irreducible(d)
+            assert is_irreducible(d)
 
     @pytest.mark.parametrize("degree", range(41))
     def test_from_binomial_basis_matches_binomial_sum(self, degree):
@@ -590,6 +622,7 @@ class TestSplitWalk:
         d = find_irreducible_divisor(f)
         assert not d.is_unit()
         assert divide(f, d) is not None
+        assert is_irreducible(d)
         # brute force over u * G_J with deg G_J < deg d: every b | d(G_J) and
         # every a | cn * b * d(G_Jc), each candidate tested directly
         c, factors = factor_rational(f.coeffs)
@@ -616,3 +649,8 @@ class TestSplitWalk:
                     if cand.is_unit() or not all(cand(s).denominator == 1 for s in site.points):
                         continue
                     assert divide(f, cand) is None, (str(f), str(cand))
+
+    @given(_site_members())
+    @settings(max_examples=80, deadline=None)
+    def test_finite_site_irreducible_iff_two_divisors(self, f):
+        assert is_irreducible(f) == (len(divisors(f).divisors) == 2)
