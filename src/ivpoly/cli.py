@@ -8,6 +8,14 @@ human-readable text or as a canonical JSON envelope
 with rationals as lowest-terms strings.  Exit status: 0 on success, 1 on a
 domain error (the envelope carries a machine-readable error code) or on an
 error inside a handler (code ``internal-error``), 2 on usage errors.
+
+Every command runs in a fresh process, so its cold start is most of its
+time.  Only the standard library, ``errors`` and ``rationals`` load with
+this module; each handler and parse helper imports its own subsystem where
+it runs (``intpoly`` for ``ivp-*``, ``puiseux`` for ``monoid-*``,
+``grams-*`` and ``accp-chain``, ``monoid_ring`` for ``ring-*``, ``cone``
+for ``cone-*``), and only ``verify-paper`` loads ``verify``, which imports
+everything.
 """
 from __future__ import annotations
 
@@ -16,40 +24,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify
-from .cone import ConeSpec, cone_member, idf_family_check, tpoly
 from .errors import (
     InputTooLargeError,
     IvpolyError,
     MalformedInputError,
     SpecKindError,
-)
-from .intpoly import (
-    FiniteSite,
-    IVPoly,
-    Z_SITE,
-    divisors,
-    factorizations,
-    find_irreducible_divisor,
-    from_binomial_basis,
-    is_irreducible,
-    is_member,
-    profile_of,
-    to_binomial_basis,
-    vanishing_nonatomic_witness,
-)
-from .monoid_ring import from_json_dict, mul as ring_mul, power, pth_root, to_json_dict
-from .puiseux import (
-    DyadicValuation,
-    ExplicitMonoid,
-    GramsMonoid,
-    PrimeReciprocal,
-    accp_chain_check,
-    atoms_up_to,
-    factorizations as monoid_factorizations,
-    grams_decompose,
-    membership,
-    profile_of as monoid_profile_of,
 )
 from .rationals import format_rational, parse_rational
 
@@ -69,6 +48,8 @@ def _parse_coeff_list(text: str) -> list[Fraction]:
 
 
 def _parse_site(text: str):
+    from .intpoly import Z_SITE, FiniteSite
+
     if text.strip() in ("Z", "z"):
         return Z_SITE
     points = []
@@ -89,7 +70,9 @@ def _truncation(args) -> int:
     return args.truncation
 
 
-def _parse_poly(args) -> IVPoly:
+def _parse_poly(args):
+    from .intpoly import IVPoly, from_binomial_basis
+
     site = _parse_site(args.site)
     coeffs = _parse_coeff_list(args.poly)
     if args.binomial:
@@ -98,6 +81,8 @@ def _parse_poly(args) -> IVPoly:
 
 
 def _parse_spec(args):
+    from .puiseux import DyadicValuation, ExplicitMonoid, GramsMonoid, PrimeReciprocal
+
     kind = args.spec
     if kind == "grams":
         return GramsMonoid()
@@ -118,6 +103,8 @@ def _parse_element(text: str):
     Nesting too deep for the decoder, an integer too long to convert and
     invalid JSON are all malformed input.
     """
+    from .monoid_ring import from_json_dict
+
     try:
         data = json.loads(text)
     except (RecursionError, ValueError) as exc:
@@ -136,6 +123,8 @@ def _certificate_json(cert) -> dict | None:
 
 
 def _cmd_monoid_member(args):
+    from .puiseux import membership
+
     spec = _parse_spec(args)
     res = membership(spec, parse_rational(args.q))
     result = {
@@ -152,6 +141,8 @@ def _cmd_monoid_member(args):
 
 
 def _cmd_monoid_atoms(args):
+    from .puiseux import atoms_up_to
+
     spec = _parse_spec(args)
     atoms = atoms_up_to(spec, args.denom_bound)
     return {"atoms": [format_rational(a) for a in atoms]}, [
@@ -160,10 +151,12 @@ def _cmd_monoid_atoms(args):
 
 
 def _cmd_monoid_factor(args):
+    from .puiseux import factorizations, profile_of
+
     spec = _parse_spec(args)
     b = parse_rational(args.b)
-    facs = monoid_factorizations(spec, b, args.length_cap)
-    profile = monoid_profile_of(spec, b, args.length_cap, facs)
+    facs = factorizations(spec, b, args.length_cap)
+    profile = profile_of(spec, b, args.length_cap, facs)
     result = {
         "factorizations": [[format_rational(p) for p in z.parts] for z in facs],
         "lengths": sorted(profile.lengths),
@@ -180,6 +173,8 @@ def _cmd_monoid_factor(args):
 
 
 def _cmd_grams_decompose(args):
+    from .puiseux import grams_decompose
+
     dec = grams_decompose(parse_rational(args.q))
     if dec is None:
         return {"member": False, "nu": None, "coefficients": None}, ["not a member"]
@@ -191,6 +186,8 @@ def _cmd_grams_decompose(args):
 
 
 def _cmd_accp_chain(args):
+    from .puiseux import GramsMonoid, accp_chain_check
+
     steps = accp_chain_check(GramsMonoid(), args.n_max)
     all_ok = all(s.ascending and s.strict for s in steps)
     result = {
@@ -214,13 +211,17 @@ def _cmd_accp_chain(args):
 
 
 def _cmd_ring_mul(args):
+    from .monoid_ring import mul, to_json_dict
+
     a = _parse_element(args.a)
     b = _parse_element(args.b)
-    prod = ring_mul(a, b)
+    prod = mul(a, b)
     return {"product": to_json_dict(prod)}, [f"product: {prod}"]
 
 
 def _cmd_ring_root(args):
+    from .monoid_ring import power, pth_root, to_json_dict
+
     f = _parse_element(args.f)
     root = pth_root(f, cone_closed=not args.not_cone_closed)
     if root is None:
@@ -230,12 +231,16 @@ def _cmd_ring_root(args):
 
 
 def _cmd_ivp_member(args):
+    from .intpoly import is_member
+
     f = _parse_poly(args)
     member = is_member(f)
     return {"member": member}, [f"member of Int({f.site}, Z): {member}"]
 
 
 def _cmd_ivp_basis(args):
+    from .intpoly import is_member, to_binomial_basis
+
     f = _parse_poly(args)
     deltas = to_binomial_basis(f).deltas
     result = {
@@ -250,6 +255,8 @@ def _cmd_ivp_basis(args):
 
 
 def _cmd_ivp_divisors(args):
+    from .intpoly import divisors
+
     f = _parse_poly(args)
     dl = divisors(f)
     divs = [list(map(format_rational, d.coeffs)) for d in dl.divisors]
@@ -258,6 +265,8 @@ def _cmd_ivp_divisors(args):
 
 
 def _cmd_ivp_factor(args):
+    from .intpoly import factorizations, profile_of
+
     f = _parse_poly(args)
     facs = factorizations(f)
     profile = profile_of(facs)
@@ -276,18 +285,24 @@ def _cmd_ivp_factor(args):
 
 
 def _cmd_ivp_irreducible(args):
+    from .intpoly import is_irreducible
+
     f = _parse_poly(args)
     irreducible = is_irreducible(f)
     return {"irreducible": irreducible}, [f"irreducible: {irreducible}"]
 
 
 def _cmd_ivp_furstenberg(args):
+    from .intpoly import find_irreducible_divisor
+
     f = _parse_poly(args)
     d = find_irreducible_divisor(f)
     return {"divisor": list(map(format_rational, d.coeffs))}, [f"irreducible divisor: {d}"]
 
 
 def _cmd_ivp_nonatomic(args):
+    from .intpoly import vanishing_nonatomic_witness
+
     f = _parse_poly(args)
     w = vanishing_nonatomic_witness(f)
     result = {
@@ -306,6 +321,8 @@ def _cmd_ivp_nonatomic(args):
 
 
 def _cmd_cone_member(args):
+    from .cone import ConeSpec, cone_member, tpoly
+
     spec = ConeSpec(_truncation(args))
     target = tpoly(_parse_coeff_list(args.target))
     exclude = set(args.exclude.split(",")) if args.exclude else set()
@@ -325,6 +342,8 @@ def _cmd_cone_member(args):
 
 
 def _cmd_cone_idf(args):
+    from .cone import ConeSpec, idf_family_check
+
     spec = ConeSpec(_truncation(args))
     report = idf_family_check(args.index, spec)
     result = {
@@ -348,6 +367,8 @@ def _cmd_cone_idf(args):
 
 
 def _cmd_verify_paper(args):
+    from . import verify
+
     ids = args.facts.split(",") if args.facts else None
     report = verify.run_facts(ids)
     result = {

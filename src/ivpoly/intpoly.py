@@ -48,7 +48,6 @@ from .primes import (
     merge_factorizations,
     smallest_prime_factor,
 )
-from .qfactor import factor_rational
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,10 @@ class AllIntegers:
         integer combinations of its values there, and conversely.
         """
         return tuple(range(degree + 1))
+
+    def witness_points(self) -> tuple[int, ...]:
+        """No vanishing witness exists on Z: a nonzero f vanishes at finitely many integers."""
+        raise UnsupportedSiteError("the vanishing witness concerns finite sites")
 
     def __str__(self) -> str:
         return "Z"
@@ -83,6 +86,10 @@ class FiniteSite:
 
     def sample_points(self, degree: int) -> tuple[int, ...]:
         """The site's points, whatever the degree."""
+        return self.points
+
+    def witness_points(self) -> tuple[int, ...]:
+        """The points a vanishing witness may vanish at: all of the site."""
         return self.points
 
     def __str__(self) -> str:
@@ -339,7 +346,8 @@ def _split_walk(factors, points, cd: int):
 def _divisor_candidates(f: IVPoly, split=None):
     """Yield every divisor of f (normalized, no associates) as (vec, u, G_J).
 
-    ``split`` is ``factor_rational(f.coeffs)`` when the caller has it.
+    ``split`` is ``factor_rational(f.coeffs)`` when the caller has it;
+    ``qfactor`` is imported here, so deciding membership never loads it.
 
     f = c * G_J * G_Jc with c = cn/cd, the G's primitive integer polynomials,
     G_J the product of the Q[x] irreducible factors of f taken with the
@@ -358,7 +366,11 @@ def _divisor_candidates(f: IVPoly, split=None):
     yielded once: G_J is primitive with positive leading coefficient, so
     (vec, u) determines it.
     """
-    c, factors = split or factor_rational(f.coeffs)
+    if split is None:
+        from .qfactor import factor_rational
+
+        split = factor_rational(f.coeffs)
+    c, factors = split
     cn, cd = abs(c.numerator), c.denominator
     fact = lru_cache(maxsize=None)(factorize)
     cn_fact, cd_fact = fact(cn), fact(cd)
@@ -408,25 +420,31 @@ def is_irreducible(f: IVPoly) -> bool:
     list.  Their keys tell: with f = c * prod g_i^e_i, 1 is the key
     ((0, ..., 0), 1) and the normalized f the key ((e_1, ..., e_k), |c|).
     """
-    _reject_trivial(f)
+    g = _reject_trivial(f)
     if f.degree == 0:
         return is_prime(abs(int(f.coeffs[0])))
-    if fixed_divisor(f) != 1:
+    if g != 1:
         return False
     if f.degree == 1:
         return True
+    from .qfactor import factor_rational
+
     c, factors = split = factor_rational(f.coeffs)
     trivial = (((0,) * len(factors), Fraction(1)), (tuple(e for _, e in factors), abs(c)))
     return all((vec, u) in trivial for vec, u, _ in _divisor_candidates(f, split))
 
 
-def _reject_trivial(f: IVPoly) -> None:
+def _reject_trivial(f: IVPoly) -> int:
+    """Reject zero, then non-members, then units; return the fixed divisor of f
+    from the same one read of its values."""
     if f.is_zero():
         raise ZeroElementError("zero is neither reducible nor irreducible")
-    if not is_member(f):
+    values, den = _scaled_values(f)
+    if any(v % den for v in values):
         raise NotAMemberError("f is not integer-valued on its site")
     if f.is_unit():
         raise UnitElementError("units are not factored")
+    return gcd(*values) // den
 
 
 @dataclass(frozen=True)
@@ -527,8 +545,7 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     automatically irreducible: a proper splitting would produce a lower
     degree nonunit divisor of f.
     """
-    _reject_trivial(f)
-    g = fixed_divisor(f)
+    g = _reject_trivial(f)
     if g == 0:
         return constant(2, f.site)
     if g >= 2:
@@ -567,24 +584,23 @@ class VanishingWitness:
 
 def vanishing_nonatomic_witness(f: IVPoly) -> VanishingWitness:
     """Witness that f sits atop the vanishing-divisor chain of its finite site."""
-    if not isinstance(f.site, FiniteSite):
-        raise UnsupportedSiteError("the vanishing witness concerns finite sites")
+    points = f.site.witness_points()
     if f.is_zero():
         raise ZeroElementError("zero admits no witness")
     if not is_member(f):
         raise NotAMemberError("f is not integer-valued on its site")
-    vanishing = tuple(s for s in f.site.points if f(s) == 0)
+    vanishing = tuple(s for s in points if f(s) == 0)
     if not vanishing:
         raise NoWitnessError("f does not vanish on the site")
     half = f.scale(Fraction(1, 2))
     if not is_member(half):
         raise NoWitnessError("the halved polynomial leaves the ring")
     assert half.scale(2).coeffs == f.coeffs
-    all_vanish = len(vanishing) == len(f.site.points)
+    all_vanish = len(vanishing) == len(points)
     return VanishingWitness(
         point=vanishing[0],
         vanishing_points=vanishing,
         half=half,
         splits_for_all_integers=all_vanish,
-        complete_proof=len(f.site.points) == 1,
+        complete_proof=len(points) == 1,
     )

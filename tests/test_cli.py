@@ -431,6 +431,97 @@ class TestJsonEnvelope:
         assert payload["op"] == "ivp-member"
 
 
+_TOP_HELP = """\
+usage: ivpoly [-h]
+              {monoid-member,monoid-atoms,monoid-factor,grams-decompose,accp-chain,ring-mul,ring-root,ivp-member,ivp-basis,ivp-divisors,ivp-factor,ivp-irreducible,ivp-furstenberg,ivp-nonatomic,cone-member,cone-idf,verify-paper}
+              ...
+
+Exact factorization toolkit for integer-valued polynomials, Puiseux monoids,
+monoid rings, and rational cones.
+
+positional arguments:
+  {monoid-member,monoid-atoms,monoid-factor,grams-decompose,accp-chain,ring-mul,ring-root,ivp-member,ivp-basis,ivp-divisors,ivp-factor,ivp-irreducible,ivp-furstenberg,ivp-nonatomic,cone-member,cone-idf,verify-paper}
+    monoid-member       membership with certificate
+    monoid-atoms        atoms within a denominator bound
+    monoid-factor       factorizations into atoms
+    grams-decompose     dyadic-plus-residues decomposition
+    accp-chain          strictly ascending ideal chain witness
+    ring-mul            monoid-ring product
+    ring-root           p-th root over a prime field
+    ivp-member          integer-valuedness
+    ivp-basis           binomial-basis coordinates
+    ivp-divisors        all divisors up to associates
+    ivp-factor          all factorizations into irreducibles
+    ivp-irreducible     irreducibility
+    ivp-furstenberg     an irreducible divisor
+    ivp-nonatomic       vanishing non-atomicity witness
+    cone-member         rational-cone membership certificate
+    cone-idf            irreducible-family verification at one index
+    verify-paper        replay the built-in golden fact suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_IVP_FACTOR_HELP = """\
+usage: ivpoly ivp-factor [-h] [--format {text,json}] --poly POLY [--binomial]
+                         [--site SITE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --poly POLY           comma-separated rational coefficients, lowest degree
+                        first
+  --binomial            interpret the list as binomial-basis coordinates
+  --site SITE           "Z" (default) or a comma-separated list of integers
+"""
+
+
+class TestOutputIsStable:
+    """Help texts and error envelopes, byte for byte.
+
+    The help texts are argparse's layout (Python 3.10 or later) at a
+    terminal width of 80 columns.
+    """
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--help"], _TOP_HELP),
+        (["ivp-factor", "--help"], _IVP_FACTOR_HELP),
+    ], ids=["top", "ivp-factor"])
+    def test_help(self, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (text, "")
+
+    def test_domain_error(self, capsys):
+        assert invoke(capsys, "ivp-irreducible", "--poly", "0,1/2", "--format", "json") == (
+            1,
+            '{"error":{"code":"not-a-member","message":"f is not integer-valued on its site"},'
+            '"op":"ivp-irreducible","result":null}\n',
+            "",
+        )
+        assert invoke(capsys, "ivp-nonatomic", "--poly", "0") == (
+            1, "", "error[unsupported-site-degree]: the vanishing witness concerns finite sites\n")
+
+    def test_internal_error(self, capsys, monkeypatch):
+        from ivpoly import cli
+
+        def broken(args):
+            return {}["key"]
+
+        monkeypatch.setattr(cli, "_cmd_monoid_member", broken)
+        argv = ("monoid-member", "--spec", "grams", "--q", "1/3")
+        assert invoke(capsys, *argv, "--format", "json") == (
+            1,
+            '{"error":{"code":"internal-error","message":"KeyError: \'key\'"},'
+            '"op":"monoid-member","result":null}\n',
+            "",
+        )
+        assert invoke(capsys, *argv) == (1, "", "error[internal-error]: KeyError: 'key'\n")
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ivpoly.cli", "grams-decompose", "--q", "1/10",

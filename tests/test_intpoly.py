@@ -5,7 +5,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ivpoly import qpoly
+from ivpoly import intpoly, qpoly
 from ivpoly.errors import (
     DuplicatePointsError,
     NotAMemberError,
@@ -16,6 +16,7 @@ from ivpoly.errors import (
     ZeroElementError,
 )
 from ivpoly.intpoly import (
+    Z_SITE,
     FiniteSite,
     IVPoly,
     _divisor_candidates,
@@ -439,6 +440,32 @@ class TestFactorizationReplay:
         assert len(want) > 1
 
 
+class TestOneValueRead:
+    """Each verdict reads f's site values once, and checks zero, then
+    membership, then units, as before."""
+
+    @pytest.mark.parametrize("decide", [is_irreducible, find_irreducible_divisor])
+    @pytest.mark.parametrize("f", [
+        binomial(4).scale(2), ivpoly([0, 6], FiniteSite((0, 1))), ivpoly([1, 0, 1]), constant(6),
+    ], ids=str)
+    def test_values_are_read_once(self, monkeypatch, decide, f):
+        reads = []
+        scaled_values = intpoly._scaled_values
+        monkeypatch.setattr(intpoly, "_scaled_values", lambda g: reads.append(g) or scaled_values(g))
+        decide(f)
+        assert reads == [f]
+
+    @pytest.mark.parametrize("decide", [is_irreducible, find_irreducible_divisor, factorizations])
+    @pytest.mark.parametrize("f, error, message", [
+        (constant(0), ZeroElementError, "zero is neither reducible nor irreducible"),
+        (ivpoly([0, F(1, 2)]), NotAMemberError, "f is not integer-valued on its site"),
+        (constant(-1), UnitElementError, "units are not factored"),
+    ], ids=["zero", "non-member", "unit"])
+    def test_rejections(self, decide, f, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            decide(f)
+
+
 class TestFindIrreducibleDivisor:
     def test_x_on_singleton_site(self):
         assert find_irreducible_divisor(X_ON_0).coeffs == (F(2),)
@@ -476,6 +503,17 @@ class TestVanishingWitness:
     def test_nonvanishing_rejected(self):
         with pytest.raises(NoWitnessError):
             vanishing_nonatomic_witness(ivpoly([-1, 1], FiniteSite((0,))))
+
+    def test_witness_points_are_the_sites_decision(self):
+        assert FiniteSite((2, 0)).witness_points() == (0, 2)
+        with pytest.raises(UnsupportedSiteError):
+            Z_SITE.witness_points()
+
+    @pytest.mark.parametrize("f", [ivpoly([0, 2]), constant(0), ivpoly([0, F(1, 2)])],
+                             ids=["member", "zero", "non-member"])
+    def test_z_is_refused_before_any_other_check(self, f):
+        with pytest.raises(UnsupportedSiteError, match="^the vanishing witness concerns finite sites$"):
+            vanishing_nonatomic_witness(f)
 
     def test_odd_value_blocks_the_split(self):
         with pytest.raises(NoWitnessError):
