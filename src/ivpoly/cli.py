@@ -38,6 +38,9 @@ from .rationals import format_rational, parse_rational
 #: prime-reciprocal membership and factorizations search that many generators
 MAX_TRUNCATION = 100
 
+#: most term products ring-root spends on the root check, p products that grow with p
+MAX_ROOT_CHECK_PRODUCTS = 200_000
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -220,13 +223,21 @@ def _cmd_ring_mul(args):
 
 
 def _cmd_ring_root(args):
-    from .monoid_ring import power, pth_root, to_json_dict
+    from .monoid_ring import mul, one, pth_root, to_json_dict
 
     f = _parse_element(args.f)
     root = pth_root(f, cone_closed=not args.not_cone_closed)
     if root is None:
         return {"root": None, "verified": False}, ["no root (exponent monoid not closed)"]
-    ok = power(root, f.ring.p) == f
+    # root^p by p products, independent of the Frobenius identity pth_root uses
+    acc, products = one(f.ring), 0
+    for _ in range(f.ring.p):
+        products += len(acc.terms) * len(root.terms)
+        if products > MAX_ROOT_CHECK_PRODUCTS:
+            raise InputTooLargeError(
+                f"checking the root needs more than {MAX_ROOT_CHECK_PRODUCTS} term products")
+        acc = mul(acc, root)
+    ok = acc == f
     return {"root": to_json_dict(root), "verified": ok}, [f"root: {root} (verified: {ok})"]
 
 

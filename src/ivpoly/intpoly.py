@@ -15,6 +15,9 @@ value tables of J and its complement as residues mod d(G) and cuts every
 subtree whose bound fails that test, so C(x, n), whose only divisor
 vectors are the empty and the full one, costs a few hundred nodes instead
 of 2^n.
+Every question reads the keys directly: f is irreducible iff they stop
+before a third key after 1 and f, factorizations take them in (sum(vec),
+vec, u) order, and a Furstenberg divisor is the least nonunit key.
 The table is finite unless f vanishes on the whole of a finite site: then
 f/n divides f for every n, and divisors and factorizations raise
 ``UnsupportedSiteError`` while irreducibility still answers False.
@@ -27,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from itertools import islice
+from math import factorial, gcd
 from operator import mul
 from typing import Iterable
 
@@ -172,15 +176,9 @@ class BinomialExpansion:
     deltas: tuple[Fraction, ...]
 
 
-def _scaled(coeffs) -> tuple[tuple[int, ...], int]:
-    """(den * coeffs, den), with den the common denominator of the coefficients."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
 def _scaled_values(f: IVPoly) -> tuple[list[int], int]:
     """(den * f(s) for the site's sample points s, den), all integers."""
-    num, den = _scaled(f.coeffs)
+    num, den = qpoly.int_scaled(f.coeffs)
     return [qpoly.int_eval(num, s) for s in f.site.sample_points(f.degree)], den
 
 
@@ -191,7 +189,7 @@ def to_binomial_basis(f: IVPoly) -> BinomialExpansion:
     den the common denominator of the coefficients, and divided by den once
     per delta at the end.
     """
-    num, den = _scaled(f.coeffs)
+    num, den = qpoly.int_scaled(f.coeffs)
     row = [qpoly.int_eval(num, k) for k in range(max(f.degree, 0) + 1)]
     deltas = []
     while row:
@@ -211,11 +209,9 @@ def from_binomial_basis(expansion: BinomialExpansion | Iterable, site: Site = Z_
     deltas = (
         expansion.deltas if isinstance(expansion, BinomialExpansion) else tuple(expansion)
     )
-    weights = [Fraction(d) / factorial(j) for j, d in enumerate(deltas)]
-    den = lcm(*(w.denominator for w in weights))
+    weights, den = qpoly.int_scaled([Fraction(d) / factorial(j) for j, d in enumerate(deltas)])
     out = [0] * len(deltas)
-    for w, ff in zip(weights, qpoly.int_falling_factorials(len(deltas) - 1)):
-        k = w.numerator * (den // w.denominator)
+    for k, ff in zip(weights, qpoly.int_falling_factorials(len(deltas) - 1)):
         if k:
             for i, c in enumerate(ff):
                 out[i] += k * c
@@ -343,10 +339,9 @@ def _split_walk(factors, points, cd: int):
             ))
 
 
-def _divisor_candidates(f: IVPoly, split=None):
+def _divisor_candidates(f: IVPoly):
     """Yield every divisor of f (normalized, no associates) as (vec, u, G_J).
 
-    ``split`` is ``factor_rational(f.coeffs)`` when the caller has it;
     ``qfactor`` is imported here, so deciding membership never loads it.
 
     f = c * G_J * G_Jc with c = cn/cd, the G's primitive integer polynomials,
@@ -366,11 +361,9 @@ def _divisor_candidates(f: IVPoly, split=None):
     yielded once: G_J is primitive with positive leading coefficient, so
     (vec, u) determines it.
     """
-    if split is None:
-        from .qfactor import factor_rational
+    from .qfactor import factor_rational
 
-        split = factor_rational(f.coeffs)
-    c, factors = split
+    c, factors = factor_rational(f.coeffs)
     cn, cd = abs(c.numerator), c.denominator
     fact = lru_cache(maxsize=None)(factorize)
     cn_fact, cd_fact = fact(cn), fact(cd)
@@ -415,10 +408,8 @@ def is_irreducible(f: IVPoly) -> bool:
     whose fixed divisor is not 1 is reducible: f = p * (f/p), or
     f = 2 * (f/2) when f vanishes on the whole site.  Otherwise no constant
     nonunit divides f, so a linear f is irreducible.  Beyond that the divisor
-    candidates decide: the answer is False at the first candidate that is
-    neither 1 nor the normalized f, without building or sorting the divisor
-    list.  Their keys tell: with f = c * prod g_i^e_i, 1 is the key
-    ((0, ..., 0), 1) and the normalized f the key ((e_1, ..., e_k), |c|).
+    keys decide by their count: 1 and the normalized f are always two of
+    them, so f is irreducible iff the walk stops before a third key.
     """
     g = _reject_trivial(f)
     if f.degree == 0:
@@ -427,24 +418,17 @@ def is_irreducible(f: IVPoly) -> bool:
         return False
     if f.degree == 1:
         return True
-    from .qfactor import factor_rational
-
-    c, factors = split = factor_rational(f.coeffs)
-    trivial = (((0,) * len(factors), Fraction(1)), (tuple(e for _, e in factors), abs(c)))
-    return all((vec, u) in trivial for vec, u, _ in _divisor_candidates(f, split))
+    return next(islice(_divisor_candidates(f), 2, None), None) is None
 
 
 def _reject_trivial(f: IVPoly) -> int:
-    """Reject zero, then non-members, then units; return the fixed divisor of f
-    from the same one read of its values."""
+    """Reject zero, then non-members, then units; return the fixed divisor of f."""
     if f.is_zero():
         raise ZeroElementError("zero is neither reducible nor irreducible")
-    values, den = _scaled_values(f)
-    if any(v % den for v in values):
-        raise NotAMemberError("f is not integer-valued on its site")
+    g = fixed_divisor(f)
     if f.is_unit():
         raise UnitElementError("units are not factored")
-    return gcd(*values) // den
+    return g
 
 
 @dataclass(frozen=True)
@@ -498,20 +482,22 @@ def factorizations(f: IVPoly) -> list[PolyFactorization]:
 
     Works on the divisor table of f, keyed by (vec, u) for u * G_J, and so
     raises ``UnsupportedSiteError`` as ``divisors`` does.  Products add
-    vectors and multiply u's, and a divisor's divisors are in the table: a
-    nonunit key is reducible iff some other nonunit key leaves its cofactor
-    key in the table.  Irreducibles are taken in ``sort_key`` order, so each
-    multiset appears once, parts in decreasing order.
+    vectors and multiply u's, and a divisor's divisors are in the table.
+    In (sum(vec), vec, u) order a cofactor comes before its multiple (a
+    constant irreducible is a prime, so it lowers u), the unit is first and
+    f last, and a key is irreducible iff no irreducible before it leaves a
+    cofactor key in the table.  Irreducibles are taken in ``sort_key``
+    order, so each multiset appears once, parts in decreasing order.
     """
     _reject_trivial(f)
     table = {(vec, u): gj for vec, u, gj in _divisor_candidates(f)}
-    top = max(table)  # the full vector with the largest u: f itself
-    unit = ((0,) * len(top[0]), Fraction(1))
-    nonunits = [k for k in table if k != unit]
-    irr = [(k, IVPoly(qpoly.scale(table[k], k[1]), f.site)) for k in nonunits
-           if not any(d != k and _cofactor(table, k, d) for d in nonunits)]
+    unit, *nonunits = sorted(table, key=lambda k: (sum(k[0]), k[0], k[1]))
+    irr = []
+    for k in nonunits:
+        if not any(_cofactor(table, k, d) for d, _ in irr):
+            irr.append((k, IVPoly(qpoly.scale(table[k], k[1]), f.site)))
     irr.sort(key=lambda pair: pair[1].sort_key())
-    facs = [PolyFactorization(parts) for parts in _factor_keys(table, irr, top, unit)]
+    facs = [PolyFactorization(parts) for parts in _factor_keys(table, irr, nonunits[-1], unit)]
     return sorted(facs, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
 
 
@@ -543,22 +529,17 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     involved is an irreducible constant divisor.  Otherwise no constant
     nonunit divides f, and a nonunit divisor of minimal degree is
     automatically irreducible: a proper splitting would produce a lower
-    degree nonunit divisor of f.
+    degree nonunit divisor of f.  The one returned is the least nonunit key
+    by (len(G_J), u * G_J), the ``IVPoly.sort_key`` order; f is a candidate.
     """
     g = _reject_trivial(f)
     if g == 0:
         return constant(2, f.site)
     if g >= 2:
         return constant(smallest_prime_factor(g), f.site)
-    best: IVPoly | None = None
-    for _, u, gj in _divisor_candidates(f):
-        cand = IVPoly(qpoly.scale(gj, u), f.site)
-        if cand.is_unit():
-            continue
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-    assert best is not None  # f itself is always a candidate
-    return best
+    _, coeffs = min((len(gj), qpoly.scale(gj, u)) for _, u, gj in _divisor_candidates(f)
+                    if len(gj) > 1 or u != 1)
+    return IVPoly(coeffs, f.site)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Every nonzero f in Q[x] is written as c * g_1^e_1 * ... * g_k^e_k with c
 rational and each g_i a primitive integer polynomial, irreducible over Q,
-with positive leading coefficient.  Past the content every step works on
-Python ints (integer tuples, lowest degree first); no ``Fraction`` is built.
+with positive leading coefficient.  f enters in its integer form
+``qpoly.int_scaled(f) = (den * f, den)``, and c is the signed content of
+den * f over den.  From there every step works on Python ints (integer
+tuples, lowest degree first); no ``Fraction`` is built.
 
 1. The power of x is split off.
 2. Yun's algorithm writes the rest as a_1 a_2^2 a_3^3 ... with the a_i
@@ -50,19 +52,12 @@ def factor_rational(cs) -> tuple[Fraction, list[tuple[IntPoly, int]]]:
     cs = qpoly.poly(cs)
     if qpoly.is_zero(cs):
         raise ValueError("cannot factor the zero polynomial")
-    c, prim = qpoly.content_and_primitive(cs)
+    num, den = qpoly.int_scaled(cs)
+    prim = _primitive(num)
+    c = Fraction(num[-1] // prim[-1], den)
     if len(prim) == 1:
         return c, []
     return c, sorted(_factor_primitive(prim), key=lambda gm: (len(gm[0]), gm[0]))
-
-
-def is_irreducible_over_q(cs) -> bool:
-    """Irreducibility over Q of a nonconstant rational polynomial."""
-    cs = qpoly.poly(cs)
-    if qpoly.degree(cs) < 1:
-        raise ValueError("constants are not tested for irreducibility over Q")
-    _, factors = factor_rational(cs)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 def _factor_primitive(g: IntPoly) -> list[tuple[IntPoly, int]]:

@@ -4,12 +4,14 @@ Polynomials are tuples of ``Fraction`` coefficients, lowest degree first,
 with trailing zeros trimmed; the zero polynomial is the empty tuple.  The
 ``int_*`` helpers work on tuples of Python ints in the same layout and never
 build a ``Fraction``: they serve the hot loops over Z[x] (value tables,
-root tests, falling factorials).
+root tests, falling factorials).  ``int_scaled`` gives a rational
+polynomial its one integer form (den * cs, den), from which value tables,
+binomial coordinates and the content split of ``qfactor`` start.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Coeffs = tuple[Fraction, ...]
 IntPoly = tuple[int, ...]
@@ -104,26 +106,10 @@ def exact_div(a: Coeffs, b: Coeffs) -> Coeffs | None:
     return q if is_zero(r) else None
 
 
-def content_and_primitive(cs: Coeffs) -> tuple[Fraction, tuple[int, ...]]:
-    """Write cs = c * g with g a primitive integer polynomial, positive leading.
-
-    Returns (c, g) with g as an integer tuple; raises on the zero polynomial.
-    """
-    if is_zero(cs):
-        raise ValueError("zero polynomial has no primitive part")
-    denom = lcm(*(c.denominator for c in cs))
-    ints = [int(c * denom) for c in cs]
-    g = gcd(*ints)
-    sign = 1 if ints[-1] > 0 else -1
-    prim = tuple(v // (g * sign) for v in ints)
-    return Fraction(g * sign, denom), prim
-
-
-def int_coeffs(cs: Coeffs) -> tuple[int, ...] | None:
-    """Integer coefficients when every coefficient is integral, else None."""
-    if all(c.denominator == 1 for c in cs):
-        return tuple(c.numerator for c in cs)
-    return None
+def int_scaled(cs: Coeffs) -> tuple[IntPoly, int]:
+    """(den * cs, den), den the least common denominator: the integer form of cs."""
+    den = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
 
 
 def int_eval(g: IntPoly, x: int) -> int:

@@ -332,7 +332,7 @@ def _fact_pulling():
             return False, "interpolated polynomial left the ring"
         seq = pulling_sequence(points)
         d = seq.values[f.degree]
-        if qpoly.int_coeffs(qpoly.scale(f.coeffs, d)) is None:
+        if not all(c.denominator == 1 for c in qpoly.scale(f.coeffs, d)):
             return False, f"d_n * f not integral for S={points}"
         done += 1
     return True, "200 interpolated members cleared"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivpoly.cli import MAX_TRUNCATION, run
+from ivpoly.cli import MAX_ROOT_CHECK_PRODUCTS, MAX_TRUNCATION, run
 from ivpoly.errors import InputTooLargeError
 from ivpoly.rationals import MAX_DIGITS, parse_rational
 
@@ -573,6 +573,33 @@ def test_huge_cone_truncation_in_a_subprocess_within_10_s():
     payload = json.loads(proc.stdout)
     assert payload["op"] == "cone-member" and payload["result"] is None
     assert payload["error"]["code"] == "input-too-large"
+
+
+def test_ring_root_check_beyond_the_bound_in_a_subprocess_within_10_s():
+    # checking a two-term root over F_1009 takes 1,019,090 term products
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivpoly.cli", "ring-root", "--f",
+         '{"ring":"F1009","terms":[["1","1"],["1","0"]]}', "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["op"] == "ring-root" and payload["result"] is None
+    assert payload["error"] == {
+        "code": "input-too-large",
+        "message": f"checking the root needs more than {MAX_ROOT_CHECK_PRODUCTS} term products",
+    }
+
+
+def test_ring_root_check_of_a_one_term_root_over_a_large_field(capsys):
+    f = json.dumps({"ring": "F100003", "terms": [["1", "1"]]})
+    status, payload = invoke_json(capsys, "ring-root", "--f", f)
+    assert status == 0
+    assert payload["result"] == {
+        "root": {"ring": "F100003", "terms": [["1", "1/100003"]]}, "verified": True,
+    }
 
 
 def test_verify_paper_full_suite_exits_zero(capsys):

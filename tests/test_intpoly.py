@@ -41,6 +41,8 @@ from ivpoly.verify import (
     _product as _factor_product,
     _replay_factorizations,
     bruteforce_divisors,
+    divisor_corpus,
+    finite_site_corpus,
 )
 
 X_ON_0 = ivpoly([0, 1], FiniteSite((0,)))
@@ -170,7 +172,7 @@ class TestPullingSequence:
                 continue
             f = IVPoly(coeffs, FiniteSite(tuple(points)))
             d = pulling_sequence(points).values[f.degree]
-            assert qpoly.int_coeffs(qpoly.scale(f.coeffs, d)) is not None
+            assert all(c.denominator == 1 for c in qpoly.scale(f.coeffs, d))
 
 
 class TestDivide:
@@ -485,6 +487,22 @@ class TestFindIrreducibleDivisor:
             d = find_irreducible_divisor(f)
             assert divide(f.normalized(), d) is not None
             assert is_irreducible(d)
+
+    def test_least_nonunit_divisor_is_returned(self):
+        """With fixed divisor 1, the divisor is the least nonunit one by sort_key."""
+        members = [
+            *divisor_corpus(),
+            *finite_site_corpus(),
+            *(binomial(n).scale(k) for n in range(1, 8) for k in range(1, 7)),
+        ]
+        checked = 0
+        for f in members:
+            if f.is_unit() or fixed_divisor(f) != 1:
+                continue
+            nonunits = [d for d in divisors(f).divisors if not d.is_unit()]
+            assert find_irreducible_divisor(f) == min(nonunits, key=IVPoly.sort_key), str(f)
+            checked += 1
+        assert checked >= 50
 
 
 class TestVanishingWitness:

@@ -15,7 +15,6 @@ from ivpoly.qfactor import (
     _hensel_lift,
     _mul,
     factor_rational,
-    is_irreducible_over_q,
 )
 
 
@@ -50,9 +49,9 @@ def test_kronecker_quadratics():
 
 
 def test_irreducibles_stay_whole():
-    assert is_irreducible_over_q([1, 0, 0, 0, 1])  # x^4 + 1
-    assert is_irreducible_over_q([7, 1])
-    assert not is_irreducible_over_q([0, 0, 1])
+    assert factor_rational([1, 0, 0, 0, 1]) == (1, [((1, 0, 0, 0, 1), 1)])  # x^4 + 1
+    assert factor_rational([7, 1]) == (1, [((7, 1), 1)])
+    assert factor_rational([0, 0, 1]) == (1, [((0, 1), 2)])
 
 
 def test_constant():

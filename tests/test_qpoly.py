@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ivpoly import qpoly
+from ivpoly.qfactor import factor_rational
 
 
 def coeff_lists(max_len=6, max_denom=12):
@@ -34,10 +35,13 @@ def test_eval_horner():
 
 
 def test_content_and_primitive():
-    c, prim = qpoly.content_and_primitive(qpoly.poly([F(2, 3), F(4, 3)]))
-    assert prim == (1, 2) and c == F(2, 3)
-    c, prim = qpoly.content_and_primitive(qpoly.poly([0, -2, -4]))
-    assert prim == (0, 1, 2) and c == -2
+    assert qpoly.int_scaled(qpoly.poly([F(2, 3), F(4, 3)])) == ((2, 4), 3)
+    assert qpoly.int_scaled(qpoly.poly([0, -2, -4])) == ((0, -2, -4), 1)
+    assert qpoly.int_scaled(qpoly.poly([F(1, 2), F(-1, 3)])) == ((3, -2), 6)
+    assert qpoly.int_scaled(()) == ((), 1)
+    # the content and primitive part, through factor_rational
+    assert factor_rational(qpoly.poly([F(2, 3), F(4, 3)])) == (F(2, 3), [((1, 2), 1)])
+    assert factor_rational(qpoly.poly([0, -2, -4])) == (-2, [((0, 1), 1), ((1, 2), 1)])
 
 
 def test_lagrange_interpolation():

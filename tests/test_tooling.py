@@ -1,0 +1,69 @@
+"""Checks on the source tree and the README that need only the standard library.
+
+No module under ``src/ivpoly`` keeps a top-level import it does not use, and
+every ``ivpoly ...`` line of the README's CLI block runs as printed.
+"""
+import ast
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ivpoly.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "ivpoly").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+(CLI_BLOCK,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S) if "monoid-atoms" in b]
+CLI_LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("ivpoly ")]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports (``__future__`` aside) that nothing reads.
+
+    A name counts as read when it appears as a name anywhere in the module
+    or is listed in ``__all__``.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_check_sees_an_unused_import():
+    assert _unused_imports("from math import gcd, lcm\nx = gcd(4, 6)\n") == ["lcm"]
+    assert _unused_imports("from __future__ import annotations\nimport os.path\n") == ["os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_readme_block_has_every_example():
+    assert len(CLI_LINES) == 13
+
+
+@pytest.mark.parametrize("line", CLI_LINES, ids=lambda line: shlex.split(line)[1])
+def test_readme_cli_line_runs(capsys, line):
+    assert run(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_atoms_are_printed(capsys):
+    command = "ivpoly monoid-atoms --spec grams --denom-bound 100"
+    lines = CLI_BLOCK.splitlines()
+    printed = lines[lines.index(command) + 1].lstrip("#").strip()
+    assert printed == "atoms: 1/3, 1/10, 1/28, 1/88"
+    assert run(shlex.split(command)[1:]) == 0
+    assert printed in capsys.readouterr().out.splitlines()
