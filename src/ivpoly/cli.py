@@ -226,8 +226,8 @@ def _cmd_ring_root(args):
     from .monoid_ring import mul, one, pth_root, to_json_dict
 
     f = _parse_element(args.f)
-    root = pth_root(f, cone_closed=not args.not_cone_closed)
-    if root is None:
+    root = pth_root(f)  # rejects a ring that is not a prime field, flag or not
+    if args.not_cone_closed:
         return {"root": None, "verified": False}, ["no root (exponent monoid not closed)"]
     # root^p by p products, independent of the Frobenius identity pth_root uses
     acc, products = one(f.ring), 0

@@ -38,6 +38,7 @@ from typing import Iterable
 from . import qpoly
 from .errors import (
     DuplicatePointsError,
+    MalformedInputError,
     NotAMemberError,
     NoWitnessError,
     SiteMismatchError,
@@ -52,6 +53,15 @@ from .primes import (
     merge_factorizations,
     smallest_prime_factor,
 )
+
+
+def _integer_points(points) -> tuple[int, ...]:
+    """The points as ints; ``MalformedInputError`` for one that is not an integer."""
+    pts = tuple(map(Fraction, points))
+    for s in pts:
+        if s.denominator != 1:
+            raise MalformedInputError(f"site point {s} is not an integer")
+    return tuple(s.numerator for s in pts)
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class FiniteSite:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        pts = tuple(int(s) for s in self.points)
+        pts = _integer_points(self.points)
         if not pts:
             raise DuplicatePointsError("a finite site needs at least one point")
         if len(set(pts)) != len(pts):
@@ -253,7 +263,7 @@ class PullingSequence:
 
 def pulling_sequence(points: Iterable[int]) -> PullingSequence:
     """d_n = prod_{0<=i<j<=n} (s_j - s_i) for each prefix of the points."""
-    pts = tuple(int(s) for s in points)
+    pts = _integer_points(points)
     if not pts:
         raise DuplicatePointsError("need at least one sample point")
     if len(set(pts)) != len(pts):
@@ -268,14 +278,22 @@ def pulling_sequence(points: Iterable[int]) -> PullingSequence:
 
 
 def divide(f: IVPoly, g: IVPoly) -> IVPoly | None:
-    """f / g within the ring: exact in Q[x] and the quotient stays a member."""
+    """f / g within the ring: exact in Q[x] and the quotient stays a member.
+
+    With F = df * f and G = dg * g the integer forms, g divides f in Q[x]
+    iff the primitive part of G divides F in Z[x] (Gauss's lemma), and then
+    f / g = (F / prim G) * dg lc(prim G) / (df lc(G)).
+    """
     _check_same_site(f, g)
     if g.is_zero():
         raise ZeroElementError("division by the zero polynomial")
-    quot = qpoly.exact_div(f.coeffs, g.coeffs)
+    f_int, df = qpoly.int_scaled(f.coeffs)
+    g_int, dg = qpoly.int_scaled(g.coeffs)
+    prim = qpoly.int_primitive(g_int)
+    quot = qpoly.int_divexact(f_int, prim)
     if quot is None:
         return None
-    q = f.with_coeffs(quot)
+    q = f.with_coeffs(qpoly.scale(quot, Fraction(dg * prim[-1], df * g_int[-1])))
     return q if is_member(q) else None
 
 
@@ -564,24 +582,27 @@ class VanishingWitness:
 
 
 def vanishing_nonatomic_witness(f: IVPoly) -> VanishingWitness:
-    """Witness that f sits atop the vanishing-divisor chain of its finite site."""
+    """Witness that f sits atop the vanishing-divisor chain of its finite site.
+
+    One read of f's values on the site decides every check: f is a member
+    iff each den * f(s) is divisible by den, vanishes at s iff den * f(s)
+    is 0, and f/2 is a member iff each is divisible by 2 * den.
+    """
     points = f.site.witness_points()
     if f.is_zero():
         raise ZeroElementError("zero admits no witness")
-    if not is_member(f):
+    values, den = _scaled_values(f)  # den * f(s) for s in points
+    if any(v % den for v in values):
         raise NotAMemberError("f is not integer-valued on its site")
-    vanishing = tuple(s for s in points if f(s) == 0)
+    vanishing = tuple(s for s, v in zip(points, values) if v == 0)
     if not vanishing:
         raise NoWitnessError("f does not vanish on the site")
-    half = f.scale(Fraction(1, 2))
-    if not is_member(half):
+    if any(v % (2 * den) for v in values):
         raise NoWitnessError("the halved polynomial leaves the ring")
-    assert half.scale(2).coeffs == f.coeffs
-    all_vanish = len(vanishing) == len(points)
     return VanishingWitness(
         point=vanishing[0],
         vanishing_points=vanishing,
-        half=half,
-        splits_for_all_integers=all_vanish,
+        half=f.scale(Fraction(1, 2)),
+        splits_for_all_integers=len(vanishing) == len(points),
         complete_proof=len(points) == 1,
     )

@@ -245,17 +245,15 @@ def nu_bar(f: MonoidRingElement) -> Fraction:
     return min(nus)
 
 
-def pth_root(f: MonoidRingElement, cone_closed: bool = True) -> MonoidRingElement | None:
+def pth_root(f: MonoidRingElement) -> MonoidRingElement:
     """g with g^p = f over F_p, for exponent monoids closed under division by p.
 
     Coefficient roots are trivial by Fermat (c^p = c in F_p); exponents
     divide by p, which stays in the monoid exactly when it is a rational
-    cone -- callers assert that via cone_closed.
+    cone, so callers ask only for exponent monoids that are closed.
     """
     if not isinstance(f.ring, PrimeField):
         raise CoefficientRingError("p-th roots are taken over a prime field")
-    if not cone_closed:
-        return None
     p = f.ring.p
     return MonoidRingElement(f.ring, tuple((c, e / p) for c, e in f.terms))
 

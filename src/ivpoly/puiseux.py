@@ -41,9 +41,9 @@ class PuiseuxMonoid:
     #: closed-form membership (no truncation dependence)
     exact = False
 
-    def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
-        """(index, generator) pairs with reduced denominator <= bound."""
-        return [(i, g) for i, g in enumerate(self.search_generators()) if g.denominator <= bound]
+    def generators_with_denominator_up_to(self, bound: int) -> list[Fraction]:
+        """The generators with reduced denominator <= bound."""
+        return [g for g in self.search_generators() if g.denominator <= bound]
 
     def member(self, q: Fraction) -> MembershipResult:
         """Membership of q > 0 with a certificate."""
@@ -76,10 +76,9 @@ class PuiseuxMonoid:
         return False, False
 
 
-def _leading_generators(spec: PuiseuxMonoid, bound: int) -> list[tuple[int, Fraction]]:
-    """(i, generator i) for a family whose denominators grow with i, up to bound."""
-    gens = takewhile(lambda g: g.denominator <= bound, map(spec.generator, count()))
-    return list(enumerate(gens))
+def _leading_generators(spec: PuiseuxMonoid, bound: int) -> list[Fraction]:
+    """The generators up to bound of a family whose denominators grow with the index."""
+    return list(takewhile(lambda g: g.denominator <= bound, map(spec.generator, count())))
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class GramsMonoid(PuiseuxMonoid):
     def generator(self, i: int) -> Fraction:
         return Fraction(1, 2**i * odd_prime(i))
 
-    def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
+    def generators_with_denominator_up_to(self, bound: int) -> list[Fraction]:
         return _leading_generators(self, bound)
 
     def member(self, q: Fraction) -> MembershipResult:
@@ -133,7 +132,7 @@ class DyadicValuation(PuiseuxMonoid):
     def generator(self, i: int) -> Fraction:
         return Fraction(1, 2**i)
 
-    def generators_with_denominator_up_to(self, bound: int) -> list[tuple[int, Fraction]]:
+    def generators_with_denominator_up_to(self, bound: int) -> list[Fraction]:
         return _leading_generators(self, bound)
 
     def member(self, q: Fraction) -> MembershipResult:
@@ -404,7 +403,7 @@ def atoms_up_to(spec: PuiseuxMonoid, denom_bound: int) -> list[Fraction]:
     if denom_bound < 1:
         raise NegativeInputError("denominator bound must be at least 1")
     candidates = sorted(
-        {g for _, g in spec.generators_with_denominator_up_to(denom_bound)},
+        set(spec.generators_with_denominator_up_to(denom_bound)),
         key=lambda g: (g.denominator, g),
     )
     return [g for g in candidates if not spec.splits(g)]

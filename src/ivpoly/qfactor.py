@@ -5,7 +5,9 @@ rational and each g_i a primitive integer polynomial, irreducible over Q,
 with positive leading coefficient.  f enters in its integer form
 ``qpoly.int_scaled(f) = (den * f, den)``, and c is the signed content of
 den * f over den.  From there every step works on Python ints (integer
-tuples, lowest degree first); no ``Fraction`` is built.
+tuples, lowest degree first); no ``Fraction`` is built.  Primitive parts,
+products and exact division over Z come from ``qpoly``'s integer layer;
+this module adds the algorithms below, over Z and mod p.
 
 1. The power of x is split off.
 2. Yun's algorithm writes the rest as a_1 a_2^2 a_3^3 ... with the a_i
@@ -32,7 +34,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, count, zip_longest
-from math import gcd, isqrt
+from math import isqrt
 
 from . import qpoly
 from .primes import odd_prime
@@ -53,7 +55,7 @@ def factor_rational(cs) -> tuple[Fraction, list[tuple[IntPoly, int]]]:
     if qpoly.is_zero(cs):
         raise ValueError("cannot factor the zero polynomial")
     num, den = qpoly.int_scaled(cs)
-    prim = _primitive(num)
+    prim = qpoly.int_primitive(num)
     c = Fraction(num[-1] // prim[-1], den)
     if len(prim) == 1:
         return c, []
@@ -88,32 +90,6 @@ def _derivative(a) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _primitive(a) -> tuple[int, ...]:
-    """a divided by its content, with positive leading coefficient."""
-    c = gcd(*a)
-    if a[-1] < 0:
-        c = -c
-    return tuple(v // c for v in a)
-
-
-def _int_divexact(a, b) -> tuple[int, ...] | None:
-    """a / b when b divides a in Z[x], else None (b nonzero)."""
-    r = list(a)
-    m, lb = len(b), b[-1]
-    if len(r) < m:
-        return () if not any(r) else None
-    q = [0] * (len(r) - m + 1)
-    for i in range(len(r) - m, -1, -1):
-        c, rem = divmod(r[i + m - 1], lb)
-        if rem:
-            return None
-        q[i] = c
-        if c:
-            for j in range(m - 1):
-                r[i + j] -= c * b[j]
-    return None if any(r[: m - 1]) else tuple(q)
-
-
 def _prem(a, b) -> list[int]:
     """Pseudo-remainder of a by b: lc(b)^(deg a - deg b + 1) * a mod b."""
     r = list(a)
@@ -129,17 +105,17 @@ def _prem(a, b) -> list[int]:
 
 def _int_gcd(a, b) -> tuple[int, ...]:
     """Primitive gcd of a nonzero a and any b in Z[x], by the primitive PRS."""
-    a = _primitive(a)
+    a = qpoly.int_primitive(a)
     if not any(b):
         return a
-    b = _primitive(b)
+    b = qpoly.int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
             return b
-        a, b = b, _primitive(r)
+        a, b = b, qpoly.int_primitive(r)
     return (1,)
 
 
@@ -153,7 +129,7 @@ def _yun(g: IntPoly) -> list[tuple[tuple[int, ...], int]]:
     a0 = _int_gcd(g, dg) if len(g) > 2 else (1,)
     if len(a0) == 1:
         return [(g, 1)]
-    b, c = _int_divexact(g, a0), _int_divexact(dg, a0)
+    b, c = qpoly.int_divexact(g, a0), qpoly.int_divexact(dg, a0)
     out = []
     for i in count(1):
         if len(b) == 1:
@@ -163,7 +139,7 @@ def _yun(g: IntPoly) -> list[tuple[tuple[int, ...], int]]:
         a = _int_gcd(b, d)
         if len(a) > 1:
             out.append((a, i))
-        b, c = _int_divexact(b, a), _int_divexact(d, a)
+        b, c = qpoly.int_divexact(b, a), qpoly.int_divexact(d, a)
 
 
 def _split_rational_roots(a: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -195,8 +171,8 @@ def _split_rational_roots(a: tuple[int, ...]) -> list[tuple[int, ...]]:
             m *= m
             r = (r - qpoly.int_eval(a, r) * pow(qpoly.int_eval(da, r), -1, m)) % m
         v = a[-1] * r % m
-        h = _primitive((m - v if 2 * v > m else -v, a[-1]))
-        quot = _int_divexact(rest, h)
+        h = qpoly.int_primitive((m - v if 2 * v > m else -v, a[-1]))
+        quot = qpoly.int_divexact(rest, h)
         if quot is not None:
             out.append(h)
             rest = quot
@@ -224,14 +200,7 @@ def _sub(a, b, m: int) -> list[int]:
 
 
 def _mul(a, b, m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _mod(out, m)
+    return _mod(qpoly.int_mul(a, b), m)
 
 
 def _divmod(a, b, m: int) -> tuple[list[int], list[int]]:
@@ -445,8 +414,8 @@ def _recombine(g: tuple[int, ...], lifted: list[list[int]], m: int) -> list[tupl
             cand = [lc]
             for i in subset:
                 cand = _mul(cand, lifted[i], m)
-            h = _primitive([c - m if c > m // 2 else c for c in cand])
-            quot = _int_divexact(g, h)
+            h = qpoly.int_primitive([c - m if c > m // 2 else c for c in cand])
+            quot = qpoly.int_divexact(g, h)
             if quot is not None:
                 out.append(h)
                 g = quot

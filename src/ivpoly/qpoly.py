@@ -1,17 +1,18 @@
-"""Dense exact-rational polynomial arithmetic, with an integer layer.
+"""Dense exact-rational polynomial arithmetic, with the one Z[x] layer.
 
 Polynomials are tuples of ``Fraction`` coefficients, lowest degree first,
 with trailing zeros trimmed; the zero polynomial is the empty tuple.  The
 ``int_*`` helpers work on tuples of Python ints in the same layout and never
-build a ``Fraction``: they serve the hot loops over Z[x] (value tables,
-root tests, falling factorials).  ``int_scaled`` gives a rational
-polynomial its one integer form (den * cs, den), from which value tables,
-binomial coordinates and the content split of ``qfactor`` start.
+build a ``Fraction``; every Z[x] computation of the package runs on them
+(value tables, root tests, falling factorials, primitive parts, exact
+division).  ``int_scaled`` gives a rational polynomial its one integer form
+(den * cs, den), from which value tables, binomial coordinates, division in
+Int(S,Z) and the content split of ``qfactor`` start.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Coeffs = tuple[Fraction, ...]
 IntPoly = tuple[int, ...]
@@ -83,33 +84,36 @@ def eval_at(cs: Coeffs, x) -> Fraction:
     return acc
 
 
-def divmod_exact(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Quotient and remainder of a by b over the rationals."""
-    if is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = rem[i + len(b) - 1] * inv_lead
-        if coeff == 0:
-            continue
-        q[i] = coeff
-        for j, cb in enumerate(b):
-            rem[i + j] -= coeff * cb
-    return trim(tuple(q)), trim(tuple(rem))
-
-
-def exact_div(a: Coeffs, b: Coeffs) -> Coeffs | None:
-    """a / b when the division is exact in Q[x], else None."""
-    q, r = divmod_exact(a, b)
-    return q if is_zero(r) else None
-
-
 def int_scaled(cs: Coeffs) -> tuple[IntPoly, int]:
     """(den * cs, den), den the least common denominator: the integer form of cs."""
     den = lcm(*(c.denominator for c in cs))
     return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
+def int_primitive(a: IntPoly) -> IntPoly:
+    """a divided by its content, with positive leading coefficient (a nonzero)."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return tuple(v // c for v in a)
+
+
+def int_divexact(a: IntPoly, b: IntPoly) -> IntPoly | None:
+    """a / b when b divides a in Z[x], else None (b nonzero)."""
+    r = list(a)
+    m, lb = len(b), b[-1]
+    if len(r) < m:
+        return () if not any(r) else None
+    q = [0] * (len(r) - m + 1)
+    for i in range(len(r) - m, -1, -1):
+        c, rem = divmod(r[i + m - 1], lb)
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            for j in range(m - 1):
+                r[i + j] -= c * b[j]
+    return None if any(r[: m - 1]) else tuple(q)
 
 
 def int_eval(g: IntPoly, x: int) -> int:
@@ -121,7 +125,7 @@ def int_eval(g: IntPoly, x: int) -> int:
 
 
 def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Product of two nonzero integer polynomials."""
+    """Product of two integer polynomials, trimmed when neither is zero."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:

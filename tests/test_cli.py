@@ -97,6 +97,17 @@ class TestRingCommands:
         assert payload["result"]["verified"]
         assert payload["result"]["root"]["terms"] == [["1", "3/2"], ["1", "1/4"]]
 
+    def test_root_when_not_cone_closed(self, capsys):
+        argv = ("ring-root", "--f", '{"ring": "F2", "terms": [["1", "1"]]}', "--not-cone-closed")
+        assert invoke(capsys, *argv) == (0, "no root (exponent monoid not closed)\n", "")
+        assert invoke(capsys, *argv, "--format", "json") == (
+            0, '{"error":null,"op":"ring-root","result":{"root":null,"verified":false}}\n', "")
+
+    def test_root_when_not_cone_closed_still_needs_a_prime_field(self, capsys):
+        argv = ("ring-root", "--f", '{"ring": "Z", "terms": [["1", "1"]]}', "--not-cone-closed")
+        assert invoke(capsys, *argv) == (
+            1, "", "error[unsupported-coefficient-ring]: p-th roots are taken over a prime field\n")
+
 
 class TestIvpCommands:
     def test_member(self, capsys):

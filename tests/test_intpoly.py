@@ -3,11 +3,13 @@ from fractions import Fraction as F
 from math import factorial, gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from ivpoly import intpoly, qpoly
 from ivpoly.errors import (
     DuplicatePointsError,
+    MalformedInputError,
     NotAMemberError,
     NoWitnessError,
     SiteMismatchError,
@@ -64,6 +66,12 @@ class TestMembership:
 
     def test_half_x_member_on_even_site(self):
         assert is_member(ivpoly([0, F(1, 2)], FiniteSite((0, 2))))
+
+    def test_non_integer_site_point_rejected(self):
+        with pytest.raises(MalformedInputError, match="^site point 3/2 is not an integer$") as exc:
+            FiniteSite((F(3, 2), 2))
+        assert exc.value.code == "malformed-input"
+        assert FiniteSite((F(4, 2), 1)).points == (1, 2)
 
     def test_all_binomials(self):
         assert all(is_member(binomial(n)) for n in range(12))
@@ -161,6 +169,11 @@ class TestPullingSequence:
         with pytest.raises(DuplicatePointsError):
             pulling_sequence([1, 1])
 
+    def test_non_integer_point_rejected(self):
+        with pytest.raises(MalformedInputError, match="^site point 1/2 is not an integer$"):
+            pulling_sequence([F(1, 2), 3])
+        assert pulling_sequence([F(4, 2), 3]).points == (2, 3)
+
     def test_pulls_members_into_integer_coefficients(self):
         rng = random.Random(17)
         for _ in range(100):
@@ -196,6 +209,30 @@ class TestDivide:
     def test_site_mismatch_rejected(self):
         with pytest.raises(SiteMismatchError):
             divide(ivpoly([0, 1]), X_ON_0)
+
+    @given(SMALL_DENOMINATOR_COEFFS, SMALL_DENOMINATOR_COEFFS,
+           st.one_of(st.just([]), SMALL_DENOMINATOR_COEFFS),
+           st.sampled_from([Z_SITE, FiniteSite((-1, 0, 2))]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_division_over_q_in_sympy(self, gc, hc, extra, site):
+        """divide(f, g) exists iff sympy's division over Q leaves no remainder
+        and the quotient is a member; f is g * h + extra, extra often zero."""
+        x = sympy.Symbol("x")
+
+        def to_sympy(cs):
+            return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
+                                         for c in reversed(cs)], x, domain=sympy.QQ)
+
+        g = ivpoly(gc, site)
+        assume(not g.is_zero())
+        fs = to_sympy(gc) * to_sympy(ivpoly(hc).coeffs) + to_sympy(ivpoly(extra).coeffs)
+        f = ivpoly([F(str(c)) for c in reversed(fs.all_coeffs())], site)
+        q, r = fs.div(to_sympy(g.coeffs))
+        want = ivpoly([F(str(c)) for c in reversed(q.all_coeffs())], site)
+        got = divide(f, g)
+        assert (got is not None) == (r.is_zero and is_member(want))
+        if got is not None:
+            assert got == want and got.mul(g).coeffs == f.coeffs
 
 
 class TestDivisors:
@@ -536,6 +573,35 @@ class TestVanishingWitness:
     def test_odd_value_blocks_the_split(self):
         with pytest.raises(NoWitnessError):
             vanishing_nonatomic_witness(ivpoly([0, 1], FiniteSite((0, 1))))
+
+
+class TestWitnessValueRead:
+    """The witness reads f's site values once, and checks zero, then
+    membership, then a vanishing point, then the half, as before."""
+
+    @pytest.mark.parametrize("f, error, message", [
+        (X_ON_0, None, None),
+        (ivpoly([0, -1, 1], FiniteSite((0, 1))), None, None),
+        (ivpoly([0, F(1, 2)], FiniteSite((0, 1))), NotAMemberError, "f is not integer-valued on its site"),
+        (ivpoly([1, F(1, 2)], FiniteSite((0, 1))), NotAMemberError, "f is not integer-valued on its site"),
+        (ivpoly([1, 1], FiniteSite((0, 2))), NoWitnessError, "f does not vanish on the site"),
+        (ivpoly([0, 1], FiniteSite((0, 1))), NoWitnessError, "the halved polynomial leaves the ring"),
+    ], ids=["x-on-0", "x2-x", "vanishing-non-member", "non-member", "no-vanishing", "odd-value"])
+    def test_values_are_read_once(self, monkeypatch, f, error, message):
+        reads = []
+        scaled_values = intpoly._scaled_values
+        monkeypatch.setattr(intpoly, "_scaled_values", lambda g: reads.append(g) or scaled_values(g))
+        if error is None:
+            assert vanishing_nonatomic_witness(f).half.scale(2) == f
+        else:
+            with pytest.raises(error, match=f"^{message}$"):
+                vanishing_nonatomic_witness(f)
+        assert reads == [f]
+
+    def test_zero_is_refused_before_any_read(self, monkeypatch):
+        monkeypatch.setattr(intpoly, "_scaled_values", None)
+        with pytest.raises(ZeroElementError, match="^zero admits no witness$"):
+            vanishing_nonatomic_witness(constant(0, FiniteSite((0,))))
 
 
 def _binomial_reference(j):

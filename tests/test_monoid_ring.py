@@ -146,9 +146,6 @@ class TestPthRoot:
         f = element(GF(3), [(1, F(2, 3))])
         assert pth_root(f) == element(GF(3), [(1, F(2, 9))])
 
-    def test_not_cone_closed_absent(self):
-        assert pth_root(element(GF(2), [(1, 1)]), cone_closed=False) is None
-
     def test_wrong_ring_rejected(self):
         with pytest.raises(CoefficientRingError):
             pth_root(element(QQ, [(1, 1)]))

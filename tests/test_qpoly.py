@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ivpoly import qpoly
 from ivpoly.qfactor import factor_rational
@@ -20,13 +21,19 @@ def test_trim_and_degree():
     assert qpoly.degree(qpoly.poly([0, 0, 5])) == 2
 
 
-def test_divmod_exact():
-    a = qpoly.mul(qpoly.poly([1, 1]), qpoly.poly([-2, 3]))
-    q, r = qpoly.divmod_exact(a, qpoly.poly([1, 1]))
-    assert q == qpoly.poly([-2, 3]) and r == ()
-    q, r = qpoly.divmod_exact(qpoly.poly([1, 0, 1]), qpoly.poly([1, 1]))
-    assert r != ()
-    assert qpoly.exact_div(qpoly.poly([1, 0, 1]), qpoly.poly([1, 1])) is None
+def test_int_divexact():
+    b = (1, 1)
+    assert qpoly.int_divexact(qpoly.int_mul(b, (-2, 3)), b) == (-2, 3)
+    assert qpoly.int_divexact((1, 0, 1), b) is None  # remainder 2
+    assert qpoly.int_divexact((1, 2), (2,)) is None  # exact over Q only
+    assert qpoly.int_divexact((3,), b) is None  # lower degree, nonzero
+    assert qpoly.int_divexact((), b) == () and qpoly.int_divexact((), (5,)) == ()
+
+
+def test_int_primitive():
+    assert qpoly.int_primitive((0, -2, -4)) == (0, 1, 2)
+    assert qpoly.int_primitive((6, 9)) == (2, 3)
+    assert qpoly.int_primitive((-7,)) == (1,)
 
 
 def test_eval_horner():
@@ -57,16 +64,6 @@ def test_mul_commutes(a, b):
     assert qpoly.mul(pa, pb) == qpoly.mul(pb, pa)
 
 
-@given(coeff_lists(), coeff_lists())
-def test_divmod_reconstructs(a, b):
-    pa, pb = qpoly.poly(a), qpoly.poly(b)
-    if qpoly.is_zero(pb):
-        return
-    q, r = qpoly.divmod_exact(pa, pb)
-    assert qpoly.add(qpoly.mul(q, pb), r) == pa
-    assert qpoly.degree(r) < qpoly.degree(pb)
-
-
 int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7)
 
 
@@ -79,6 +76,21 @@ def test_int_eval_matches_fraction_eval(g, x):
 def test_int_mul_matches_fraction_mul(a, b):
     a, b = tuple(a) + (1,), tuple(b) + (-3,)  # nonzero leading coefficients
     assert qpoly.poly(qpoly.int_mul(a, b)) == qpoly.mul(qpoly.poly(a), qpoly.poly(b))
+
+
+@given(int_lists, int_lists)
+def test_int_divexact_inverts_int_mul(q, b):
+    q, b = tuple(q) + (2,), tuple(b) + (-3,)  # nonzero leading coefficients
+    assert qpoly.int_divexact(qpoly.int_mul(q, b), b) == q
+
+
+@given(int_lists, int_lists, int_lists)
+def test_int_divexact_refuses_a_remainder(q, b, r):
+    q, b = tuple(q) + (2,), tuple(b) + (-3,)
+    r = tuple(r[: len(b) - 1])  # degree below deg b, so b does not divide a
+    assume(any(r))
+    a = tuple(x + y for x, y in zip_longest(qpoly.int_mul(q, b), r, fillvalue=0))
+    assert qpoly.int_divexact(a, b) is None
 
 
 def test_int_falling_factorials():

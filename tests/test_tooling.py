@@ -1,7 +1,8 @@
 """Checks on the source tree and the README that need only the standard library.
 
-No module under ``src/ivpoly`` keeps a top-level import it does not use, and
-every ``ivpoly ...`` line of the README's CLI block runs as printed.
+No module under ``src/ivpoly`` keeps a top-level import it does not use or
+defines a function, class or method that nothing reads, and every
+``ivpoly ...`` line of the README's CLI block runs as printed.
 """
 import ast
 import re
@@ -14,9 +15,21 @@ from ivpoly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "ivpoly").glob("*.py"))
+READERS = [*MODULES, *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
 README = (ROOT / "README.md").read_text()
 (CLI_BLOCK,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S) if "monoid-atoms" in b]
 CLI_LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("ivpoly ")]
+
+
+def _listed(tree: ast.Module, lists: tuple[str, ...]) -> set[str]:
+    """The strings in the top-level assignments to the names in lists."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in lists for t in node.targets
+        ):
+            out |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return out
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -33,12 +46,31 @@ def _unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Import):
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    read |= _listed(tree, ("__all__",))
     return [name for name in bound if name not in read]
+
+
+def _definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and the methods of those classes, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _reads(source: str) -> set[str]:
+    """Names and attributes read anywhere in the source, and the strings of ``_EXPORTS``/``__all__``."""
+    tree = ast.parse(source)
+    read = _listed(tree, ("_EXPORTS", "__all__"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
 
 
 def test_the_check_sees_an_unused_import():
@@ -49,6 +81,19 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_definition():
+    source = "class A:\n    def used(self): ...\n    def unused(self): ...\n    def __str__(self): ...\n"
+    source += "def f(): return A().used()\ndef g(): ...\n__all__ = ['f']\n"
+    assert [name for name in _definitions(source) if name not in _reads(source)] == ["unused", "g"]
+
+
+def test_no_unused_definition():
+    read = set().union(*(_reads(path.read_text()) for path in READERS))
+    unused = [f"{path.name}: {name}" for path in MODULES
+              for name in _definitions(path.read_text()) if name not in read]
+    assert unused == []
 
 
 def test_readme_block_has_every_example():
