@@ -16,8 +16,9 @@ subtree whose bound fails that test, so C(x, n), whose only divisor
 vectors are the empty and the full one, costs a few hundred nodes instead
 of 2^n.
 Every question reads the keys directly: f is irreducible iff they stop
-before a third key after 1 and f, factorizations take them in (sum(vec),
-vec, u) order, and a Furstenberg divisor is the least nonunit key.
+before a third key after 1 and f, factorizations are listed for every key
+in one pass over them in (sum(vec), vec, u) order, and a Furstenberg
+divisor is the least nonunit key.
 The table is finite unless f vanishes on the whole of a finite site: then
 f/n divides f for every n, and divisors and factorizations raise
 ``UnsupportedSiteError`` while irreducibility still answers False.
@@ -478,23 +479,6 @@ def _cofactor(table: dict, key, by):
     return rest if rest in table else None
 
 
-def _factor_keys(table: dict, irr: list, key, unit, start: int = 0) -> list[tuple[IVPoly, ...]]:
-    """Factorizations of key over the (key, part) pairs irr[start:], parts decreasing.
-
-    Not a closure: a self-referencing closure would keep the table in a
-    reference cycle until the garbage collector runs.
-    """
-    out = []
-    for idx in range(start, len(irr)):
-        by, part = irr[idx]
-        rest = _cofactor(table, key, by)
-        if rest == unit:
-            out.append((part,))
-        elif rest is not None:
-            out.extend(tail + (part,) for tail in _factor_keys(table, irr, rest, unit, idx))
-    return out
-
-
 def factorizations(f: IVPoly) -> list[PolyFactorization]:
     """The complete finite set of factorizations of f into irreducibles.
 
@@ -503,20 +487,33 @@ def factorizations(f: IVPoly) -> list[PolyFactorization]:
     vectors and multiply u's, and a divisor's divisors are in the table.
     In (sum(vec), vec, u) order a cofactor comes before its multiple (a
     constant irreducible is a prime, so it lowers u), the unit is first and
-    f last, and a key is irreducible iff no irreducible before it leaves a
-    cofactor key in the table.  Irreducibles are taken in ``sort_key``
-    order, so each multiset appears once, parts in decreasing order.
+    f last.  One pass in that order lists each key's factorizations as
+    nondecreasing tuples of indices into the irreducibles found so far: k
+    gets t + (j,) for each irreducible d_j with a cofactor key and each t
+    listed for that cofactor with no index above j, so each multiset comes
+    once, from its largest index.  A key that gets none is irreducible.
+    Parts come out in decreasing ``sort_key`` order.
     """
     _reject_trivial(f)
     table = {(vec, u): gj for vec, u, gj in _divisor_candidates(f)}
     unit, *nonunits = sorted(table, key=lambda k: (sum(k[0]), k[0], k[1]))
     irr = []
+    facs = {unit: [()]}
     for k in nonunits:
-        if not any(_cofactor(table, k, d) for d, _ in irr):
-            irr.append((k, IVPoly(qpoly.scale(table[k], k[1]), f.site)))
-    irr.sort(key=lambda pair: pair[1].sort_key())
-    facs = [PolyFactorization(parts) for parts in _factor_keys(table, irr, nonunits[-1], unit)]
-    return sorted(facs, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
+        found = []
+        for j, d in enumerate(irr):
+            rest = _cofactor(table, k, d)
+            if rest is not None:
+                found.extend(t + (j,) for t in facs[rest] if not t or t[-1] <= j)
+        if not found:
+            found.append((len(irr),))
+            irr.append(k)
+        facs[k] = found
+    parts = [IVPoly(qpoly.scale(table[k], k[1]), f.site) for k in irr]
+    keys = [p.sort_key() for p in parts]
+    out = [PolyFactorization(tuple(parts[j] for j in sorted(t, key=keys.__getitem__, reverse=True)))
+           for t in facs[nonunits[-1]]]
+    return sorted(out, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,12 @@ from .rationals import format_rational, parse_rational
 class CoefficientRing:
     """Base class for the supported coefficient rings.
 
-    A ring supplies ``coerce`` and ``is_unit``; the plain arithmetic below
-    serves Z and Q, and F_p overrides it with its reductions.
+    A ring supplies ``coerce`` and ``is_unit``.  Arithmetic is plain ``+``
+    and ``*`` on the coerced values, and ``coerce`` alone reduces them, so
+    F_p reduces mod p only there.
     """
 
     tag = "?"
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
 
     def format(self, c) -> str:
         return str(c)
@@ -93,12 +88,6 @@ class PrimeField(CoefficientRing):
         if q.denominator % self.p == 0:
             raise CoefficientRingError(f"{c} has no image in F_{self.p}")
         return q.numerator * pow(q.denominator, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def is_unit(self, c):
         return c % self.p != 0
@@ -165,10 +154,9 @@ def canonicalize(raw_terms: Iterable[tuple[object, Fraction]], ring: Coefficient
         if e < 0:
             raise NegativeExponentError("exponents must be nonnegative")
         c = ring.coerce(c)
-        acc[e] = ring.add(acc[e], c) if e in acc else c
-    # F_p coefficients come out of coerce and add already reduced
-    terms = tuple((c, e) for e, c in sorted(acc.items(), reverse=True) if c != 0)
-    return MonoidRingElement(ring, terms)
+        acc[e] = acc.get(e, 0) + c
+    coerced = ((ring.coerce(c), e) for e, c in sorted(acc.items(), reverse=True))
+    return MonoidRingElement(ring, tuple((c, e) for c, e in coerced if c != 0))
 
 
 def element(ring: CoefficientRing, terms: Iterable[tuple[object, Fraction]]) -> MonoidRingElement:
@@ -202,7 +190,7 @@ def mul(a: MonoidRingElement, b: MonoidRingElement) -> MonoidRingElement:
     """Exact convolution product in canonical form."""
     _check_same_ring(a, b)
     raw = [
-        (a.ring.mul(ca, cb), ea + eb) for ca, ea in a.terms for cb, eb in b.terms
+        (ca * cb, ea + eb) for ca, ea in a.terms for cb, eb in b.terms
     ]
     return canonicalize(raw, a.ring)
 

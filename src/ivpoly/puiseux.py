@@ -169,10 +169,6 @@ class PrimeReciprocal(PuiseuxMonoid):
         """
         return not (g.numerator == 1 and is_prime(g.denominator))
 
-    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
-        """Every 1/p is an atom: a sum of 1/q with q != p has p-adic valuation >= 0."""
-        return [g for g in self.search_generators() if g <= b]
-
 
 @dataclass(frozen=True)
 class ExplicitMonoid(PuiseuxMonoid):

@@ -134,6 +134,13 @@ class TestIvpCommands:
         assert payload["result"]["lengths"] == [2]
         assert len(payload["result"]["factorizations"]) == 2
 
+    def test_factor_a_long_power_of_two(self, capsys):
+        # a listing with one stack frame per part ended in internal-error here
+        status, payload = invoke_json(capsys, "ivp-factor", "--poly", str(2**1200))
+        assert status == 0
+        assert payload["result"]["lengths"] == [1200]
+        assert len(payload["result"]["factorizations"]) == 1
+
     def test_divisors(self, capsys):
         status, payload = invoke_json(capsys, "ivp-divisors", "--poly", "0,-1,1")
         assert status == 0 and payload["result"]["count"] == 6

@@ -421,6 +421,11 @@ class TestFactorizations:
         assert all(z.product().coeffs == f.coeffs for z in facs)
         assert all(is_irreducible(p) for z in facs for p in z.parts)
 
+    def test_long_power_of_two_is_not_a_deep_recursion(self):
+        # a listing with one stack frame per part ended in RecursionError here
+        (z,) = factorizations(constant(2**1200))
+        assert z.length == 1200 and {p.coeffs for p in z.parts} == {(F(2),)}
+
 
 def _product(k, roots, m=0, extra=(1,)):
     """k * C(x, m) * extra * prod (x - a) over the roots: many divisors."""
@@ -463,6 +468,14 @@ class TestFactorizationReplay:
         lengths = [z.length for z in facs]
         assert sorted(set(lengths)) == [5, 6, 7, 8, 9]
         assert [lengths.count(n) for n in range(5, 10)] == [2, 12, 169, 19, 3]
+
+    def test_eight_factorial_binomial_eight(self):
+        # the same histogram came out of the listing that recursed over the keys
+        facs = factorizations(binomial(8).scale(40320))
+        assert len(facs) == 770
+        lengths = [z.length for z in facs]
+        assert sorted(set(lengths)) == [6, 7, 8, 9, 10, 12]
+        assert [lengths.count(n) for n in (6, 7, 8, 9, 10, 12)] == [8, 38, 620, 92, 11, 1]
 
     def test_replay_is_independent_of_the_library(self, monkeypatch):
         from ivpoly import intpoly, verify

@@ -1,8 +1,9 @@
 """Checks on the source tree and the README that need only the standard library.
 
 No module under ``src/ivpoly`` keeps a top-level import it does not use or
-defines a function, class or method that nothing reads, and every
-``ivpoly ...`` line of the README's CLI block runs as printed.
+defines a function, class or method that nothing reads, no function there
+calls itself unless ``SELF_CALLS`` says why its depth stays small, and
+every ``ivpoly ...`` line of the README's CLI block runs as printed.
 """
 import ast
 import re
@@ -19,6 +20,16 @@ READERS = [*MODULES, *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "be
 README = (ROOT / "README.md").read_text()
 (CLI_BLOCK,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S) if "monoid-atoms" in b]
 CLI_LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("ivpoly ")]
+
+#: every function of ``src/ivpoly`` that calls itself, with the reason its depth stays small
+SELF_CALLS = {
+    "qfactor._hensel_lift": "its depth is log2 of the number of factors",
+    "qfactor._edf": "its random splits have expected logarithmic depth",
+    "puiseux._search_from": "ROADMAP item 3 replaces the search",
+    "puiseux._factor_from": "ROADMAP item 3 replaces the search",
+    "verify._replay_from": "an oracle run over bounded corpora",
+    "verify._monoid_from": "an oracle run over bounded corpora",
+}
 
 
 def _listed(tree: ast.Module, lists: tuple[str, ...]) -> set[str]:
@@ -73,6 +84,23 @@ def _reads(source: str) -> set[str]:
     return read
 
 
+def _self_calls(source: str) -> set[str]:
+    """Functions, methods and nested functions that call themselves.
+
+    A call counts when it names the function, or ``self.<name>`` for a method.
+    """
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            for func in (c.func for c in ast.walk(node) if isinstance(c, ast.Call)):
+                if isinstance(func, ast.Name) and func.id == node.name or (
+                    isinstance(func, ast.Attribute) and func.attr == node.name
+                    and isinstance(func.value, ast.Name) and func.value.id == "self"
+                ):
+                    out.add(node.name)
+    return out
+
+
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("from math import gcd, lcm\nx = gcd(4, 6)\n") == ["lcm"]
     assert _unused_imports("from __future__ import annotations\nimport os.path\n") == ["os"]
@@ -94,6 +122,17 @@ def test_no_unused_definition():
     unused = [f"{path.name}: {name}" for path in MODULES
               for name in _definitions(path.read_text()) if name not in read]
     assert unused == []
+
+
+def test_the_check_sees_a_self_call():
+    source = "def f(n): return f(n - 1) if n else g()\ndef g(): return f(0)\n"
+    source += "class A:\n    def h(self): return self.h()\n    def k(self): return A.k(self) or g()\n"
+    assert _self_calls(source) == {"f", "h"}
+
+
+def test_no_self_call_outside_the_allowlist():
+    found = {f"{path.stem}.{name}" for path in MODULES for name in _self_calls(path.read_text())}
+    assert found == set(SELF_CALLS)
 
 
 def test_readme_block_has_every_example():
