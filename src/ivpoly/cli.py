@@ -337,6 +337,9 @@ def _cmd_cone_member(args):
     spec = ConeSpec(_truncation(args))
     target = tpoly(_parse_coeff_list(args.target))
     exclude = set(args.exclude.split(",")) if args.exclude else set()
+    unknown = sorted(exclude - {g.label for g in spec.generators()})
+    if unknown:
+        raise MalformedInputError(f"--exclude names no generator: {', '.join(map(repr, unknown))}")
     cert = cone_member(target, spec, exclude=exclude)
     result = {
         "member": cert is not None,

@@ -51,21 +51,21 @@ class TPoly:
 
 
 def tpoly(coeffs) -> TPoly:
-    return TPoly(qpoly.poly(coeffs))
+    return TPoly(coeffs)
 
 
 def t_power(n: int) -> TPoly:
-    return TPoly(qpoly.poly([0] * n + [1]))
+    return TPoly([0] * n + [1])
 
 
 def a_gen(n: int) -> TPoly:
     """a_n = 1 - t^(n+1)."""
-    return TPoly(qpoly.poly([1] + [0] * n + [-1]))
+    return TPoly([1] + [0] * n + [-1])
 
 
 def b_gen(n: int) -> TPoly:
     """b_n = t - t^(n+1)."""
-    return TPoly(qpoly.poly([0, 1] + [0] * (n - 1) + [-1]))
+    return TPoly([0, 1] + [0] * (n - 1) + [-1])
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ run on those values with the same code on every site.  Each divisor of f
 is u * G_J for an exponent vector J over the Q[x] factors of f, and
 factorizations are built on the (J, u) keys of that finite table.  With
 f = (cn/cd) * G, a vector J carries a divisor iff cd | d(G_J) * d(G_Jc),
-d the value gcd on the sample points.  The walk over the vectors keeps the
-value tables of J and its complement as residues mod d(G) and cuts every
-subtree whose bound fails that test, so C(x, n), whose only divisor
-vectors are the empty and the full one, costs a few hundred nodes instead
-of 2^n.
+d the value gcd on the sample points.  The walk over the vectors computes
+D = d(G) first, keeps the values of g_i^e for e >= 2 and of J and its
+complement as residues mod D, and cuts every subtree whose bound fails that
+test, so C(x, n), whose only divisor vectors are the empty and the full
+one, costs a few hundred nodes instead of 2^n.  G_J is read once per
+vector from one power table per factor.
 Every question reads the keys directly: f is irreducible iff they stop
 before a third key after 1 and f, factorizations are listed for every key
 in one pass over them in (sum(vec), vec, u) order, and a Furstenberg
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
-from math import factorial, gcd
+from functools import lru_cache, reduce
+from itertools import accumulate, islice, repeat
+from math import factorial, gcd, prod
 from operator import mul
 from typing import Iterable
 
@@ -162,11 +163,11 @@ class IVPoly:
 
 
 def ivpoly(coeffs: Iterable, site: Site = Z_SITE) -> IVPoly:
-    return IVPoly(qpoly.poly(coeffs), site)
+    return IVPoly(coeffs, site)
 
 
 def constant(value, site: Site = Z_SITE) -> IVPoly:
-    return IVPoly(qpoly.poly([value]), site)
+    return IVPoly((value,), site)
 
 
 def binomial(n: int, site: Site = Z_SITE) -> IVPoly:
@@ -310,32 +311,33 @@ def _split_walk(factors, points, cd: int):
     """Yield (vec, d(G_J), d(G_Jc)) for every exponent vector J with cd | d(G_J) * d(G_Jc).
 
     d(.) is the gcd of the values at the points, G_J = prod g_i^vec_i and G_Jc
-    the complementary product.  Every d(G_J) divides D = d(G) (``top``), so
-    the walk keeps the value tables of J and Jc as residues mod D (the capped
-    valuations at all primes of D at once): at a leaf gcd(D, table) is
-    exactly d(G_J).  At an inner node the tables times ``rest``, the values
-    of the unassigned factors at full multiplicity, bound d(G_J) and d(G_Jc)
-    for every completion, so a node whose bounds have a product that cd does
-    not divide is cut with its subtree.  The stack is explicit, and vectors
-    come out in increasing order.
+    the complementary product.  D = d(G) (``top``) comes first, from one
+    full-size value of G per point.  Every d(G_J) divides D, so the values of
+    g_i^e from e = 2 on and the value tables of J and Jc are kept mod D (the
+    capped valuations at all primes of D at once): at a leaf gcd(D, table)
+    is exactly d(G_J).  At an inner node the tables times ``rest``, the
+    values of the unassigned factors at full multiplicity, bound d(G_J) and
+    d(G_Jc) for every completion, so a node whose bounds have a product that
+    cd does not divide is cut with its subtree.  The stack is explicit, and
+    vectors come out in increasing order.
     """
     ones = [1] * len(points)
-    powers = []  # powers[i][e]: the values of g_i^e
-    for g, m in factors:
-        row = [qpoly.int_eval(g, s) for s in points]
-        pw = [ones, row]
-        for _ in range(m - 1):
-            pw.append([a * v for a, v in zip(pw[-1], row)])
-        powers.append(pw)
-    rest = [ones]  # rest[i]: the values of prod_{k >= i} g_k^m_k, built from the end
-    for pw in reversed(powers):
-        rest.append(list(map(mul, rest[-1], pw[-1])))
-    rest.reverse()
-    top = gcd(*rest[0])
+    rows = [[qpoly.int_eval(g, s) for s in points] for g, _ in factors]
+    full = [map(pow, row, repeat(m)) for row, (_, m) in zip(rows, factors)]
+    top = gcd(*map(prod, zip(ones, *full)))
     if top == 0:
         # G vanishes on the whole finite site: constants are unbounded there,
         # so no finite enumeration exists
         raise UnsupportedSiteError("divisor enumeration needs values that do not all vanish")
+    powers = []  # powers[i][e]: the values of g_i^e, mod D from e = 2
+    for row, (_, m) in zip(rows, factors):
+        powers.append([ones, row])
+        for _ in range(m - 1):
+            powers[-1].append([a * v % top for a, v in zip(powers[-1][-1], row)])
+    rest = [ones]  # rest[i]: the values of prod_{k >= i} g_k^m_k, built from the end
+    for pw in reversed(powers):
+        rest.append(list(map(mul, rest[-1], pw[-1])))
+    rest.reverse()
     stack = [((), ones, ones)]
     while stack:
         vec, tj, tjc = stack.pop()
@@ -372,13 +374,13 @@ def _divisor_candidates(f: IVPoly):
     from gcd-linearity of the value sets, so the enumeration is complete.
 
     Some (a, b) exists iff cd | d(G_J) * d(G_Jc) (take a = 1, b = d(G_J)),
-    which is the condition ``_split_walk`` prunes on.  The pairs are then
-    listed exactly: cd | b * d(G_Jc) makes b a multiple of
-    b0 = cd / gcd(cd, d(G_Jc)) dividing d(G_J), and a runs over the divisors
-    of cn * b * d(G_Jc) / cd prime to b.  G_J, an integer coefficient tuple,
-    is built only for a vector that yields a divisor.  Each divisor is
-    yielded once: G_J is primitive with positive leading coefficient, so
-    (vec, u) determines it.
+    which is the condition ``_split_walk`` prunes on, so every vector it
+    yields carries a divisor.  The pairs are listed exactly: cd | b * d(G_Jc)
+    makes b a multiple of b0 = cd / gcd(cd, d(G_Jc)) dividing d(G_J), and a
+    runs over the divisors of cn * b * d(G_Jc) / cd prime to b.  G_J is built
+    once per vector from one power table [1, g_i, ..., g_i^m_i] per factor.
+    Each divisor is yielded once: G_J is primitive with positive leading
+    coefficient, so (vec, u) determines it.
     """
     from .qfactor import factor_rational
 
@@ -386,20 +388,16 @@ def _divisor_candidates(f: IVPoly):
     cn, cd = abs(c.numerator), c.denominator
     fact = lru_cache(maxsize=None)(factorize)
     cn_fact, cd_fact = fact(cn), fact(cd)
+    tables = [[(1,), *accumulate(repeat(g, m), qpoly.int_mul)] for g, m in factors]
 
     for vec, dj, djc in _split_walk(factors, f.site.sample_points(f.degree), cd):
+        gj = reduce(qpoly.int_mul, [t[e] for t, e in zip(tables, vec) if e] or [(1,)])
         b0 = cd // gcd(cd, djc)
         num = merge_factorizations(cn_fact, fact(djc))  # the primes of cn * d(G_Jc)
-        gj = None
         for k in divisors_from_factorization(fact(dj // b0)):
             b = b0 * k
             afact = {p: e - cd_fact.get(p, 0) for p, e in num.items() if b % p}
             for a in divisors_from_factorization(afact):
-                if gj is None:
-                    gj = (1,)
-                    for (g, _), e in zip(factors, vec):
-                        for _ in range(e):
-                            gj = qpoly.int_mul(gj, g)
                 yield vec, Fraction(a, b), gj
 
 

@@ -21,7 +21,6 @@ from .cone import (
     ConeCertificate,
     ConeSpec,
     cone_member,
-    common_divisor_mass,
     idf_family_check,
     mass_system_agreement,
     membership_system_agreement,
@@ -378,8 +377,7 @@ def _fact_cone():
         return False, "1 - t unexpectedly entered the cone"
     spec8 = ConeSpec(8)
     for i in range(1, 5):
-        if common_divisor_mass(i, spec8) != 0:
-            return False, f"common divisor mass nonzero at i={i}"
+        # all_ok includes a common-divisor mass of 0
         if not idf_family_check(i, spec8).all_ok:
             return False, f"family check failed at i={i}"
     agreements = [

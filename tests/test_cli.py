@@ -211,6 +211,18 @@ class TestConeCommands:
         )
         assert status == 0 and payload["result"]["all_ok"]
 
+    @pytest.mark.parametrize("exclude", ["t1", "t^1,a_7", "t^1,"])
+    def test_exclude_label_that_names_no_generator(self, capsys, exclude):
+        # t1 is not t^1: ignoring it would certify t by t^1 itself
+        status, payload = invoke_json(
+            capsys, "cone-member", "--target", "0,1", "--truncation", "6", "--exclude", exclude
+        )
+        assert status == 1
+        assert payload["error"]["code"] == "malformed-input"
+        assert payload["result"] is None
+        unknown = exclude.split(",")[-1]
+        assert repr(unknown) in payload["error"]["message"]
+
 
 class TestErrorsAndExitCodes:
     def test_malformed_rational(self, capsys):

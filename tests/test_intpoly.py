@@ -635,6 +635,7 @@ class TestValueTableCore:
             binomial(2).mul(binomial(2)).scale(6),  # 6 * C(x,2)^2
             ivpoly([-1, 2]).mul(ivpoly([2, 3])).mul(binomial(2)),  # (2x-1)(3x+2) C(x,2)
             ivpoly([1, 0, 1]).mul(binomial(3)),  # (x^2+1) C(x,3)
+            ivpoly([0, 0, 1, 2, 1], FiniteSite((1, 3))),  # x^2 (x+1)^2 on {1, 3}: D = 4
         ]
         for f in cases:
             mine = tuple(d.coeffs for d in divisors(f).divisors)
@@ -733,6 +734,21 @@ def _site_members(draw):
 
 class TestSplitWalk:
     """The pruned J walk against brute force, on Z and on finite sites."""
+
+    def test_high_power_builds_each_power_once(self, monkeypatch):
+        # one power table per factor: x^2..x^300 are 299 products, and each
+        # G_J is read from it, not rebuilt from 1
+        calls = []
+        int_mul = qpoly.int_mul
+        monkeypatch.setattr(qpoly, "int_mul", lambda a, b: calls.append(1) or int_mul(a, b))
+        (z,) = factorizations(ivpoly([0] * 300 + [1]))
+        assert len(calls) < 600
+        assert z.parts == (ivpoly([0, 1]),) * 300
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60])
+    def test_power_times_linear_divisor_count(self, n):
+        f = ivpoly([0] * n + [1]).mul(ivpoly([-1, 1]))
+        assert len(divisors(f).divisors) == 4 * n + 2
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_binomial_is_irreducible(self, n):
