@@ -41,6 +41,10 @@ MAX_TRUNCATION = 100
 #: most term products ring-root spends on the root check, p products that grow with p
 MAX_ROOT_CHECK_PRODUCTS = 200_000
 
+#: largest --n-max accepted by accp-chain: each step certifies a Grams
+#: membership, and the chain's time grows faster than n
+MAX_CHAIN_STEPS = 10_000
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -191,6 +195,8 @@ def _cmd_grams_decompose(args):
 def _cmd_accp_chain(args):
     from .puiseux import GramsMonoid, accp_chain_check
 
+    if args.n_max > MAX_CHAIN_STEPS:
+        raise InputTooLargeError(f"n-max {args.n_max} exceeds the cap of {MAX_CHAIN_STEPS}")
     steps = accp_chain_check(GramsMonoid(), args.n_max)
     all_ok = all(s.ascending and s.strict for s in steps)
     result = {

@@ -17,9 +17,9 @@ test, so C(x, n), whose only divisor vectors are the empty and the full
 one, costs a few hundred nodes instead of 2^n.  G_J is read once per
 vector from one power table per factor.
 Every question reads the keys directly: f is irreducible iff they stop
-before a third key after 1 and f, factorizations are listed for every key
-in one pass over them in (sum(vec), vec, u) order, and a Furstenberg
-divisor is the least nonunit key.
+before a third key after 1 and f, one pass in (sum(vec), vec, u) order
+keeps one integer per key, from which f's factorizations are listed
+downward on a stack, and a Furstenberg divisor is the least nonunit key.
 The table is finite unless f vanishes on the whole of a finite site: then
 f/n divides f for every n, and divisors and factorizations raise
 ``UnsupportedSiteError`` while irreducibility still answers False.
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, islice, repeat
 from math import factorial, gcd, prod
-from operator import mul
+from operator import gt, mul, sub
 from typing import Iterable
 
 from . import qpoly
@@ -468,49 +468,49 @@ class PolyFactorization:
         return " * ".join(f"({p})" for p in self.parts)
 
 
-def _cofactor(table: dict, key, by):
-    """The table key of key / by, or None when by does not divide key."""
-    vec = tuple(a - b for a, b in zip(key[0], by[0]))
-    if min(vec, default=0) < 0:
+def _cofactor(key, by):
+    """(vec - vec', u / u'), or None when an exponent goes negative."""
+    if any(map(gt, by[0], key[0])):
         return None
-    rest = (vec, key[1] / by[1])
-    return rest if rest in table else None
+    return tuple(map(sub, key[0], by[0])), key[1] / by[1]
 
 
 def factorizations(f: IVPoly) -> list[PolyFactorization]:
     """The complete finite set of factorizations of f into irreducibles.
 
     Works on the divisor table of f, keyed by (vec, u) for u * G_J, and so
-    raises ``UnsupportedSiteError`` as ``divisors`` does.  Products add
-    vectors and multiply u's, and a divisor's divisors are in the table.
-    In (sum(vec), vec, u) order a cofactor comes before its multiple (a
-    constant irreducible is a prime, so it lowers u), the unit is first and
-    f last.  One pass in that order lists each key's factorizations as
-    nondecreasing tuples of indices into the irreducibles found so far: k
-    gets t + (j,) for each irreducible d_j with a cofactor key and each t
-    listed for that cofactor with no index above j, so each multiset comes
-    once, from its largest index.  A key that gets none is irreducible.
+    raises ``UnsupportedSiteError`` as ``divisors`` does.  k / d is a key iff
+    d divides k (a divisor of a divisor of f divides f), and it precedes k
+    in (sum(vec), vec, u) order (a constant irreducible is a prime, so it
+    lowers u).  One pass in that order numbers the irreducibles d_j and
+    keeps low[k], the least largest index over k's factorizations: the
+    first j with low[k / d_j] <= j (-1 for the unit), else k is irreducible
+    and gets the next index.  f is then listed downward on a stack of (key,
+    bound, tail) over j in low[k]..bound: each multiset comes once, every
+    push ends in a factorization, and memory is bounded by the output.
     Parts come out in decreasing ``sort_key`` order.
     """
     _reject_trivial(f)
     table = {(vec, u): gj for vec, u, gj in _divisor_candidates(f)}
     unit, *nonunits = sorted(table, key=lambda k: (sum(k[0]), k[0], k[1]))
     irr = []
-    facs = {unit: [()]}
+    low = {unit: -1}
     for k in nonunits:
-        found = []
-        for j, d in enumerate(irr):
-            rest = _cofactor(table, k, d)
-            if rest is not None:
-                found.extend(t + (j,) for t in facs[rest] if not t or t[-1] <= j)
-        if not found:
-            found.append((len(irr),))
+        low[k] = next((j for j, d in enumerate(irr) if low.get(_cofactor(k, d), j + 1) <= j), len(irr))
+        if low[k] == len(irr):
             irr.append(k)
-        facs[k] = found
+    facs, stack = [], [(nonunits[-1], len(irr) - 1, ())]
+    while stack:
+        k, bound, tail = stack.pop()
+        for j in range(low[k], bound + 1):
+            rest = _cofactor(k, irr[j])
+            if rest == unit:
+                facs.append((j,) + tail)
+            elif low.get(rest, j + 1) <= j:
+                stack.append((rest, j, (j,) + tail))
     parts = [IVPoly(qpoly.scale(table[k], k[1]), f.site) for k in irr]
-    keys = [p.sort_key() for p in parts]
-    out = [PolyFactorization(tuple(parts[j] for j in sorted(t, key=keys.__getitem__, reverse=True)))
-           for t in facs[nonunits[-1]]]
+    out = [PolyFactorization(tuple(sorted((parts[j] for j in t), key=IVPoly.sort_key, reverse=True)))
+           for t in facs]
     return sorted(out, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
 
 
@@ -542,17 +542,17 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
     involved is an irreducible constant divisor.  Otherwise no constant
     nonunit divides f, and a nonunit divisor of minimal degree is
     automatically irreducible: a proper splitting would produce a lower
-    degree nonunit divisor of f.  The one returned is the least nonunit key
-    by (len(G_J), u * G_J), the ``IVPoly.sort_key`` order; f is a candidate.
+    degree nonunit divisor of f.  The one returned is the least u * G_J in
+    ``IVPoly.sort_key`` order over the nonunit keys of least len(G_J).
     """
     g = _reject_trivial(f)
     if g == 0:
         return constant(2, f.site)
     if g >= 2:
         return constant(smallest_prime_factor(g), f.site)
-    _, coeffs = min((len(gj), qpoly.scale(gj, u)) for _, u, gj in _divisor_candidates(f)
-                    if len(gj) > 1 or u != 1)
-    return IVPoly(coeffs, f.site)
+    keys = [(len(gj), u, gj) for _, u, gj in _divisor_candidates(f) if len(gj) > 1 or u != 1]
+    shortest = min(n for n, _, _ in keys)
+    return IVPoly(min(qpoly.scale(gj, u) for n, u, gj in keys if n == shortest), f.site)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .cone import (
     membership_system_agreement,
     tpoly,
 )
+from .errors import MalformedInputError
 from .intpoly import (
     FiniteSite,
     IVPoly,
@@ -460,8 +461,15 @@ FACTS: tuple[tuple[str, str, object], ...] = (
 
 
 def run_facts(fact_ids: list[str] | None = None) -> VerifyReport:
-    """Run the suite (or a subset) in declaration order."""
+    """Run the suite (or a subset) in declaration order.
+
+    ``MalformedInputError`` names every unknown id before any fact runs.
+    """
     wanted = None if fact_ids is None else set(fact_ids)
+    known = {fact_id for fact_id, _, _ in FACTS}
+    unknown = [i for i in fact_ids or () if i not in known]
+    if unknown:
+        raise MalformedInputError(f"unknown fact ids: {', '.join(map(repr, unknown))}")
     results = []
     for fact_id, claim, runner in FACTS:
         if wanted is not None and fact_id not in wanted:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivpoly.cli import MAX_ROOT_CHECK_PRODUCTS, MAX_TRUNCATION, run
+from ivpoly.cli import MAX_CHAIN_STEPS, MAX_ROOT_CHECK_PRODUCTS, MAX_TRUNCATION, run
 from ivpoly.errors import InputTooLargeError
 from ivpoly.rationals import MAX_DIGITS, parse_rational
 
@@ -80,6 +80,16 @@ class TestMonoidCommands:
         assert status == 0
         assert payload["result"]["all_ascending_strict"]
         assert len(payload["result"]["steps"]) == 11
+
+    def test_accp_chain_cap(self, capsys):
+        status, payload = invoke_json(capsys, "accp-chain", "--n-max", str(MAX_CHAIN_STEPS))
+        assert status == 0 and len(payload["result"]["steps"]) == MAX_CHAIN_STEPS + 1
+        status, payload = invoke_json(capsys, "accp-chain", "--n-max", str(MAX_CHAIN_STEPS + 1))
+        assert status == 1 and payload["result"] is None
+        assert payload["error"] == {
+            "code": "input-too-large",
+            "message": f"n-max {MAX_CHAIN_STEPS + 1} exceeds the cap of {MAX_CHAIN_STEPS}",
+        }
 
 
 class TestRingCommands:
@@ -643,6 +653,25 @@ def test_verify_paper_subset(capsys):
     status, payload = invoke_json(capsys, "verify-paper", "--facts", "grams-atoms,ckd-family")
     assert status == 0
     assert [f["id"] for f in payload["result"]["facts"]] == ["grams-atoms", "ckd-family"]
+
+
+@pytest.mark.parametrize("facts, named", [
+    ("nosuch", "'nosuch'"),
+    (",", "'', ''"),
+    ("grams-atoms,nosuch,ckd-family,", "'nosuch', ''"),
+], ids=["unknown", "empty", "mixed"])
+def test_verify_paper_rejects_unknown_fact_ids_before_running_any(capsys, monkeypatch, facts, named):
+    from ivpoly import verify
+
+    ran = []
+    monkeypatch.setattr(verify, "FACTS", tuple(
+        (fact_id, claim, lambda fact_id=fact_id: ran.append(fact_id) or (True, ""))
+        for fact_id, claim, _ in verify.FACTS
+    ))
+    status, payload = invoke_json(capsys, "verify-paper", "--facts", facts)
+    assert status == 1 and payload["result"] is None
+    assert payload["error"] == {"code": "malformed-input", "message": f"unknown fact ids: {named}"}
+    assert ran == []
 
 
 @pytest.mark.parametrize("argv, result", [

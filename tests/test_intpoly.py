@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -460,22 +461,37 @@ class TestFactorizationReplay:
             return
         assert factorizations(f) == _replay_factorizations(f, bruteforce_divisors(f))
 
-    def test_seven_factorial_binomial_seven(self):
+    @pytest.mark.parametrize("f, count, histogram", [
         # counted at the commit before divisor keys, by the recursion over
         # polynomial products (26 s there)
-        facs = factorizations(binomial(7).scale(5040))
-        assert len(facs) == 205
-        lengths = [z.length for z in facs]
-        assert sorted(set(lengths)) == [5, 6, 7, 8, 9]
-        assert [lengths.count(n) for n in range(5, 10)] == [2, 12, 169, 19, 3]
-
-    def test_eight_factorial_binomial_eight(self):
+        (binomial(7).scale(5040), 205, {5: 2, 6: 12, 7: 169, 8: 19, 9: 3}),
         # the same histogram came out of the listing that recursed over the keys
-        facs = factorizations(binomial(8).scale(40320))
-        assert len(facs) == 770
+        (binomial(8).scale(40320), 770, {6: 8, 7: 38, 8: 620, 9: 92, 10: 11, 12: 1}),
+        # counted by the listing that kept a list per key: here the primes 2
+        # and 3 share the zero vector with the unit,
+        (_product(24, (), 4).mul(_product(24, (), 4)).mul(_product(24, (), 4)), 359,
+         {11: 36, 12: 241, 13: 70, 14: 11, 15: 1}),
+        # and here each exponent vector carries keys for several powers of 2
+        (_product(1, [0] * 20 + [1] * 20), 21, {40: 21}),
+    ], ids=["seven-factorial-binomial-seven", "eight-factorial-binomial-eight",
+            "cube-of-24-binomial-four", "x20-times-x-minus-one-20"])
+    def test_length_histogram(self, f, count, histogram):
+        facs = factorizations(f)
+        assert len(facs) == count
         lengths = [z.length for z in facs]
-        assert sorted(set(lengths)) == [6, 7, 8, 9, 10, 12]
-        assert [lengths.count(n) for n in (6, 7, 8, 9, 10, 12)] == [8, 38, 620, 92, 11, 1]
+        assert {n: lengths.count(n) for n in set(lengths)} == histogram
+
+    def test_eight_factorial_binomial_eight_memory_is_bounded_by_the_output(self):
+        # the per-key lists of the one-pass listing peaked at 4.1 MB here
+        f = binomial(8).scale(40320)
+        factorizations(f)
+        tracemalloc.start()
+        try:
+            facs = factorizations(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(facs) == 770 and peak < 2_500_000
 
     def test_replay_is_independent_of_the_library(self, monkeypatch):
         from ivpoly import intpoly, verify
@@ -537,6 +553,14 @@ class TestFindIrreducibleDivisor:
             d = find_irreducible_divisor(f)
             assert divide(f.normalized(), d) is not None
             assert is_irreducible(d)
+
+    def test_only_the_shortest_keys_are_scaled(self, monkeypatch):
+        # ranking every key by its Fraction polynomial scaled all 200 of x^200's
+        calls = []
+        scale = qpoly.scale
+        monkeypatch.setattr(qpoly, "scale", lambda a, k: calls.append(1) or scale(a, k))
+        assert find_irreducible_divisor(ivpoly([0] * 200 + [1])) == ivpoly([0, 1])
+        assert len(calls) <= 2
 
     def test_least_nonunit_divisor_is_returned(self):
         """With fixed divisor 1, the divisor is the least nonunit one by sort_key."""
