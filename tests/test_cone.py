@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -308,3 +310,53 @@ class TestGoldenPivotPath:
     def test_cli_json(self, capsys, argv, stdout):
         assert run(["cone-member", *argv, "--format", "json"]) == 0
         assert capsys.readouterr().out == stdout + "\n"
+
+
+def _random_systems(seed, count=80):
+    """Seeded sparse Fraction systems (a, b, n, objective), about half with an objective."""
+    rng = random.Random(seed)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.5 else F(0)
+
+    systems = []
+    for k in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 9)
+        a = [{j: v for j in range(n) if (v := entry())} for _ in range(m)]
+        b = [entry() for _ in range(m)]
+        objective = {j: v for j in range(n) if (v := entry())} if k % 2 else None
+        systems.append((a, b, n, objective))
+    return systems
+
+
+class TestPivotPathPin:
+    """The full (row, column) pivot list of each group of systems, pinned as
+    its length and the sha256 of its ``repr``: a change of tableau arithmetic
+    that keeps Bland's choices keeps every entry."""
+
+    #: (index, truncation) pairs of the ``cone`` benchmark's mass LPs and family checks
+    MASS_CASES = ((1, 8), (6, 12), (8, 16), (20, 20), (12, 24), (20, 40))
+    IDF_CASES = ((8, 8), (1, 10), (7, 14), (18, 18), (11, 22), (2, 40))
+    RUNS = {
+        **{f"member_{n}": (lambda n=n: [cone_member(t, ConeSpec(n))
+                                         for t in TestGoldenPivotPath.TARGETS.values()])
+           for n in (6, 20, 40)},
+        "mass": lambda: [common_divisor_mass(i, ConeSpec(n))
+                         for i, n in TestPivotPathPin.MASS_CASES],
+        "idf": lambda: [idf_family_check(i, ConeSpec(n)) for i, n in TestPivotPathPin.IDF_CASES],
+        "random": lambda: [simplex_solve(*system) for system in _random_systems(19)],
+    }
+    PINS = {
+        "member_6": (70, "d4ee90250717c02879be5deb5516458e52313c1fab08e1426cdec0c8f4c46400"),
+        "member_20": (196, "fcd7959dd32aa39402a26edf22794ef1ef568df2179a64c26123cc57004dfe13"),
+        "member_40": (376, "811880c7d32cc33208a62d9e70326601ffbd0ddd8247b2ee891fae6d61e5b90f"),
+        "mass": (370, "14ec07963969b63a8763b0f5d4c89f5f1c80f145fb08918a2b7b0738e064313b"),
+        "idf": (334, "b5767023cceb7bf5185f631887feaf779d05588723784c4e4f316328d22d2025"),
+        "random": (178, "97d1cd52510ce47688b5c3561e32d751b035137c88409a377b45a79b7e9033d2"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_pivot_list(self, pivots, name):
+        self.RUNS[name]()
+        digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
+        assert (len(pivots), digest) == self.PINS[name]
