@@ -2,9 +2,9 @@
 
 Two independent engines:
 
-* a two-phase simplex with Bland's rule on a sparse tableau (each row a
-  dict from column to nonzero ``Fraction``, no floating point), maximizing
-  c.x subject to A x = b, x >= 0;
+* a two-phase simplex with Bland's rule on a sparse tableau of primitive
+  integer rows (each a dict from column to nonzero ``int``, no floating
+  point), maximizing c.x subject to A x = b, x >= 0;
 * Fourier-Motzkin elimination for feasibility of inequality systems,
   used as a cross-check oracle on the simplex verdicts.  Its rows are
   sparse primitive integer rows: sorted ``(variable, coefficient)`` pairs
@@ -23,8 +23,10 @@ from math import gcd, lcm
 
 #: a row of A, or a linear form: column -> entry, zeros left out
 InputRow = Mapping[int, Fraction]
-#: a tableau row: column -> nonzero entry, the right-hand side under _RHS
+#: a row of A as column -> nonzero Fraction
 SparseRow = dict[int, Fraction]
+#: a tableau row: column -> nonzero int, the right-hand side under _RHS, primitive
+TableauRow = dict[int, int]
 #: reserved key of the right-hand side; original columns are 0..n-1
 _RHS = -1
 _ZERO = Fraction(0)
@@ -42,56 +44,67 @@ class LPResult:
     solution: tuple[Fraction, ...] | None
 
 
-def _subtract(row: SparseRow, f: Fraction, prow: SparseRow) -> None:
-    """row -= f * prow at prow's nonzero columns, dropping entries that cancel."""
+def _over_gcd(row: TableauRow) -> TableauRow:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _int_scaled(row: SparseRow, sign: int = 1) -> tuple[TableauRow, int]:
+    """sign * row times the lcm d of its denominators, and d."""
+    d = lcm(*(v.denominator for v in row.values()))
+    k = sign * d
+    return {j: v.numerator * (k // v.denominator) for j, v in row.items()}, d
+
+
+def _combine_rows(row: TableauRow, c: int, prow: TableauRow) -> TableauRow:
+    """The primitive positive multiple of prow[c] * row - row[c] * prow, for prow[c] > 0."""
+    g = gcd(prow[c], row[c])
+    a, f = prow[c] // g, row[c] // g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
     for j, w in prow.items():
-        v = row.get(j)
-        if v is None:
-            row[j] = -f * w
+        v = row.get(j, 0) - f * w
+        if v:
+            row[j] = v
         else:
-            v -= f * w
-            if v:
-                row[j] = v
-            else:
-                del row[j]
+            del row[j]
+    return _over_gcd(row)
 
 
-def _pivot(tab: list[SparseRow], basis: list[int], r: int, c: int) -> None:
-    """Make column c basic in row r; only rows with a nonzero in column c change."""
+def _pivot(tab: list[TableauRow], basis: list[int], r: int, c: int) -> None:
+    """Make column c basic in row r, negated if need be; only rows with a nonzero in c change."""
     prow = tab[r]
-    piv = prow[c]
-    if piv != 1:
-        prow = tab[r] = {j: v / piv for j, v in prow.items()}
+    if prow[c] < 0:
+        prow = tab[r] = {j: -v for j, v in prow.items()}
     for i, row in enumerate(tab):
-        f = row.get(c)
-        if f is not None and i != r:
-            _subtract(row, f, prow)
+        if c in row and i != r:
+            tab[i] = _combine_rows(row, c, prow)
     basis[r] = c
 
 
-def _bland_min(tab: list[SparseRow], basis: list[int]) -> str:
+def _bland_min(tab: list[TableauRow], basis: list[int]) -> str:
     """Minimize the objective in the last tableau row; Bland's anti-cycling rule.
 
-    Only original columns are stored, so any column may enter.  Every entry
-    is a ``Fraction``, whose numerator carries its sign.
+    Only original columns are stored, so any column may enter.  Each ``int``
+    row is a positive multiple of its ``Fraction`` row, which keeps the signs
+    of the reduced costs and the ratios rhs / entry (cross-multiplied).
     """
     m = len(tab) - 1
     while True:
-        enter = min(
-            (j for j, v in tab[m].items() if v.numerator < 0 and j != _RHS), default=None
-        )
+        enter = min((j for j, v in tab[m].items() if v < 0 and j != _RHS), default=None)
         if enter is None:
             return "optimal"
         best = None
         for i in range(m):
-            a = tab[i].get(enter)
-            if a is not None and a.numerator > 0:
-                key = (tab[i].get(_RHS, _ZERO) / a, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
+            a = tab[i].get(enter, 0)
+            if a > 0:
+                rhs = tab[i].get(_RHS, 0)
+                if best is None or (rhs * best_a, basis[i]) < (best_rhs * a, basis[best]):
+                    best, best_rhs, best_a = i, rhs, a
         if best is None:
             return "unbounded"
-        _pivot(tab, basis, best[1], enter)
+        _pivot(tab, basis, best, enter)
 
 
 def simplex_solve(
@@ -107,24 +120,23 @@ def simplex_solve(
     stored: they may not re-enter, and no choice reads them.
     """
     m = len(a_eq)
-    tab: list[SparseRow] = []
-    for row, b in zip(a_eq, b_eq):
-        entries = _sparse(row)
-        if b:
-            entries[_RHS] = Fraction(b)
-        if b < 0:
-            entries = {j: -v for j, v in entries.items()}
-        tab.append(entries)
-
-    # phase 1 cost row: sum of artificials, expressed through the artificial basis
-    cost: SparseRow = {}
-    for row in tab:
+    # row i of the Fraction tableau, its sign set so that b_i >= 0, is rows[i] / d_i
+    rows = [_int_scaled(_sparse({**row, _RHS: b}), -1 if b < 0 else 1)
+            for row, b in zip(a_eq, b_eq)]
+    # phase 1 cost row: sum of artificials through the artificial basis, that is
+    # minus the sum of the Fraction rows, times the lcm of the d_i; built before
+    # the rows are made primitive, which would change its entries
+    total = lcm(*(d for _, d in rows))
+    cost: TableauRow = {}
+    for row, d in rows:
+        f = total // d
         for j, v in row.items():
-            cost[j] = cost.get(j, _ZERO) - v
-    tab.append({j: v for j, v in cost.items() if v})
+            cost[j] = cost.get(j, 0) - f * v
+    tab = [_over_gcd(row) for row, _ in rows]
+    tab.append(_over_gcd({j: v for j, v in cost.items() if v}))
     basis = [n + i for i in range(m)]
     _bland_min(tab, basis)
-    if tab[m].get(_RHS, _ZERO) < 0:
+    if tab[m].get(_RHS, 0) < 0:
         return LPResult("infeasible", None, None)
     # drive leftover artificials out of the basis where possible
     for i in range(m):
@@ -136,13 +148,11 @@ def simplex_solve(
     if objective is None:
         return LPResult("optimal", Fraction(0), _extract(tab, basis, n))
 
-    # phase 2 on the original columns: minimize -objective
-    obj: SparseRow = {j: -Fraction(c) for j, c in objective.items() if c}
-    # express the objective through the current basis
+    # phase 2 on the original columns: minimize -objective, expressed through the basis
+    obj = _over_gcd(_int_scaled(_sparse(objective), -1)[0])
     for i, col in enumerate(basis):
-        f = obj.get(col)
-        if f is not None:
-            _subtract(obj, f, tab[i])
+        if col in obj:
+            obj = _combine_rows(obj, col, tab[i])
     tab[m] = obj
     if _bland_min(tab, basis) == "unbounded":
         return LPResult("unbounded", None, None)
@@ -151,11 +161,11 @@ def simplex_solve(
     return LPResult("optimal", value, sol)
 
 
-def _extract(tab: list[SparseRow], basis: list[int], n: int) -> tuple[Fraction, ...]:
+def _extract(tab: list[TableauRow], basis: list[int], n: int) -> tuple[Fraction, ...]:
     sol = [_ZERO] * n
     for i, col in enumerate(basis):
         if col < n:
-            sol[col] = tab[i].get(_RHS, _ZERO)
+            sol[col] = Fraction(tab[i].get(_RHS, 0), tab[i][col])
     return tuple(sol)
 
 
