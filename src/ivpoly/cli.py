@@ -34,8 +34,9 @@ from .rationals import format_rational, parse_rational
 
 
 #: largest --truncation accepted by cone-member, cone-idf and the
-#: prime-reciprocal spec: the cone systems grow with its square, and
-#: prime-reciprocal membership and factorizations search that many generators
+#: prime-reciprocal spec.  The cone LPs are not what bounds it: the mass LP
+#: and the family check at truncation 200 take well under a second.  The cap
+#: stays because the prime-reciprocal monoid-* searches have no work bound.
 MAX_TRUNCATION = 100
 
 #: most term products ring-root spends on the root check, p products that grow with p

@@ -463,8 +463,11 @@ FACTS: tuple[tuple[str, str, object], ...] = (
 def run_facts(fact_ids: list[str] | None = None) -> VerifyReport:
     """Run the suite (or a subset) in declaration order.
 
-    ``MalformedInputError`` names every unknown id before any fact runs.
+    ``MalformedInputError`` names every unknown id before any fact runs; an
+    empty list is one too, since it would pass after running nothing.
     """
+    if fact_ids is not None and not fact_ids:
+        raise MalformedInputError("no fact ids")
     wanted = None if fact_ids is None else set(fact_ids)
     known = {fact_id for fact_id, _, _ in FACTS}
     unknown = [i for i in fact_ids or () if i not in known]

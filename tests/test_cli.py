@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivpoly.cli import MAX_CHAIN_STEPS, MAX_ROOT_CHECK_PRODUCTS, MAX_TRUNCATION, run
-from ivpoly.errors import InputTooLargeError
+from ivpoly.errors import InputTooLargeError, MalformedInputError
 from ivpoly.rationals import MAX_DIGITS, parse_rational
 
 
@@ -672,6 +672,22 @@ def test_verify_paper_rejects_unknown_fact_ids_before_running_any(capsys, monkey
     assert status == 1 and payload["result"] is None
     assert payload["error"] == {"code": "malformed-input", "message": f"unknown fact ids: {named}"}
     assert ran == []
+
+
+def test_run_facts_rejects_an_empty_list_and_the_cli_runs_every_fact(capsys, monkeypatch):
+    from ivpoly import verify
+
+    ran = []
+    monkeypatch.setattr(verify, "FACTS", tuple(
+        (fact_id, claim, lambda fact_id=fact_id: ran.append(fact_id) or (True, ""))
+        for fact_id, claim, _ in verify.FACTS
+    ))
+    with pytest.raises(MalformedInputError, match="no fact ids"):
+        verify.run_facts([])
+    assert ran == []
+    status, payload = invoke_json(capsys, "verify-paper", "--facts", "")
+    assert status == 0 and ran == [fact_id for fact_id, _, _ in verify.FACTS]
+    assert len(payload["result"]["facts"]) == len(ran)
 
 
 @pytest.mark.parametrize("argv, result", [

@@ -1,5 +1,8 @@
+import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +59,39 @@ def brute_lp_max(a, b, c):
             if best is None or value > best:
                 best = value
     return best
+
+
+@contextmanager
+def _checked_pivots():
+    """Check the tableau after every simplex pivot: each row holds only ``int``
+    entries and is primitive, and each basic column is a unit column with a
+    positive entry in its row.  Yields the (row, column) pivots taken."""
+    pivot = linprog._pivot
+    taken = []
+
+    def spy(tab, basis, r, c):
+        pivot(tab, basis, r, c)
+        taken.append((r, c))
+        assert tab[r][c] > 0
+        for row in tab:
+            assert all(type(v) is int for v in row.values()) and gcd(*row.values()) in (0, 1)
+        for i, col in enumerate(basis):
+            if col in tab[i]:
+                assert tab[i][col] > 0 and all(col not in row for row in tab[:i] + tab[i + 1:])
+
+    linprog._pivot = spy
+    try:
+        yield taken
+    finally:
+        linprog._pivot = pivot
+
+
+def _assert_exact(res):
+    """A float cannot pass: Fraction(1, 2) == 0.5, but the type tells them apart."""
+    if res.status == "optimal":
+        assert type(res.value) is F and all(type(x) is F for x in res.solution)
+    else:
+        assert res.value is None and res.solution is None
 
 
 def _row(dense):
@@ -129,7 +165,10 @@ def test_simplex_and_fm_agree_on_random_systems(m, n, data):
     ]
     b = [F(data.draw(st.integers(-6, 6))) for _ in range(m)]
     rows = _as_mappings(a)
-    simplex_verdict = simplex_feasible(rows, b, n) is not None
+    with _checked_pivots():
+        res = simplex_solve(rows, b, n)
+    _assert_exact(res)
+    simplex_verdict = res.status == "optimal"
     assert fm_feasible(eq_system_to_ineqs(rows, b, n), n) == simplex_verdict
     assert fm_feasible_eq(rows, b, n) == simplex_verdict
 
@@ -143,7 +182,9 @@ def test_simplex_optimum_matches_vertex_enumeration(m, n, data):
     ]
     b = [F(data.draw(st.integers(-4, 4))) for _ in range(m)]
     c = [F(data.draw(st.integers(-3, 3))) for _ in range(n)]
-    res = simplex_solve(_as_mappings(a), b, n, _row(c))
+    with _checked_pivots():
+        res = simplex_solve(_as_mappings(a), b, n, _row(c))
+    _assert_exact(res)
     if res.status != "optimal":
         return  # infeasibility is cross-checked elsewhere; unboundedness has no vertex max
     assert res.value == brute_lp_max(a, b, c)
@@ -157,10 +198,11 @@ def test_simplex_solution_satisfies_system(m, n, data):
         for _ in range(m)
     ]
     b = [F(data.draw(st.integers(-6, 6))) for _ in range(m)]
-    sol = simplex_feasible(_as_mappings(a), b, n)
+    with _checked_pivots():
+        sol = simplex_feasible(_as_mappings(a), b, n)
     if sol is None:
         return
-    assert all(x >= 0 for x in sol)
+    assert all(type(x) is F and x >= 0 for x in sol)
     for row, rhs in zip(a, b):
         assert sum(c * x for c, x in zip(row, sol)) == rhs
 
@@ -251,10 +293,45 @@ def test_sparse_systems_agree_with_fourier_motzkin(m, n, data):
     a = [[data.draw(_sparse_entries()) for _ in range(n)] for _ in range(m)]
     b = [data.draw(_sparse_entries()) for _ in range(m)]
     rows = _as_mappings(a)
+    objective = _row([data.draw(_sparse_entries()) for _ in range(n)])
+    with _checked_pivots():
+        res = simplex_solve(rows, b, n, objective)
+    _assert_exact(res)
     sol = simplex_feasible(rows, b, n)
-    assert (sol is not None) == fm_feasible_eq(rows, b, n)
+    assert (sol is not None) == fm_feasible_eq(rows, b, n) == (res.status != "infeasible")
     if sol is not None:
         assert _satisfies(a, b, sol)
+
+
+def test_twenty_five_digit_denominators():
+    # a bounded polytope: row 0 has only positive entries; b = A x0 for a
+    # nonnegative x0, so the system is feasible and the LP has a vertex optimum
+    rng = random.Random(25)
+
+    def big():
+        return F(rng.randint(-10**24, 10**24), rng.randint(10**24, 10**25))
+
+    n = 5
+    a = [[abs(big()) + F(1, 10**24 + 7) for _ in range(n)], [big() for _ in range(n)],
+         [big() if j % 2 else F(0) for j in range(n)]]
+    x0 = [abs(big()) for _ in range(n)]
+    b = [sum(v * x for v, x in zip(row, x0)) for row in a]
+    c = [big() for _ in range(n)]
+    assert max(v.denominator for row in a for v in row) > 10**24
+    rows = _as_mappings(a)
+    with _checked_pivots() as taken:
+        res = simplex_solve(rows, b, n, _row(c))
+    assert taken
+    _assert_exact(res)
+    assert res.status == "optimal" and _satisfies(a, b, res.solution)
+    assert res.value == brute_lp_max(a, b, c) == sum(x * y for x, y in zip(c, res.solution))
+    assert fm_feasible_eq(rows, b, n)
+    # the positive row cannot sum to a negative right side
+    b[0] = -b[0]
+    with _checked_pivots():
+        res = simplex_solve(rows, b, n, _row(c))
+    assert res == linprog.LPResult("infeasible", None, None)
+    assert not fm_feasible_eq(rows, b, n)
 
 
 def test_mapping_rows_need_a_column_count():

@@ -2,8 +2,9 @@
 
 No module under ``src/ivpoly`` keeps a top-level import it does not use or
 defines a function, class or method that nothing reads, no function there
-calls itself unless ``SELF_CALLS`` says why its depth stays small, and
-every ``ivpoly ...`` line of the README's CLI block runs as printed.
+calls itself unless ``SELF_CALLS`` says why its depth stays small, no
+float literal or ``float(...)`` call appears there unless ``FLOATS`` says
+why, and every ``ivpoly ...`` line of the README's CLI block runs as printed.
 """
 import ast
 import re
@@ -29,6 +30,11 @@ SELF_CALLS = {
     "puiseux._factor_from": "ROADMAP item 6 replaces the search",
     "verify._replay_from": "an oracle run over bounded corpora",
     "verify._monoid_from": "an oracle run over bounded corpora",
+}
+
+#: every function of ``src/ivpoly`` that holds a float literal or a ``float(...)`` call, and why
+FLOATS = {
+    "verify._fact_newton_roundtrip": "rng.random() < 0.5 is a coin flip that picks a test input",
 }
 
 
@@ -101,6 +107,25 @@ def _self_calls(source: str) -> set[str]:
     return out
 
 
+def _floats(source: str) -> set[str]:
+    """Functions holding a float literal or a ``float(...)`` call, ``<module>`` for top-level code.
+
+    A literal counts for the innermost function around it.
+    """
+    out = set()
+    stack: list[tuple[ast.AST, str]] = [(ast.parse(source), "<module>")]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Constant) and type(node.value) is float or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+        ):
+            out.add(owner)
+        stack += [(child, owner) for child in ast.iter_child_nodes(node)]
+    return out
+
+
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("from math import gcd, lcm\nx = gcd(4, 6)\n") == ["lcm"]
     assert _unused_imports("from __future__ import annotations\nimport os.path\n") == ["os"]
@@ -151,3 +176,15 @@ def test_readme_atoms_are_printed(capsys):
     assert printed == "atoms: 1/3, 1/10, 1/28, 1/88"
     assert run(shlex.split(command)[1:]) == 0
     assert printed in capsys.readouterr().out.splitlines()
+
+
+def test_the_check_sees_a_float():
+    source = "def f():\n    def g():\n        return -0.5\n    return g\n"
+    source += "def h(x: float) -> float:\n    return float(x)\nRATE = 1e3\n"
+    source += "def k():\n    return 3, '0.5', time.perf_counter() - 1\n"
+    assert _floats(source) == {"g", "h", "<module>"}
+
+
+def test_no_float_outside_the_allowlist():
+    found = {f"{path.stem}.{name}" for path in MODULES for name in _floats(path.read_text())}
+    assert found == set(FLOATS)
