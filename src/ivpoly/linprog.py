@@ -58,7 +58,8 @@ def _int_scaled(row: SparseRow, sign: int = 1) -> tuple[TableauRow, int]:
 
 
 def _combine_rows(row: TableauRow, c: int, prow: TableauRow) -> TableauRow:
-    """The primitive positive multiple of prow[c] * row - row[c] * prow, for prow[c] > 0."""
+    """The primitive positive multiple of prow[c] * row - row[c] * prow, for
+    prow[c] > 0; row itself may be updated and returned."""
     g = gcd(prow[c], row[c])
     a, f = prow[c] // g, row[c] // g
     if a != 1:
@@ -120,12 +121,11 @@ def simplex_solve(
     stored: they may not re-enter, and no choice reads them.
     """
     m = len(a_eq)
-    # row i of the Fraction tableau, its sign set so that b_i >= 0, is rows[i] / d_i
+    # rows[i] = (r, d): row i of the Fraction tableau, signed so that b_i >= 0, is r / d
     rows = [_int_scaled(_sparse({**row, _RHS: b}), -1 if b < 0 else 1)
             for row, b in zip(a_eq, b_eq)]
-    # phase 1 cost row: sum of artificials through the artificial basis, that is
-    # minus the sum of the Fraction rows, times the lcm of the d_i; built before
-    # the rows are made primitive, which would change its entries
+    # phase 1 cost row, the sum of artificials through their basis: minus the sum of the
+    # Fraction rows times the lcm of the d, taken before the rows are made primitive
     total = lcm(*(d for _, d in rows))
     cost: TableauRow = {}
     for row, d in rows:
