@@ -251,9 +251,11 @@ def idf_family_check(i: int, spec: ConeSpec) -> IdfReport:
     identity_one = top + pair[0] == tpoly([1])
     identity_t = top + pair[1] == t_power(1)
     mass = common_divisor_mass(i, spec)
-    distinct = all(
-        pair != (a_gen(j), b_gen(j)) for j in range(1, spec.truncation + 1) if j != i
-    )
+    # the cached generators list a_1..a_N, then b_1..b_N, after t^1..t^N; each
+    # polynomial is compared by its nonzero terms
+    n, gens = spec.truncation, spec.generators()
+    pairs = [(a.terms, b.terms) for a, b in zip(gens[n:2 * n], gens[2 * n:])]
+    distinct = all(p != pairs[i - 1] for j, p in enumerate(pairs, 1) if j != i)
     return IdfReport(
         index=i,
         truncation=spec.truncation,

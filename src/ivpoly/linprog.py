@@ -8,7 +8,8 @@ Two independent engines:
 * Fourier-Motzkin elimination for feasibility of inequality systems,
   used as a cross-check oracle on the simplex verdicts.  Its rows are
   sparse primitive integer rows: sorted ``(variable, coefficient)`` pairs
-  and a constant.
+  and a constant, over variables that are all >= 0; the signs are never
+  stored as rows.  The two engines share no helper but ``_sparse``.
 
 Both take each row of A as a mapping from column to entry, zeros left out,
 and the column count n.
@@ -205,12 +206,18 @@ def _int_row(terms: Sequence[tuple[int, Fraction]], const: Fraction) -> IntRow:
 
 
 def _prune(rows: list[IntRow]) -> list[IntRow] | None:
-    """Deduplicate, keep the tightest constant per direction, detect falsehood."""
+    """Keep the tightest constant per direction, the variables all >= 0.
+
+    A row with coefficients all < 0 and constant >= 0, which x >= 0 implies,
+    is dropped; None if a row with coefficients all > 0 has constant < 0.
+    Both rules cover the empty row 0 <= constant.
+    """
     best: dict[Terms, int] = {}
     for terms, const in rows:
-        if not terms:
-            if const < 0:
+        if const < 0:
+            if all(a > 0 for _, a in terms):
                 return None
+        elif all(a < 0 for _, a in terms):
             continue
         prev = best.get(terms)
         if prev is None or const < prev:
@@ -228,20 +235,17 @@ def _combine(pos: IntRow, a: int, neg: IntRow, b: int) -> IntRow:
     return _primitive(terms, b * pos[1] + a * neg[1])
 
 
-def _eliminate(rows: list[IntRow], nvars: int) -> bool:
-    """Fourier-Motzkin on sparse integer rows over the variables 0..nvars-1.
+def _eliminate(rows: list[IntRow]) -> bool:
+    """Fourier-Motzkin on sparse primitive integer rows, the variables all >= 0.
 
-    Each round eliminates the variable minimizing (pos*neg, pos+neg, v),
-    pos and neg counting the rows where its coefficient is positive and
-    negative; combinations are made primitive and pruned.  The system is
-    infeasible iff some round derives 0 <= negative.
+    The signs are never stored as rows.  Eliminating v keeps the rows
+    without v, each positive-negative combination, and each row with a
+    positive coefficient of v with that term deleted (its combination with
+    v >= 0).  Each round takes the variable that makes the fewest rows, the
+    least (pos * (neg + 1), pos + neg, v).  Feasible iff no row is left.
     """
-    pruned = _prune(rows)
-    if pruned is None:
-        return False
-    rows = pruned
-    remaining = set(range(nvars))
-    while remaining:
+    rows = _prune(rows)
+    while rows:
         pos: Counter[int] = Counter()
         neg: Counter[int] = Counter()
         for terms, _ in rows:
@@ -250,7 +254,7 @@ def _eliminate(rows: list[IntRow], nvars: int) -> bool:
                     pos[v] += 1
                 else:
                     neg[v] += 1
-        var = min(remaining, key=lambda v: (pos[v] * neg[v], pos[v] + neg[v], v))
+        var = min(pos.keys() | neg.keys(), key=lambda v: (pos[v] * (neg[v] + 1), pos[v] + neg[v], v))
         pos_rows, neg_rows, new_rows = [], [], []
         for row in rows:
             for v, a in row[0]:
@@ -265,22 +269,19 @@ def _eliminate(rows: list[IntRow], nvars: int) -> bool:
         for prow, a in pos_rows:
             for nrow, b in neg_rows:
                 new_rows.append(_combine(prow, a, nrow, b))
-        pruned = _prune(new_rows)
-        if pruned is None:
-            return False
-        rows = pruned
-        remaining.discard(var)
-    return True
+            new_rows.append(_primitive(tuple(t for t in prow[0] if t[0] != var), prow[1]))
+        rows = _prune(new_rows)
+    return rows is not None
 
 
 def fm_feasible(ineqs: list[tuple[InputRow, Fraction]], nvars: int) -> bool:
     """Feasibility of { x : sum coeffs.x <= const } by variable elimination.
 
-    Variables are unrestricted; encode x_i >= 0 as an explicit row.  The
-    rows are read once into sparse primitive integer rows.
+    Variables are unrestricted: x_j is written x_j+ - x_j-, on columns j and
+    nvars + j, both >= 0.  Encode x_j >= 0 as an explicit row.
     """
     rows = [_int_row(sorted(_sparse(coeffs).items()), Fraction(const)) for coeffs, const in ineqs]
-    return _eliminate(rows, nvars)
+    return _eliminate([(t + tuple((nvars + v, -a) for v, a in t), c) for t, c in rows])
 
 
 def eq_system_to_ineqs(
@@ -301,9 +302,9 @@ def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -
 
     The equalities are first removed by exact Gaussian substitution on
     sparse rows (each pivot variable is expressed through the nonbasic
-    ones), which preserves the solution set and leaves a pure inequality
-    system -- the nonnegativity of every variable -- for the elimination
-    proper.
+    ones), which preserves the solution set and leaves one inequality per
+    pivot, its variable's nonnegativity, over the nonbasic variables; their
+    own nonnegativity stays implicit in the elimination.
     """
     mat = [_sparse(row) for row in a_eq]
     rhs = [Fraction(c) for c in b_eq]
@@ -343,11 +344,9 @@ def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -
         return False  # 0 = nonzero: inconsistent equalities
     basic = {c for _, c in pivots}
     position = {c: p for p, c in enumerate(c for c in range(n) if c not in basic)}
-    k = len(position)
-    # x_col = rhs - sum coeffs * z >= 0, and z >= 0
+    # x_col = rhs - sum coeffs * z >= 0; z >= 0 stays implicit
     rows = [
         _int_row(sorted((position[j], v) for j, v in mat[r].items() if j != c), rhs[r])
         for r, c in pivots
     ]
-    rows += [(((p, -1),), 0) for p in range(k)]
-    return _eliminate(rows, k)
+    return _eliminate(rows)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ivpoly import cone, linprog
 from ivpoly.cone import (
     ConeCertificate,
     ConeSpec,
@@ -124,6 +125,21 @@ class TestIdfFamily:
         pairs = [(a_gen(i).coeffs, b_gen(i).coeffs) for i in range(1, n + 1)]
         assert len(set(pairs)) == n
 
+    def test_a_planted_duplicate_pair_is_not_distinct(self, monkeypatch):
+        generators = cone._generators
+
+        def planted(n):
+            # a_5, b_5 replaced by copies of a_2, b_2
+            gens = list(generators(n))
+            gens[n + 4], gens[2 * n + 4] = gens[n + 1], gens[2 * n + 1]
+            return tuple(gens)
+
+        assert idf_family_check(2, ConeSpec(6)).distinct_from_other_indices
+        monkeypatch.setattr(cone, "_generators", planted)
+        report = idf_family_check(2, ConeSpec(6))
+        assert not report.distinct_from_other_indices and not report.all_ok
+        assert idf_family_check(3, ConeSpec(6)).distinct_from_other_indices
+
 
 class TestOracleAgreement:
     def test_membership_systems(self):
@@ -136,6 +152,55 @@ class TestOracleAgreement:
         for i in range(1, 5):
             simplex, fm = mass_system_agreement(i, spec8)
             assert simplex == fm
+
+    def test_seeded_targets_both_ways(self, fm_rows):
+        verdicts = []
+        for target, spec in _seeded_targets(8):
+            simplex, fm = membership_system_agreement(target, spec)
+            assert simplex == fm
+            verdicts.append(simplex)
+        assert verdicts.count(True) == 42 and verdicts.count(False) == 18
+        assert max(fm_rows) <= 64
+
+    def test_mass_systems_stay_small(self, fm_rows):
+        for n in range(1, 9):
+            for i in range(1, n + 1):
+                assert mass_system_agreement(i, ConeSpec(n)) == (True, True)
+        assert max(fm_rows) <= 64
+
+
+@pytest.fixture
+def fm_rows(monkeypatch):
+    """The number of rows of every Fourier-Motzkin prune while the test runs."""
+    sizes = []
+    prune = linprog._prune
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return prune(rows)
+
+    monkeypatch.setattr(linprog, "_prune", spy)
+    return sizes
+
+
+def _seeded_targets(seed, count=60):
+    """Positive combinations of three generators at truncations 4-8; every
+    other one has one generator subtracted, which can push it out of the cone."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        spec = ConeSpec(rng.randint(4, 8))
+        gens = spec.generators()
+        coeffs = [F(0)] * (spec.degree_bound + 1)
+        for g in rng.sample(gens, 3):
+            w = F(rng.randint(1, 4), rng.randint(1, 3))
+            for d, c in g.terms:
+                coeffs[d] += w * c
+        if k % 2:
+            for d, c in rng.choice(gens).terms:
+                coeffs[d] -= c
+        out.append((tpoly(coeffs), spec))
+    return out
 
 
 def _dense_rows(spec, gens):

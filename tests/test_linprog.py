@@ -351,6 +351,35 @@ def test_fm_rows_stay_sparse_and_primitive(monkeypatch):
 
     monkeypatch.setattr(linprog, "_prune", spy)
     assert fm_feasible([({0: F(2), 1: F(0), 2: F(4)}, F(6)), ({1: F(-1, 3)}, F(0))], 3)
-    assert seen[:2] == [(((0, 1), (2, 2)), 3), (((1, -1),), 0)]
+    # x_j is split into x_j+ - x_j-, on columns j and 3 + j
+    assert seen[:2] == [(((0, 1), (2, 2), (3, -1), (5, -2)), 3), (((1, -1), (4, 1)), 0)]
     for terms, const in seen:
         assert all(a for _, a in terms) and [v for v, _ in terms] == sorted(v for v, _ in terms)
+
+
+def test_fm_free_variables_are_split_not_signed():
+    # x0 + x1 <= -1 holds at x0 = -1, x1 = 0; reading x >= 0 into it would say no
+    assert fm_feasible([({0: 1, 1: 1}, -1)], 2)
+    assert not fm_feasible([({0: 1}, -1), ({0: -1}, 0)], 1)
+
+
+def test_fm_eq_keeps_signs_implicit():
+    # x0 = x1 - 1 leaves -x1 <= -1, which x1 = 1 meets
+    assert fm_feasible_eq([{0: 1, 1: -1}], [-1], 2)
+    # x2 = -1 leaves the empty row 0 <= -1; x0 + x1 = 1 alone is feasible
+    assert not fm_feasible_eq([{0: 1, 1: 1}, {2: 1}], [1, -1], 3)
+    # x0 = x2 - x1 - 1 leaves x1 - x2 <= -1, met by x2 large
+    assert fm_feasible_eq([{0: 1, 1: 1, 2: -1}], [-1], 3)
+
+
+def test_fm_prune_and_split_rules():
+    # all coefficients <= 0 with constant >= 0: implied by x >= 0, dropped
+    assert linprog._prune([(((0, -1), (1, -2)), 0), ((), 3)]) == []
+    # all coefficients >= 0 with constant < 0: false on x >= 0
+    assert linprog._prune([(((0, 1), (1, 2)), -1)]) is None
+    assert linprog._prune([((), -1)]) is None
+    # mixed signs: the tightest constant per direction is kept
+    assert linprog._prune([(((0, 1), (1, -1)), 2), (((0, 1), (1, -1)), -1)]) == [(((0, 1), (1, -1)), -1)]
+    # x1 - x2 <= -1 and x2 <= 0: only x1's row with x1 deleted, -x2 <= -1, meets x2 <= 0
+    assert not linprog._eliminate([(((1, 1), (2, -1)), -1), (((2, 1),), 0)])
+    assert linprog._eliminate([(((1, 1), (2, -1)), -1), (((2, 1),), 1)])

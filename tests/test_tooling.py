@@ -4,7 +4,9 @@ No module under ``src/ivpoly`` keeps a top-level import it does not use or
 defines a function, class or method that nothing reads, no function there
 calls itself unless ``SELF_CALLS`` says why its depth stays small, no
 float literal or ``float(...)`` call appears there unless ``FLOATS`` says
-why, and every ``ivpoly ...`` line of the README's CLI block runs as printed.
+why, the simplex and Fourier-Motzkin engines of ``linprog`` share no helper
+unless ``SHARED_LP`` says why, and every ``ivpoly ...`` line of the README's
+CLI block runs as printed.
 """
 import ast
 import re
@@ -35,6 +37,11 @@ SELF_CALLS = {
 #: every function of ``src/ivpoly`` that holds a float literal or a ``float(...)`` call, and why
 FLOATS = {
     "verify._fact_newton_roundtrip": "rng.random() < 0.5 is a coin flip that picks a test input",
+}
+
+#: every function of ``linprog`` that both the simplex and Fourier-Motzkin reach, and why
+SHARED_LP = {
+    "_sparse": "it only coerces input rows",
 }
 
 
@@ -126,6 +133,24 @@ def _floats(source: str) -> set[str]:
     return out
 
 
+def _reachable(source: str, roots: set[str]) -> set[str]:
+    """The top-level functions of source that roots name, directly or through each other."""
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    seen: set[str] = set()
+    stack = list(roots)
+    while stack:
+        name = stack.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            stack += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return seen
+
+
+def _shared_lp(source: str) -> set[str]:
+    """Functions reached both from ``simplex_solve`` and from ``fm_feasible``/``fm_feasible_eq``."""
+    return _reachable(source, {"simplex_solve"}) & _reachable(source, {"fm_feasible", "fm_feasible_eq"})
+
+
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("from math import gcd, lcm\nx = gcd(4, 6)\n") == ["lcm"]
     assert _unused_imports("from __future__ import annotations\nimport os.path\n") == ["os"]
@@ -188,3 +213,14 @@ def test_the_check_sees_a_float():
 def test_no_float_outside_the_allowlist():
     found = {f"{path.stem}.{name}" for path in MODULES for name in _floats(path.read_text())}
     assert found == set(FLOATS)
+
+
+def test_the_check_sees_a_shared_lp_helper():
+    source = "def simplex_solve(): return _pivot(_sparse())\ndef _pivot(r): return _gcd(r)\n"
+    source += "def fm_feasible(): return _eliminate(_sparse())\ndef fm_feasible_eq(): return map(_gcd, [])\n"
+    source += "def _eliminate(r): return r\ndef _gcd(r): return r\ndef _sparse(): ...\n"
+    assert _shared_lp(source) == {"_gcd", "_sparse"}
+
+
+def test_simplex_and_fourier_motzkin_share_only_the_allowlist():
+    assert _shared_lp((ROOT / "src" / "ivpoly" / "linprog.py").read_text()) == set(SHARED_LP)
