@@ -34,9 +34,10 @@ from .rationals import format_rational, parse_rational
 
 
 #: largest --truncation accepted by cone-member, cone-idf and the
-#: prime-reciprocal spec.  The cone LPs are not what bounds it: the mass LP
-#: and the family check at truncation 200 take well under a second.  The cap
-#: stays because the prime-reciprocal monoid-* searches have no work bound.
+#: prime-reciprocal spec.  Membership does not need it: ``cone_member`` is a
+#: closed form, linear in the truncation.  It caps the mass LP and the family
+#: check behind cone-idf, which take well under a second at truncation 200,
+#: and the prime-reciprocal monoid-* searches, which have no work bound.
 MAX_TRUNCATION = 100
 
 #: most term products ring-root spends on the root check, p products that grow with p

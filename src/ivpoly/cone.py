@@ -4,12 +4,21 @@ The cone is generated, up to a truncation index N, by the polynomials
 t^n, a_n = 1 - t^(n+1), and b_n = t - t^(n+1) for 1 <= n <= N.  Because t
 is transcendental, cone elements are compared coefficientwise in Q[t], so
 membership of a target is a finite system of exact linear equations over
-the generator weights -- decided here by exact rational LP, with
-Fourier-Motzkin elimination available as an independent feasibility oracle.
+the generator weights.
 
-The systems are sparse from the start: row d maps a generator's column to
-its nonzero coefficient of t^d, filled from the two or three nonzero
-coefficients of each generator, and goes to ``linprog`` as it is.
+Membership is decided in closed form.  With x_n, alpha_n, beta_n the weights
+of t^n, a_n, b_n and s_n = alpha_n + beta_n, the target's coefficients are
+c_0 = sum alpha, c_1 = x_1 + sum beta, c_k = x_k - s_(k-1) for 2 <= k <= N and
+c_(N+1) = -s_N.  So each s_n ranges over [max(0, -c_(n+1)), oo), or is the
+point -c_(n+1) when n = N or t^(n+1) is excluded, and only the sums of the
+s_n over three groups of indices matter: both a_n and b_n kept (F), a_n only
+(A), b_n only (B).  ``cone_member`` works on Python ints, the coefficients
+times the lcm of their denominators, in O(N) and without an LP.
+
+The simplex and Fourier-Motzkin stay as the oracles: ``_membership_system``
+builds the same equations as a sparse system, row d mapping a generator's
+column to its nonzero coefficient of t^d, and ``membership_system_agreement``
+hands it to both engines.  The common-divisor mass is an LP on such rows.
 
 Truncation semantics: a certificate proves membership outright (it survives
 any larger truncation), while infeasibility only certifies nonexistence
@@ -20,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import qpoly
 from .errors import DegreeBoundError, IndexRangeError, TruncationError
@@ -126,7 +136,11 @@ class ConeCertificate:
         return TPoly(acc)
 
     def verify(self, spec: ConeSpec, target: TPoly) -> bool:
-        return all(w >= 0 for _, w in self.weights) and self.total(spec) == target
+        """Whether the weights are >= 0, name generators of spec, and sum to target."""
+        labels = {g.label for g in spec.generators()}
+        return all(w >= 0 and label in labels for label, w in self.weights) and (
+            self.total(spec) == target
+        )
 
     def __str__(self) -> str:
         if not self.weights:
@@ -168,20 +182,92 @@ def _membership_system(
     return gens, _rows(spec, gens), _rhs(spec, target)
 
 
+#: the group of an index n by the generators kept: a_n and b_n (F), a_n only (A), b_n only (B)
+_GROUPS = {(True, True): "F", (True, False): "A", (False, True): "B"}
+
+
 def cone_member(
     target: TPoly, spec: ConeSpec, exclude: frozenset[str] | set[str] = frozenset()
 ) -> ConeCertificate | None:
     """Exact feasibility of target = sum w_g * g, w_g >= 0, within the truncation.
 
     ``exclude`` removes generators by label, e.g. to decide whether t lies in
-    the cone of the remaining generators.
+    the cone of the remaining generators: an excluded t^(n+1) pins s_n to
+    -c_(n+1), an excluded t^1 makes sum beta = c_1, and a_n or b_n excluded
+    moves n out of F (both excluded: s_n = 0).  With [L_G, H_G] the range of
+    the sum of s_n over group G and S_A = max(L_A, c_0 - H_F), the target is a
+    member iff every pinned s_n is >= 0, S_A <= min(H_A, c_0),
+    max(S_A + L_F, c_0) + L_B <= c_0 + c_1, and, with t^1 excluded,
+    min(H_A, c_0) + H_F + H_B >= c_0 + c_1.
+
+    The certificate takes every s_n at its least value and the group sums at
+    S_A, max(L_F, c_0 - S_A) and L_B; with t^1 excluded the first group of F,
+    B, A that may rise takes up c_0 + c_1 minus their total.  A group's rise
+    goes to its first index whose s_n may rise.  alpha_n = s_n on A and
+    beta_n = s_n on B; on F, alpha takes c_0 - S_A greedily in index order and
+    beta_n = s_n - alpha_n.  The x_n then follow from the equations.
     """
-    gens, rows, rhs = _membership_system(target, spec, exclude)
-    sol = simplex_feasible(rows, rhs, len(gens))
-    if sol is None:
+    n = spec.truncation
+    gens = spec.generators()
+    c = _rhs(spec, target)
+    den = lcm(*(v.denominator for v in c))
+    c = [v.numerator * (den // v.denominator) for v in c]
+    kept = [g.label not in exclude for g in gens] if exclude else [True] * (3 * n)
+    has_t, has_a, has_b = kept[:n], kept[n:2 * n], kept[2 * n:]
+    # s[i] at its least value; per group the sum of the least values, and the
+    # first index whose s may rise (None: each s of the group is a point)
+    s = [0] * (n + 1)
+    group: list[str | None] = [None] * (n + 1)
+    low = {"F": 0, "A": 0, "B": 0}
+    rise: dict[str, int | None] = {"F": None, "A": None, "B": None}
+    for i in range(1, n + 1):
+        least = -c[i + 1]
+        free = i < n and has_t[i]  # x_(i+1) = c_(i+1) + s_i, kept or pinned to 0
+        if free:
+            least = max(0, least)
+        elif least < 0:
+            return None
+        g = _GROUPS.get((has_a[i - 1], has_b[i - 1]))
+        if g is None:
+            if least:
+                return None
+            continue
+        s[i], group[i] = least, g
+        low[g] += least
+        if free and rise[g] is None:
+            rise[g] = i
+    c0, c1 = c[0], c[1]
+    sums = {"A": low["A"] if rise["F"] else max(low["A"], c0 - low["F"])}
+    if sums["A"] > (c0 if rise["A"] else min(low["A"], c0)):
         return None
-    weights = tuple((g.label, w) for g, w in zip(gens, sol) if w != 0)
-    return ConeCertificate(weights)
+    sums["F"] = max(low["F"], c0 - sums["A"])
+    sums["B"] = low["B"]
+    spare = c0 + c1 - sum(sums.values())  # x_1
+    if spare < 0:
+        return None
+    if spare and not has_t[0]:
+        g = next((g for g in "FBA" if rise[g]), None)
+        if g is None or g == "A" and spare > c0 - sums["A"]:
+            return None
+        sums[g] += spare
+    for g, i in rise.items():
+        if i:
+            s[i] += sums[g] - low[g]
+    alpha, beta = [0] * n, [0] * n
+    budget = c0 - sums["A"]
+    for i in range(1, n + 1):
+        if group[i] == "A":
+            alpha[i - 1] = s[i]
+        elif group[i] == "B":
+            beta[i - 1] = s[i]
+        elif group[i] == "F":
+            alpha[i - 1] = min(s[i], budget)
+            budget -= alpha[i - 1]
+            beta[i - 1] = s[i] - alpha[i - 1]
+    x = [c1 - sum(beta)] + [c[k] + s[k - 1] for k in range(2, n + 1)]
+    return ConeCertificate(tuple(
+        (g.label, Fraction(w, den)) for g, w in zip(gens, x + alpha + beta) if w
+    ))
 
 
 def _pair_system(spec: ConeSpec, first: TPoly, second: TPoly):

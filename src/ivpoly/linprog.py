@@ -5,11 +5,11 @@ Two independent engines:
 * a two-phase simplex with Bland's rule on a sparse tableau of primitive
   integer rows (each a dict from column to nonzero ``int``, no floating
   point), maximizing c.x subject to A x = b, x >= 0;
-* Fourier-Motzkin elimination for feasibility of inequality systems,
-  used as a cross-check oracle on the simplex verdicts.  Its rows are
-  sparse primitive integer rows: sorted ``(variable, coefficient)`` pairs
-  and a constant, over variables that are all >= 0; the signs are never
-  stored as rows.  The two engines share no helper but ``_sparse``.
+* Fourier-Motzkin elimination for feasibility of A x = b, x >= 0, used
+  as a cross-check oracle on the simplex verdicts.  Its rows are sparse
+  primitive integer rows: sorted ``(variable, coefficient)`` pairs and a
+  constant, over variables that are all >= 0; the signs are never stored
+  as rows.  The two engines share no helper but ``_sparse``.
 
 Both take each row of A as a mapping from column to entry, zeros left out,
 and the column count n.
@@ -272,29 +272,6 @@ def _eliminate(rows: list[IntRow]) -> bool:
             new_rows.append(_primitive(tuple(t for t in prow[0] if t[0] != var), prow[1]))
         rows = _prune(new_rows)
     return rows is not None
-
-
-def fm_feasible(ineqs: list[tuple[InputRow, Fraction]], nvars: int) -> bool:
-    """Feasibility of { x : sum coeffs.x <= const } by variable elimination.
-
-    Variables are unrestricted: x_j is written x_j+ - x_j-, on columns j and
-    nvars + j, both >= 0.  Encode x_j >= 0 as an explicit row.
-    """
-    rows = [_int_row(sorted(_sparse(coeffs).items()), Fraction(const)) for coeffs, const in ineqs]
-    return _eliminate([(t + tuple((nvars + v, -a) for v, a in t), c) for t, c in rows])
-
-
-def eq_system_to_ineqs(
-    a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int
-) -> list[tuple[SparseRow, Fraction]]:
-    """Encode {A x = b, x >= 0} over n columns as inequalities for fm_feasible."""
-    ineqs: list[tuple[SparseRow, Fraction]] = []
-    for row, c in zip(a_eq, b_eq):
-        r = _sparse(row)
-        ineqs.append((r, Fraction(c)))
-        ineqs.append(({j: -v for j, v in r.items()}, -Fraction(c)))
-    ineqs += [({i: Fraction(-1)}, _ZERO) for i in range(n)]
-    return ineqs
 
 
 def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -> bool:

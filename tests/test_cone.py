@@ -72,6 +72,11 @@ class TestMembership:
         assert ConeCertificate((("a_1", F(1)), ("t^2", F(1)))).verify(SPEC6, ONE)
         assert ConeCertificate((("b_1", F(1)), ("t^2", F(1)))).verify(SPEC6, T)
 
+    def test_verify_rejects_a_label_outside_the_spec(self):
+        cert = ConeCertificate((("a_7", F(1)),))
+        assert not cert.verify(SPEC6, a_gen(7))
+        assert cert.verify(ConeSpec(7), a_gen(7))
+
     def test_monotone_in_truncation(self):
         cert = cone_member(ONE, ConeSpec(3))
         for bigger in (4, 6, 8):
@@ -274,10 +279,18 @@ def _combo(*terms):
     return total
 
 
+def _simplex_weights(target, spec, exclude=frozenset()):
+    """The simplex's nonzero weights on the membership system, None if infeasible."""
+    gens, rows, rhs = _membership_system(target, spec, exclude)
+    sol = simplex_feasible(rows, rhs, len(gens))
+    return None if sol is None else tuple((g.label, w) for g, w in zip(gens, sol) if w)
+
+
 class TestGoldenPivotPath:
     """Results of the dense-tableau simplex, pinned so that any change to the
     pivot sequence shows: Bland's rule makes certificates and LP solutions a
-    function of the pivots taken."""
+    function of the pivots taken.  Membership runs the simplex on the
+    ``_membership_system`` rows, the oracle of the closed form."""
 
     TARGETS = {
         "one": tpoly([1]),
@@ -319,15 +332,13 @@ class TestGoldenPivotPath:
     def test_certificates(self, truncation):
         spec = ConeSpec(truncation)
         for name, target in self.TARGETS.items():
-            cert = cone_member(target, spec)
-            got = None if cert is None else cert.weights
-            assert got == self.CERTIFICATES[name], name
+            assert _simplex_weights(target, spec) == self.CERTIFICATES[name], name
 
     @pytest.mark.parametrize("truncation", (24, 40))
     def test_high_degree_certificates(self, truncation):
         spec = ConeSpec(truncation)
-        assert cone_member(self.HIGH, spec).weights == self.HIGH_CERTIFICATE
-        assert cone_member(tpoly([1] + [0] * 19 + [-3]), spec) is None
+        assert _simplex_weights(self.HIGH, spec) == self.HIGH_CERTIFICATE
+        assert _simplex_weights(tpoly([1] + [0] * 19 + [-3]), spec) is None
 
     def test_mass_lp(self):
         for (i, n), nonzeros in self.MASS_SOLUTIONS.items():
@@ -349,8 +360,8 @@ class TestGoldenPivotPath:
 
     def test_pivot_sequences(self, pivots):
         runs = {
-            "quarter": lambda: cone_member(self.TARGETS["quarter"], SPEC6),
-            "square": lambda: cone_member(self.TARGETS["square"], SPEC6),
+            "quarter": lambda: _simplex_weights(self.TARGETS["quarter"], SPEC6),
+            "square": lambda: _simplex_weights(self.TARGETS["square"], SPEC6),
             "mass": lambda: common_divisor_mass(2, ConeSpec(4)),
         }
         for name, call in runs.items():
@@ -371,6 +382,9 @@ class TestGoldenPivotPath:
         (["--target", "1,-1", "--truncation", "40"],
          '{"error":null,"op":"cone-member","result":{"certificate":null,"member":false,'
          '"verified_up_to":40}}'),
+        (["--target=-1,5", "--truncation", "1"],
+         '{"error":null,"op":"cone-member","result":{"certificate":null,"member":false,'
+         '"verified_up_to":1}}'),
     ])
     def test_cli_json(self, capsys, argv, stdout):
         assert run(["cone-member", *argv, "--format", "json"]) == 0
@@ -403,7 +417,7 @@ class TestPivotPathPin:
     MASS_CASES = ((1, 8), (6, 12), (8, 16), (20, 20), (12, 24), (20, 40))
     IDF_CASES = ((8, 8), (1, 10), (7, 14), (18, 18), (11, 22), (2, 40))
     RUNS = {
-        **{f"member_{n}": (lambda n=n: [cone_member(t, ConeSpec(n))
+        **{f"member_{n}": (lambda n=n: [_simplex_weights(t, ConeSpec(n))
                                          for t in TestGoldenPivotPath.TARGETS.values()])
            for n in (6, 20, 40)},
         "mass": lambda: [common_divisor_mass(i, ConeSpec(n))
@@ -425,3 +439,101 @@ class TestPivotPathPin:
         self.RUNS[name]()
         digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
         assert (len(pivots), digest) == self.PINS[name]
+
+
+class TestClosedForm:
+    """``cone_member`` decides in closed form and takes no simplex pivot; its
+    own certificates of the golden targets are pinned here."""
+
+    #: the simplex's certificates but for ``quarter``
+    CERTIFICATES = {
+        **TestGoldenPivotPath.CERTIFICATES,
+        "quarter": (("t^1", F(1)), ("a_2", F(1, 4)), ("b_2", F(11, 4)), ("b_5", F(1, 4)),
+                    ("b_6", F(2, 9))),
+    }
+    HIGH_CERTIFICATE = (("t^17", F(3)), ("a_11", F(2, 3)), ("a_19", F(7, 12)),
+                        ("b_19", F(2, 3)), ("b_22", F(1, 5)))
+
+    @pytest.mark.parametrize("truncation", (6, 12, 24, 40))
+    def test_certificates(self, pivots, truncation):
+        spec = ConeSpec(truncation)
+        for name, target in TestGoldenPivotPath.TARGETS.items():
+            cert = cone_member(target, spec)
+            assert (None if cert is None else cert.weights) == self.CERTIFICATES[name], name
+            assert cert is None or cert.verify(spec, target)
+        assert pivots == []
+
+    @pytest.mark.parametrize("truncation", (24, 40))
+    def test_high_degree_certificates(self, pivots, truncation):
+        spec = ConeSpec(truncation)
+        cert = cone_member(TestGoldenPivotPath.HIGH, spec)
+        assert cert.weights == self.HIGH_CERTIFICATE
+        assert cert.verify(spec, TestGoldenPivotPath.HIGH)
+        assert cone_member(tpoly([1] + [0] * 19 + [-3]), spec) is None
+        assert pivots == []
+
+    def test_a_negative_constant_stays_out_at_truncation_one(self):
+        # s_1 = -c_2 = 0 must carry c_0 = sum alpha = -1: c_0 >= 0 fails, while
+        # c_0 <= -c_2 <= c_0 + c_1 alone holds
+        target = tpoly([-1, 5])
+        assert cone_member(target, ConeSpec(1)) is None
+        assert _simplex_weights(target, ConeSpec(1)) is None
+
+    def test_the_same_verdicts_as_the_simplex(self):
+        kinds = {}
+        for target, spec, kind, exclude in _differential_cases(21):
+            cert = cone_member(target, spec, exclude)
+            member = _simplex_weights(target, spec, exclude) is not None
+            assert (cert is not None) == member, (target, spec, exclude)
+            if cert is not None:
+                assert cert.verify(spec, target)
+                assert not {label for label, _ in cert.weights} & exclude
+            kinds.setdefault(kind, set()).add(member)
+        assert kinds == {kind: {True, False} for kind in EXCLUSION_KINDS}
+
+
+#: how ``_differential_cases`` picks the generators to exclude at truncation n
+EXCLUSION_KINDS = {
+    "none": lambda rng, n: set(),
+    "random": lambda rng, n: set(rng.sample([g.label for g in ConeSpec(n).generators()],
+                                            rng.randint(1, 3 * n // 2))),
+    "t^1": lambda rng, n: {"t^1"},
+    "t^(i+1)": lambda rng, n: {f"t^{rng.randint(2, n)}"} if n > 1 else {"t^1"},
+    "a_i, b_i": lambda rng, n: {f"a_{(i := rng.randint(1, n))}", f"b_{i}"},
+    # with no b_i left, only the weights of the a_i can take up c_1
+    "t^1, every b_i": lambda rng, n: {"t^1", *(f"b_{i}" for i in range(1, n + 1))},
+}
+
+
+def _differential_cases(seed, per_truncation=30):
+    """(target, spec, exclusion kind, exclude) at truncations 1-40.
+
+    A target is a positive combination of one to four generators, then kept,
+    less a multiple of one generator, with one coefficient moved, or replaced
+    by a sparse random polynomial; the exclusion kinds take turns.
+    """
+    rng = random.Random(seed)
+    kinds = list(EXCLUSION_KINDS.items())
+    out = []
+    for n in range(1, 41):
+        spec = ConeSpec(n)
+        gens = spec.generators()
+        for k in range(per_truncation):
+            coeffs = [F(0)] * (n + 2)
+            for g in rng.sample(gens, rng.randint(1, min(4, len(gens)))):
+                w = F(rng.randint(1, 6), rng.randint(1, 3))
+                for d, c in g.terms:
+                    coeffs[d] += w * c
+            mode = rng.randrange(4)
+            if mode == 1:
+                w = F(rng.randint(1, 3), rng.randint(1, 3))
+                for d, c in rng.choice(gens).terms:
+                    coeffs[d] -= w * c
+            elif mode == 2:
+                coeffs[rng.randrange(n + 2)] += F(rng.randint(-4, 4), rng.randint(1, 3))
+            elif mode == 3:
+                coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.4 else 0
+                          for _ in range(n + 2)]
+            kind, pick = kinds[k % len(kinds)]
+            out.append((tpoly(coeffs), spec, kind, pick(rng, n)))
+    return out

@@ -7,13 +7,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from ivpoly import linprog
-from ivpoly.linprog import (
-    eq_system_to_ineqs,
-    fm_feasible,
-    fm_feasible_eq,
-    simplex_feasible,
-    simplex_solve,
-)
+from ivpoly.linprog import fm_feasible_eq, simplex_feasible, simplex_solve
 
 
 def _solve_square_exact(mat, rhs):
@@ -135,16 +129,6 @@ def test_exact_fractions_survive():
     assert res.status == "optimal" and res.value == 3
 
 
-def test_fm_simple_bounds():
-    assert fm_feasible([({0: F(1)}, F(2)), ({0: F(-1)}, F(-1))], 1)
-    assert not fm_feasible([({0: F(1)}, F(1)), ({0: F(-1)}, F(-2))], 1)
-
-
-def test_fm_equality_encoding():
-    assert fm_feasible(eq_system_to_ineqs([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2), 2)
-    assert not fm_feasible(eq_system_to_ineqs([{0: 1, 1: 1}], [-1], 2), 2)
-
-
 def test_fm_eq_gaussian_path():
     assert fm_feasible_eq([{0: 1, 1: 1}, {0: 1, 1: -1}], [3, 1], 2)
     assert not fm_feasible_eq([{0: 1, 1: 1}], [-1], 2)
@@ -169,7 +153,6 @@ def test_simplex_and_fm_agree_on_random_systems(m, n, data):
         res = simplex_solve(rows, b, n)
     _assert_exact(res)
     simplex_verdict = res.status == "optimal"
-    assert fm_feasible(eq_system_to_ineqs(rows, b, n), n) == simplex_verdict
     assert fm_feasible_eq(rows, b, n) == simplex_verdict
 
 
@@ -350,17 +333,12 @@ def test_fm_rows_stay_sparse_and_primitive(monkeypatch):
         return prune(rows)
 
     monkeypatch.setattr(linprog, "_prune", spy)
-    assert fm_feasible([({0: F(2), 1: F(0), 2: F(4)}, F(6)), ({1: F(-1, 3)}, F(0))], 3)
-    # x_j is split into x_j+ - x_j-, on columns j and 3 + j
-    assert seen[:2] == [(((0, 1), (2, 2), (3, -1), (5, -2)), 3), (((1, -1), (4, 1)), 0)]
+    rows = [{0: F(2), 1: F(1), 2: F(4), 3: F(0)}, {1: F(-1, 3), 3: F(1)}]
+    assert fm_feasible_eq(rows, [F(6), F(0)], 4)
+    # x0 = 3 - 2 x2 - 3/2 x3 and x1 = 3 x3; x2 and x3 become the variables 0 and 1
+    assert seen[:2] == [(((0, 4), (1, 3)), 6), (((1, -1),), 0)]
     for terms, const in seen:
         assert all(a for _, a in terms) and [v for v, _ in terms] == sorted(v for v, _ in terms)
-
-
-def test_fm_free_variables_are_split_not_signed():
-    # x0 + x1 <= -1 holds at x0 = -1, x1 = 0; reading x >= 0 into it would say no
-    assert fm_feasible([({0: 1, 1: 1}, -1)], 2)
-    assert not fm_feasible([({0: 1}, -1), ({0: -1}, 0)], 1)
 
 
 def test_fm_eq_keeps_signs_implicit():

@@ -5,8 +5,9 @@ defines a function, class or method that nothing reads, no function there
 calls itself unless ``SELF_CALLS`` says why its depth stays small, no
 float literal or ``float(...)`` call appears there unless ``FLOATS`` says
 why, the simplex and Fourier-Motzkin engines of ``linprog`` share no helper
-unless ``SHARED_LP`` says why, and every ``ivpoly ...`` line of the README's
-CLI block runs as printed.
+unless ``SHARED_LP`` says why, ``cone.cone_member`` reaches no ``linprog``
+name while ``cone.membership_system_agreement`` reaches both engines, and
+every ``ivpoly ...`` line of the README's CLI block runs as printed.
 """
 import ast
 import re
@@ -133,9 +134,15 @@ def _floats(source: str) -> set[str]:
     return out
 
 
+def _top_level_defs(source: str) -> dict[str, ast.AST]:
+    """The top-level functions and classes of source by name."""
+    return {node.name: node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def _reachable(source: str, roots: set[str]) -> set[str]:
-    """The top-level functions of source that roots name, directly or through each other."""
-    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    """The top-level functions and classes of source that roots name, directly or through each other."""
+    defs = _top_level_defs(source)
     seen: set[str] = set()
     stack = list(roots)
     while stack:
@@ -147,8 +154,27 @@ def _reachable(source: str, roots: set[str]) -> set[str]:
 
 
 def _shared_lp(source: str) -> set[str]:
-    """Functions reached both from ``simplex_solve`` and from ``fm_feasible``/``fm_feasible_eq``."""
-    return _reachable(source, {"simplex_solve"}) & _reachable(source, {"fm_feasible", "fm_feasible_eq"})
+    """Functions reached both from ``simplex_solve`` and from ``fm_feasible_eq``."""
+    return _reachable(source, {"simplex_solve"}) & _reachable(source, {"fm_feasible_eq"})
+
+
+def _linprog_names(source: str) -> set[str]:
+    """The names that the top-level imports of source bind to ``linprog`` or to its contents."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            from_linprog = (node.module or "").split(".")[-1] == "linprog"
+            out |= {alias.asname or alias.name for alias in node.names
+                    if from_linprog or alias.name == "linprog"}
+    return out
+
+
+def _linprog_reached(source: str, root: str) -> set[str]:
+    """The ``linprog`` names read by the functions and classes that root reaches."""
+    defs = _top_level_defs(source)
+    read = {n.id for name in _reachable(source, {root}) for n in ast.walk(defs[name])
+            if isinstance(n, ast.Name)}
+    return read & _linprog_names(source)
 
 
 def test_the_check_sees_an_unused_import():
@@ -217,10 +243,32 @@ def test_no_float_outside_the_allowlist():
 
 def test_the_check_sees_a_shared_lp_helper():
     source = "def simplex_solve(): return _pivot(_sparse())\ndef _pivot(r): return _gcd(r)\n"
-    source += "def fm_feasible(): return _eliminate(_sparse())\ndef fm_feasible_eq(): return map(_gcd, [])\n"
+    source += "def fm_feasible_eq(): return _eliminate(_sparse()) or map(_gcd, [])\n"
     source += "def _eliminate(r): return r\ndef _gcd(r): return r\ndef _sparse(): ...\n"
     assert _shared_lp(source) == {"_gcd", "_sparse"}
 
 
 def test_simplex_and_fourier_motzkin_share_only_the_allowlist():
     assert _shared_lp((ROOT / "src" / "ivpoly" / "linprog.py").read_text()) == set(SHARED_LP)
+
+
+CONE = (ROOT / "src" / "ivpoly" / "cone.py").read_text()
+#: the first line of ``cone._rhs``'s body, after which a test plants a simplex call
+RHS_DOC = '    """The target\'s coefficients of t^0 .. t^(degree bound)."""\n'
+
+
+def test_the_check_sees_a_planted_linprog_call():
+    source = "from .linprog import simplex_feasible as feasible, fm_feasible_eq\nfrom . import linprog\n"
+    source += "def member(t): return _rhs(t)\ndef _rhs(t): return Spec().check(t)\n"
+    source += "class Spec:\n    def check(self, t): return feasible(t)\n"
+    source += "def agreement(t): return linprog.simplex_solve(t), fm_feasible_eq(t)\n"
+    assert _linprog_reached(source, "member") == {"feasible"}
+    assert _linprog_reached(source, "agreement") == {"linprog", "fm_feasible_eq"}
+    assert CONE.count(RHS_DOC) == 1
+    planted = CONE.replace(RHS_DOC, RHS_DOC + "    simplex_feasible([], [], 0)\n")
+    assert _linprog_reached(planted, "cone_member") == {"simplex_feasible"}
+
+
+def test_cone_member_does_not_reach_its_oracles():
+    assert _linprog_reached(CONE, "cone_member") == set()
+    assert {"simplex_feasible", "fm_feasible_eq"} <= _linprog_reached(CONE, "membership_system_agreement")
