@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,17 @@ from ivpoly.puiseux import (
 from ivpoly.verify import bruteforce_monoid_factorizations
 
 GRAMS = GramsMonoid()
+
+
+def _explicit_cases():
+    """(spec, member b) pairs of seeded explicit monoids, numerators up to 12."""
+    rng = random.Random(11)
+    for _ in range(25):
+        gens = tuple({F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
+        combo = [rng.randint(0, 3) for _ in gens]
+        b = sum((k * g for k, g in zip(combo, gens)), F(0))
+        if b and b.denominator <= 60:
+            yield ExplicitMonoid(gens), b
 
 
 class TestGramsDecompose:
@@ -215,16 +228,8 @@ class TestFactorizations:
             factorizations(ExplicitMonoid((F(2),)), F(3), 5)
 
     def test_matches_bruteforce_on_explicit_specs(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            gens = tuple(
-                {F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))}
-            )
-            spec = ExplicitMonoid(gens)
-            combo = [rng.randint(0, 3) for _ in gens]
-            b = sum((k * g for k, g in zip(combo, gens)), F(0))
-            if b == 0 or b.denominator > 60:
-                continue
+        for spec, b in _explicit_cases():
+            gens = spec.generators
             cap = 8
             mine = sorted(z.parts for z in factorizations(spec, b, cap))
             atoms = atoms_up_to(spec, max(g.denominator for g in gens))
@@ -319,6 +324,70 @@ class TestLengthSets:
         profile = length_set(DyadicValuation(), F(1, 2), 5)
         assert profile.lengths == frozenset() and profile.elasticity is None
         assert profile.is_lower_bound and not profile.infinite
+
+
+def _pin_lines(spec, b, cap, queries):
+    """The ordered factorization list and length profile of b under the cap,
+    and the membership result of each query, one ``repr`` line each."""
+    lines = [repr((spec, b, cap, [z.parts for z in factorizations(spec, b, cap)]))]
+    profile = length_set(spec, b, cap)
+    lines.append(repr((sorted(profile.lengths), profile.elasticity,
+                       profile.is_lower_bound, profile.infinite)))
+    for q in queries:
+        res = membership(spec, q)
+        lines.append(repr((q, res.exact, res.certificate and res.certificate.combo)))
+    return lines
+
+
+def _ladder_pin():
+    """The ``monoid`` benchmark's Grams targets at every cap of its ladder."""
+    targets = (F(1), F(1, 2), F(3, 4), F(5, 6), F(2), F(3, 2), F(11, 10), F(15, 28), F(7, 4))
+    return [line for cap in range(12, 31) for b in targets
+            for line in _pin_lines(GRAMS, b, cap, [b])]
+
+
+def _explicit_pin():
+    """The explicit cases, with the multiples of 1/D up to 30/D for D the lcm
+    of the denominators, members or not."""
+    out = []
+    for spec, b in _explicit_cases():
+        den = lcm(*(g.denominator for g in spec.generators))
+        out += _pin_lines(spec, b, 8, [b, *(F(n, den) for n in range(1, 31))])
+    return out
+
+
+def _prime_reciprocal_pin():
+    """Seeded members of PrimeReciprocal(16), each with a non-member beside it."""
+    rng = random.Random(16)
+    spec, primes = PrimeReciprocal(16), [nth_prime(i) for i in range(30)]
+    out = []
+    for i in range(30):
+        b = sum((F(rng.randint(1, 3), p) for p in rng.sample(primes[:16], 1 + i % 3)), F(0))
+        outside = F(rng.randint(1, 4), rng.choice(primes[16:]))
+        out += _pin_lines(spec, b, 6 + i % 3, [b, outside])
+    return out
+
+
+class TestOrderPin:
+    """Every factorization list, length profile and membership certificate of
+    three corpora, in the order the searches produce them, pinned as the
+    number of lines and the sha256 of their text: a faster search must visit
+    the same states in the same order, where the brute-force comparisons above
+    see only sorted sets."""
+
+    RUNS = {"ladder": _ladder_pin, "explicit": _explicit_pin,
+            "prime_reciprocal": _prime_reciprocal_pin}
+    PINS = {
+        "ladder": (513, "53445da334585fa7ac6dd4adeed8e8ff59e181ca5c5c6b0b68bbbcaab45e5b7b"),
+        "explicit": (693, "cf14858eef094fc9ff11ae994ee2136f9f9dabd7c51413e61a05e50a61c823fe"),
+        "prime_reciprocal": (120, "e3a99e5cdd1d8b0c0f401a861927bba0cb86869ec4535ab82d53dd075b9257b2"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_output(self, name):
+        lines = self.RUNS[name]()
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.PINS[name]
 
 
 class TestAccpChain:
