@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DuplicateGeneratorsError,
@@ -338,40 +338,82 @@ def _grams_certificate(dec: GramsDecomposition) -> MembershipCertificate:
 def _bounded_search(gens: tuple[Fraction, ...], q: Fraction) -> dict[int, int] | None:
     """First multiplicity vector with sum q over the given generators, if any.
 
-    Exhaustive over multiplicities bounded by q / generator, with two sound
-    prunes: a tail sum over the remaining generators has denominator
-    dividing their lcm, and failed (position, remainder) states never
-    succeed later.
+    Exhaustive over multiplicities bounded by q / generator, walked by
+    ``_walk`` over the generators in decreasing order with the largest
+    multiplicity first, on the integer weights of ``_integer_weights``.  It
+    cuts a remainder that is not a multiple of the gcd of the weights still
+    available, which is sound because every sum of those weights is such a
+    multiple.  Each weight g·L over the lcm M of the remaining denominators
+    is a multiple of L/M, so this cut implies the lcm cut on the rationals,
+    and it is strictly stronger once numerators exceed 1: 2/3 and 4/5 have
+    weights 10 and 12, so an odd multiple of 1/15 is cut at the root.  The
+    budget q·L cuts nothing, since every weight is at least 1.  Failed
+    (position, remainder) states never succeed later, so they are kept.
     """
     order = sorted(range(len(gens)), key=lambda i: gens[i], reverse=True)
-    suffix_lcm = [1] * (len(order) + 1)
-    for idx in range(len(order) - 1, -1, -1):
-        suffix_lcm[idx] = lcm(suffix_lcm[idx + 1], gens[order[idx]].denominator)
-    return _search_from(gens, order, suffix_lcm, set(), 0, q)
+    weights, suffix, target = _integer_weights([gens[i] for i in order], q)
+    if target is None:
+        return None
+    stack = next(_walk(weights, suffix, target, target, set()), None)
+    if stack is None:
+        return None
+    return {order[pos]: k for pos, (_, _, k) in enumerate(stack) if k}
 
 
-def _search_from(gens, order, suffix_lcm, failed: set, pos: int, remaining: Fraction):
-    """``_bounded_search`` from position pos of order, recording failed states.
+def _integer_weights(gens: list[Fraction], q: Fraction) -> tuple[list[int], list[int], int | None]:
+    """gens and q scaled to integers by the lcm L of the generators' denominators.
 
-    Not a closure: a self-referencing closure would keep its state in a
-    reference cycle until the garbage collector runs.
+    Returns (weights, suffix, target): weights[i] = gens[i]·L, suffix[pos] the
+    gcd of weights[pos:] (0 past the end), and target = q·L, or None when q·L
+    is not an integer, since then no sum of the generators is q.
     """
-    if remaining == 0:
-        return {}
-    if pos == len(order) or suffix_lcm[pos] % remaining.denominator:
-        return None
-    key = (pos, remaining)
-    if key in failed:
-        return None
-    g = gens[order[pos]]
-    for k in range(int(remaining / g), -1, -1):
-        found = _search_from(gens, order, suffix_lcm, failed, pos + 1, remaining - k * g)
-        if found is not None:
-            if k:
-                found[order[pos]] = k
-            return found
-    failed.add(key)
-    return None
+    scale = lcm(*(g.denominator for g in gens))
+    weights = [g.numerator * (scale // g.denominator) for g in gens]
+    suffix = [0] * (len(weights) + 1)
+    for pos in range(len(weights) - 1, -1, -1):
+        suffix[pos] = gcd(weights[pos], suffix[pos + 1])
+    target = q * scale
+    return weights, suffix, target.numerator if target.denominator == 1 else None
+
+
+def _walk(weights: list[int], suffix: list[int], target: int, budget: int, failed: set | None):
+    """Yield the stack at every sum of at most budget weights equal to target.
+
+    Depth first over the positions in order, the multiplicity k at each
+    position counted down from min(budget, remainder // weight), on an
+    explicit stack of [remainder, budget, k] frames, one per position before
+    the current one: at a yield, frame i holds the multiplicity of weights[i].
+    A remainder is cut when it is not a multiple of suffix[pos], the gcd of
+    the weights left, or exceeds the budget times the largest of them.  When
+    failed is a set, each exhausted (position, remainder) state is added to it
+    and never entered again; that is sound only for a caller that stops at the
+    first yield, since every state exhausted before it yielded nothing.
+    """
+    stack: list[list[int]] = []
+    pos, rem = 0, target
+    while True:
+        if rem == 0:
+            yield stack
+        elif (
+            pos < len(weights)
+            and rem % suffix[pos] == 0
+            and rem <= budget * weights[pos]
+            and (failed is None or (pos, rem) not in failed)
+        ):
+            k = min(budget, rem // weights[pos])
+            stack.append([rem, budget, k])
+            pos, rem, budget = pos + 1, rem - k * weights[pos], budget - k
+            continue
+        while stack and stack[-1][2] == 0:
+            rem = stack.pop()[0]
+            if failed is not None:
+                failed.add((len(stack), rem))
+        if not stack:
+            return
+        frame = stack[-1]
+        frame[2] -= 1
+        pos = len(stack)
+        rem, budget = frame[0] - frame[2] * weights[pos - 1], frame[1] - frame[2]
 
 
 def membership(spec: PuiseuxMonoid, q: Fraction) -> MembershipResult:
@@ -418,23 +460,14 @@ def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Fa
         raise NotAMemberError(f"{format_rational(b)} is not a member")
     if b == 0:
         return [Factorization(())]
-    found: list[Factorization] = []
-    _factor_from(spec.usable_atoms(b, length_cap), found, 0, b, length_cap, [])
-    return found
-
-
-def _factor_from(atoms, found: list, pos: int, remaining: Fraction, budget: int, acc: list):
-    """``factorizations`` from atoms[pos:]; not a closure, see ``_search_from``."""
-    if remaining == 0:
-        found.append(Factorization(tuple(acc)))
-        return
-    if pos == len(atoms) or budget == 0:
-        return
-    g = atoms[pos]
-    if remaining > budget * g:
-        return  # even the largest remaining atom cannot reach b
-    for k in range(min(budget, int(remaining / g)), -1, -1):
-        _factor_from(atoms, found, pos + 1, remaining - k * g, budget - k, acc + [g] * k)
+    atoms = spec.usable_atoms(b, length_cap)
+    weights, suffix, target = _integer_weights(atoms, b)
+    if target is None:
+        return []
+    return [
+        Factorization(tuple(a for a, (_, _, k) in zip(atoms, stack) for _ in range(k)))
+        for stack in _walk(weights, suffix, target, length_cap, None)
+    ]
 
 
 def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:

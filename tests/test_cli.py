@@ -1,5 +1,6 @@
 import io
 import json
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ivpoly.cli import MAX_CHAIN_STEPS, MAX_ROOT_CHECK_PRODUCTS, MAX_TRUNCATION, run
 from ivpoly.errors import InputTooLargeError, MalformedInputError
+from ivpoly.primes import odd_prime
 from ivpoly.rationals import MAX_DIGITS, parse_rational
 
 
@@ -378,6 +380,46 @@ class TestErrorsAndExitCodes:
             ["ivp-member", "--poly", "0,1", "--site", text, "--format", "json"]
         )
         assert status in (0, 1, 2)
+
+
+class TestSearchesThatOnceFailed:
+    """Puiseux searches that hung or overflowed the recursion limit; each runs
+    under a 10 s alarm, so that a regression fails instead of hanging."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        def expire(signum, frame):
+            raise TimeoutError("the search ran past its 10 s deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_odd_target_over_even_weights(self, capsys):
+        # 2/3 and 4/5 are the weights 10 and 12 over 1/15, and 100001 is odd
+        status, payload = invoke_json(capsys, "monoid-member", "--spec", "explicit",
+                                      "--gens", "2/3,4/5", "--q", "100001/15")
+        assert status == 0
+        assert payload["result"] == {"member": False, "exact": True, "certificate": None}
+
+    def test_prime_reciprocal_at_truncation_100(self, capsys):
+        status, payload = invoke_json(capsys, "monoid-factor", "--spec", "prime-reciprocal",
+                                      "--truncation", "100", "--b", "5/6", "--length-cap", "8")
+        assert status == 0
+        assert payload["result"]["factorizations"] == [["1/2", "1/3"]]
+
+    def test_grams_atom_of_index_1200(self, capsys):
+        atom = f"1/{2**1200 * odd_prime(1200)}"
+        b = Fraction(1, 3) + Fraction(atom)
+        status, payload = invoke_json(capsys, "monoid-factor", "--spec", "grams",
+                                      "--b", str(b), "--length-cap", "10000")
+        assert status == 0 and payload["error"] is None
+        assert payload["result"]["factorizations"] == [["1/3", atom]]
+        assert payload["result"]["lengths"] == [2]
 
 
 class TestInputsThatOnceCrashed:

@@ -244,10 +244,81 @@ class TestFactorizations:
         gc.disable()
         try:
             facs = factorizations(GRAMS, F(1), 16)
+            res = membership(PrimeReciprocal(16), F(57, 301))
             assert gc.collect() == 0
         finally:
             gc.enable()
         assert facs and all(z.total() == 1 for z in facs)
+        assert res.certificate.verify(PrimeReciprocal(16), F(57, 301))
+
+
+def _brute(gens, b, cap):
+    """The brute-force factorizations of b over gens, parts in decreasing order."""
+    return sorted(tuple(sorted(ms, reverse=True))
+                  for ms in bruteforce_monoid_factorizations(gens, b, cap))
+
+
+def _reachable(gens, bound):
+    """Every sum of gens up to bound, by a plain closure of {0} under adding a generator."""
+    reach, frontier = {F(0)}, [F(0)]
+    while frontier:
+        frontier = [x + g for x in frontier for g in gens if x + g <= bound and x + g not in reach]
+        reach.update(frontier)
+    return reach
+
+
+class TestAgainstPlainOracles:
+    """The integer searches against the plain ``Fraction`` recursion of
+    ``verify`` and a reachability set built here, on each search kind."""
+
+    @pytest.mark.parametrize("truncation", [3, 6, 10])
+    def test_prime_reciprocal_factorizations(self, truncation):
+        rng = random.Random(truncation)
+        spec = PrimeReciprocal(truncation)
+        gens = spec.search_generators()
+        for _ in range(12):
+            b = sum((F(rng.randint(1, 3)) * rng.choice(gens) for _ in range(rng.randint(1, 3))), F(0))
+            cap = rng.randint(1, 5)
+            mine = sorted(z.parts for z in factorizations(spec, b, cap))
+            assert mine == _brute(gens, b, cap), (b, cap)
+
+    @pytest.mark.parametrize("b", [F(1), F(1, 2), F(3, 4), F(5, 6), F(11, 10), F(15, 28),
+                                   F(1, 3) + F(2, 88), F(7, 208) + F(1, 10)])
+    def test_grams_factorizations(self, b):
+        # a usable atom has p_i <= cap or p_i in b's denominator: all within index 4
+        gens = [GRAMS.generator(i) for i in range(6)]
+        for cap in range(1, 9):
+            if membership(GRAMS, b).is_member:
+                mine = sorted(z.parts for z in factorizations(GRAMS, b, cap))
+                assert mine == _brute(gens, b, cap), cap
+
+    def test_explicit_factorizations_with_numerators_above_one(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            gens = tuple({F(rng.randint(2, 15), rng.randint(1, 7)) for _ in range(rng.randint(1, 4))})
+            spec = ExplicitMonoid(gens)
+            b = sum((rng.randint(0, 3) * g for g in gens), F(0)) or gens[0]
+            cap = rng.randint(1, 8)
+            atoms = atoms_up_to(spec, max(g.denominator for g in gens))
+            mine = sorted(z.parts for z in factorizations(spec, b, cap))
+            assert mine == _brute(atoms, b, cap), (gens, b, cap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_membership_matches_reachability(self, seed):
+        rng = random.Random(seed)
+        cases = [(PrimeReciprocal(rng.randint(1, 4)), 2)]
+        for _ in range(6):
+            gens = {F(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))}
+            cases.append((ExplicitMonoid(tuple(gens)), 6))
+        for spec, bound in cases:
+            gens = spec.search_generators()
+            den = lcm(*(g.denominator for g in gens))
+            reach = _reachable(gens, bound)
+            for n in range(1, bound * den + 1):
+                q = F(n, den)
+                res = membership(spec, q)
+                assert res.is_member == (q in reach), (spec, q)
+                assert not res.is_member or res.certificate.verify(spec, q)
 
 
 class TestLengthSets:

@@ -29,8 +29,6 @@ CLI_LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("ivpoly 
 SELF_CALLS = {
     "qfactor._hensel_lift": "its depth is log2 of the number of factors",
     "qfactor._edf": "its random splits have expected logarithmic depth",
-    "puiseux._search_from": "ROADMAP item 6 replaces the search",
-    "puiseux._factor_from": "ROADMAP item 6 replaces the search",
     "verify._replay_from": "an oracle run over bounded corpora",
     "verify._monoid_from": "an oracle run over bounded corpora",
 }
