@@ -354,10 +354,9 @@ def _bounded_search(gens: tuple[Fraction, ...], q: Fraction) -> dict[int, int] |
     weights, suffix, target = _integer_weights([gens[i] for i in order], q)
     if target is None:
         return None
-    stack = next(_walk(weights, suffix, target, target, set()), None)
-    if stack is None:
-        return None
-    return {order[pos]: k for pos, (_, _, k) in enumerate(stack) if k}
+    for stack in _walk(weights, suffix, target, target, set()):
+        return {order[pos]: k for pos, (_, _, k) in enumerate(stack) if k}
+    return None
 
 
 def _integer_weights(gens: list[Fraction], q: Fraction) -> tuple[list[int], list[int], int | None]:
@@ -379,7 +378,8 @@ def _integer_weights(gens: list[Fraction], q: Fraction) -> tuple[list[int], list
 def _walk(weights: list[int], suffix: list[int], target: int, budget: int, failed: set | None):
     """Yield the stack at every sum of at most budget weights equal to target.
 
-    Depth first over the positions in order, the multiplicity k at each
+    The weights come in decreasing order.  Depth first over the positions in
+    order, the multiplicity k at each
     position counted down from min(budget, remainder // weight), on an
     explicit stack of [remainder, budget, k] frames, one per position before
     the current one: at a yield, frame i holds the multiplicity of weights[i].

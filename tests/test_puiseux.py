@@ -271,14 +271,15 @@ class TestAgainstPlainOracles:
     """The integer searches against the plain ``Fraction`` recursion of
     ``verify`` and a reachability set built here, on each search kind."""
 
-    @pytest.mark.parametrize("truncation", [3, 6, 10])
+    @pytest.mark.parametrize("truncation", [3, 5, 8])
     def test_prime_reciprocal_factorizations(self, truncation):
         rng = random.Random(truncation)
         spec = PrimeReciprocal(truncation)
         gens = spec.search_generators()
         for _ in range(12):
-            b = sum((F(rng.randint(1, 3)) * rng.choice(gens) for _ in range(rng.randint(1, 3))), F(0))
-            cap = rng.randint(1, 5)
+            # an integer part splits as p copies of 1/p for each p up to the cap
+            b = rng.randint(0, 2) + rng.randint(1, 3) * rng.choice(gens)
+            cap = rng.randint(3, 9)
             mine = sorted(z.parts for z in factorizations(spec, b, cap))
             assert mine == _brute(gens, b, cap), (b, cap)
 
@@ -287,10 +288,9 @@ class TestAgainstPlainOracles:
     def test_grams_factorizations(self, b):
         # a usable atom has p_i <= cap or p_i in b's denominator: all within index 4
         gens = [GRAMS.generator(i) for i in range(6)]
-        for cap in range(1, 9):
-            if membership(GRAMS, b).is_member:
-                mine = sorted(z.parts for z in factorizations(GRAMS, b, cap))
-                assert mine == _brute(gens, b, cap), cap
+        for cap in (3, 6, 10, 12):
+            mine = sorted(z.parts for z in factorizations(GRAMS, b, cap))
+            assert mine == _brute(gens, b, cap), cap
 
     def test_explicit_factorizations_with_numerators_above_one(self):
         rng = random.Random(23)
@@ -298,7 +298,7 @@ class TestAgainstPlainOracles:
             gens = tuple({F(rng.randint(2, 15), rng.randint(1, 7)) for _ in range(rng.randint(1, 4))})
             spec = ExplicitMonoid(gens)
             b = sum((rng.randint(0, 3) * g for g in gens), F(0)) or gens[0]
-            cap = rng.randint(1, 8)
+            cap = rng.randint(4, 12)
             atoms = atoms_up_to(spec, max(g.denominator for g in gens))
             mine = sorted(z.parts for z in factorizations(spec, b, cap))
             assert mine == _brute(atoms, b, cap), (gens, b, cap)
@@ -442,8 +442,8 @@ def _prime_reciprocal_pin():
 class TestOrderPin:
     """Every factorization list, length profile and membership certificate of
     three corpora, in the order the searches produce them, pinned as the
-    number of lines and the sha256 of their text: a faster search must visit
-    the same states in the same order, where the brute-force comparisons above
+    number of lines and the sha256 of their text: a faster search must list
+    the same results in the same order, where the brute-force comparisons
     see only sorted sets."""
 
     RUNS = {"ladder": _ladder_pin, "explicit": _explicit_pin,
