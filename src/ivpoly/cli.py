@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import (
     InputTooLargeError,
@@ -166,18 +167,32 @@ def _cmd_monoid_factor(args):
     b = parse_rational(args.b)
     facs = factorizations(spec, b, args.length_cap)
     profile = profile_of(spec, b, args.length_cap, facs)
+    # each distinct atom is formatted once, for both outputs; the parts come in
+    # runs of equal atoms, so each run costs one lookup (a Fraction hash)
+    names: dict[Fraction, str] = {}
+    parts = []
+    for z in facs:
+        row: list[str] = []
+        for p, same in groupby(z.parts):
+            name = names.get(p)
+            if name is None:
+                name = names[p] = format_rational(p)
+            row += [name] * len(list(same))
+        parts.append(row)
+    elasticity = None if profile.elasticity is None else format_rational(profile.elasticity)
     result = {
-        "factorizations": [[format_rational(p) for p in z.parts] for z in facs],
+        "factorizations": parts,
         "lengths": sorted(profile.lengths),
-        "elasticity": None if profile.elasticity is None else format_rational(profile.elasticity),
+        "elasticity": elasticity,
         "elasticity_is_lower_bound": profile.is_lower_bound,
         "provably_infinite": profile.infinite,
     }
     text = [f"{len(facs)} factorization(s), lengths {sorted(profile.lengths)}"]
-    text += [f"  {z}" for z in facs]
-    if profile.elasticity is not None:
+    # as Factorization.__str__ prints them
+    text += [f"  {' + '.join(z) or '0'}" for z in parts]
+    if elasticity is not None:
         bound = " (lower bound)" if profile.is_lower_bound else ""
-        text.append(f"elasticity: {format_rational(profile.elasticity)}{bound}")
+        text.append(f"elasticity: {elasticity}{bound}")
     return result, text
 
 

@@ -6,10 +6,14 @@ Two independent engines:
   integer rows (each a dict from column to nonzero ``int``, no floating
   point), maximizing c.x subject to A x = b, x >= 0;
 * Fourier-Motzkin elimination for feasibility of A x = b, x >= 0, used
-  as a cross-check oracle on the simplex verdicts.  Its rows are sparse
-  primitive integer rows: sorted ``(variable, coefficient)`` pairs and a
-  constant, over variables that are all >= 0; the signs are never stored
-  as rows.  The two engines share no helper but ``_sparse``.
+  as a cross-check oracle on the simplex verdicts.  It removes the
+  equalities by Gaussian substitution on primitive integer rows, then
+  eliminates on sparse primitive integer rows: sorted ``(variable,
+  coefficient)`` pairs and a constant, over variables that are all >= 0;
+  the signs are never stored as rows.  Each elimination round first
+  sweeps out every variable that has one sign in all rows.  The two
+  engines share no helper but ``_sparse``; each has its own integer row
+  arithmetic.
 
 Both take each row of A as a mapping from column to entry, zeros left out,
 and the column count n.
@@ -90,13 +94,16 @@ def _bland_min(tab: list[TableauRow], basis: list[int]) -> str:
 
     Only original columns are stored, so any column may enter.  Each ``int``
     row is a positive multiple of its ``Fraction`` row, which keeps the signs
-    of the reduced costs and the ratios rhs / entry (cross-multiplied).
+    of the reduced costs and the ratios rhs / entry (cross-multiplied).  The
+    columns of negative cost are kept as a set: a pivot scales the cost row
+    by a positive factor and subtracts a multiple of the pivot row, so only
+    the pivot row's columns can change sign.
     """
     m = len(tab) - 1
-    while True:
-        enter = min((j for j, v in tab[m].items() if v < 0 and j != _RHS), default=None)
-        if enter is None:
-            return "optimal"
+    negative = {j for j, v in tab[m].items() if v < 0}
+    negative.discard(_RHS)
+    while negative:
+        enter = min(negative)
         best = None
         for i in range(m):
             a = tab[i].get(enter, 0)
@@ -107,6 +114,14 @@ def _bland_min(tab: list[TableauRow], basis: list[int]) -> str:
         if best is None:
             return "unbounded"
         _pivot(tab, basis, best, enter)
+        cost = tab[m]
+        for j in tab[best]:
+            if cost.get(j, 0) < 0:
+                negative.add(j)
+            else:
+                negative.discard(j)
+        negative.discard(_RHS)
+    return "optimal"
 
 
 def simplex_solve(
@@ -196,15 +211,6 @@ def _primitive(terms: Terms, const: int) -> IntRow:
     return terms, const
 
 
-def _int_row(terms: Sequence[tuple[int, Fraction]], const: Fraction) -> IntRow:
-    """The primitive integer multiple of a row of nonzero Fraction terms."""
-    denom = lcm(*(c.denominator for _, c in terms), const.denominator)
-    return _primitive(
-        tuple((v, c.numerator * (denom // c.denominator)) for v, c in terms),
-        const.numerator * (denom // const.denominator),
-    )
-
-
 def _prune(rows: list[IntRow]) -> list[IntRow] | None:
     """Keep the tightest constant per direction, the variables all >= 0.
 
@@ -241,8 +247,13 @@ def _eliminate(rows: list[IntRow]) -> bool:
     The signs are never stored as rows.  Eliminating v keeps the rows
     without v, each positive-negative combination, and each row with a
     positive coefficient of v with that term deleted (its combination with
-    v >= 0).  Each round takes the variable that makes the fewest rows, the
-    least (pos * (neg + 1), pos + neg, v).  Feasible iff no row is left.
+    v >= 0).  Each round first sweeps the variables of one sign, the two
+    cases of elimination that make no combination (Schrijver 1986, §12.2):
+    it drops every row holding a variable whose coefficients are all
+    negative, deletes every variable whose coefficients are all positive,
+    and prunes once.  A round with no such variable eliminates the one that
+    makes the fewest rows, the least (pos * (neg + 1), pos + neg, v).
+    Feasible iff no row is left.
     """
     rows = _prune(rows)
     while rows:
@@ -254,7 +265,17 @@ def _eliminate(rows: list[IntRow]) -> bool:
                     pos[v] += 1
                 else:
                     neg[v] += 1
-        var = min(pos.keys() | neg.keys(), key=lambda v: (pos[v] * (neg[v] + 1), pos[v] + neg[v], v))
+        only_neg = neg.keys() - pos.keys()
+        only_pos = pos.keys() - neg.keys()
+        if only_neg or only_pos:
+            swept = []
+            for terms, const in rows:
+                if only_neg.isdisjoint(v for v, _ in terms):
+                    kept = tuple(t for t in terms if t[0] not in only_pos)
+                    swept.append((terms, const) if len(kept) == len(terms) else _primitive(kept, const))
+            rows = _prune(swept)
+            continue
+        var = min(pos, key=lambda v: (pos[v] * (neg[v] + 1), pos[v] + neg[v], v))
         pos_rows, neg_rows, new_rows = [], [], []
         for row in rows:
             for v, a in row[0]:
@@ -274,17 +295,72 @@ def _eliminate(rows: list[IntRow]) -> bool:
     return rows is not None
 
 
+#: an equality row during substitution: column -> nonzero int
+EqRow = dict[int, int]
+
+
+def _reduced(row: EqRow, const: int) -> tuple[EqRow, int]:
+    """The row and its right side divided by the gcd of all their entries."""
+    g = gcd(*row.values(), const)
+    if g > 1:
+        return {j: v // g for j, v in row.items()}, const // g
+    return row, const
+
+
+def _eq_scaled(row: SparseRow) -> tuple[EqRow, int]:
+    """A row of A with its right side under _RHS, as the primitive positive
+    integer multiple of the row and its right side."""
+    d = lcm(*(v.denominator for v in row.values()))
+    ints = {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+    const = ints.pop(_RHS, 0)
+    return _reduced(ints, const)
+
+
+def _substitute(mat: list[EqRow], rhs: list[int], r: int, c: int) -> None:
+    """Eliminate column c from every row but r, on primitive integer rows.
+
+    Row r is negated if need be, so that its entry p in c is positive.  Each
+    other row with an entry f in c becomes the primitive positive multiple
+    of p * row - f * (row r), which has the nonzero pattern of its Fraction
+    counterpart.
+    """
+    prow = mat[r]
+    if prow[c] < 0:
+        prow = mat[r] = {j: -v for j, v in prow.items()}
+        rhs[r] = -rhs[r]
+    p = prow[c]
+    for i, row in enumerate(mat):
+        f = row.get(c)
+        if f is None or i == r:
+            continue
+        g = gcd(p, f)
+        a, f = p // g, f // g
+        if a != 1:
+            row = {j: a * v for j, v in row.items()}
+        for j, w in prow.items():
+            v = row.get(j, 0) - f * w
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        mat[i], rhs[i] = _reduced(row, a * rhs[i] - f * rhs[r])
+
+
 def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -> bool:
     """Feasibility of {A x = b, x >= 0} over n columns, decided by Fourier-Motzkin.
 
     The equalities are first removed by exact Gaussian substitution on
-    sparse rows (each pivot variable is expressed through the nonbasic
-    ones), which preserves the solution set and leaves one inequality per
-    pivot, its variable's nonnegativity, over the nonbasic variables; their
-    own nonnegativity stays implicit in the elimination.
+    sparse primitive integer rows (each pivot variable is expressed through
+    the nonbasic ones), which preserves the solution set and leaves one
+    inequality per pivot, its variable's nonnegativity, over the nonbasic
+    variables; their own nonnegativity stays implicit in the elimination.
     """
-    mat = [_sparse(row) for row in a_eq]
-    rhs = [Fraction(c) for c in b_eq]
+    mat: list[EqRow] = []
+    rhs: list[int] = []
+    for row, b in zip(a_eq, b_eq):
+        entries, const = _eq_scaled(_sparse({**row, _RHS: b}))
+        mat.append(entries)
+        rhs.append(const)
     pivots: list[tuple[int, int]] = []
     # a free (not yet pivoted) row has nonzeros only in free columns
     free_rows = set(range(len(rhs)))
@@ -301,29 +377,16 @@ def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -
         if best is None:
             break
         _, c, r = best
-        piv = mat[r][c]
-        prow = mat[r] = {j: v / piv for j, v in mat[r].items()}
-        rhs[r] /= piv
-        for i, row in enumerate(mat):
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            for j, w in prow.items():
-                v = row.get(j, _ZERO) - f * w
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            rhs[i] -= f * rhs[r]
+        _substitute(mat, rhs, r, c)
         pivots.append((r, c))
         free_rows.discard(r)
     if any(rhs[i] for i in free_rows):
         return False  # 0 = nonzero: inconsistent equalities
     basic = {c for _, c in pivots}
     position = {c: p for p, c in enumerate(c for c in range(n) if c not in basic)}
-    # x_col = rhs - sum coeffs * z >= 0; z >= 0 stays implicit
+    # x_col = (rhs - sum coeffs * z) / (its positive entry) >= 0; z >= 0 stays implicit
     rows = [
-        _int_row(sorted((position[j], v) for j, v in mat[r].items() if j != c), rhs[r])
+        _primitive(tuple(sorted((position[j], v) for j, v in mat[r].items() if j != c)), rhs[r])
         for r, c in pivots
     ]
     return _eliminate(rows)

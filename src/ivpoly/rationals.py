@@ -42,7 +42,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Canonical lowest-terms string: "n" for integers, else "n/d"."""
-    q = Fraction(q)
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import signal
@@ -76,6 +77,56 @@ class TestMonoidCommands:
         assert payload["result"]["lengths"] == [5]
         assert payload["result"]["provably_infinite"]
         assert payload["result"]["elasticity_is_lower_bound"]
+
+    FACTOR_PINS = {
+        ("--spec", "explicit", "--gens", "2,3", "--b", "6", "--length-cap", "5"): (
+            "2 factorization(s), lengths [2, 3]\n  3 + 3\n  2 + 2 + 2\nelasticity: 3/2\n",
+            '{"error":null,"op":"monoid-factor","result":{"elasticity":"3/2",'
+            '"elasticity_is_lower_bound":false,"factorizations":[["3","3"],["2","2","2"]],'
+            '"lengths":[2,3],"provably_infinite":false}}\n',
+        ),
+        ("--spec", "grams", "--b", "0", "--length-cap", "3"): (
+            "1 factorization(s), lengths [0]\n  0\nelasticity: 1\n",
+            '{"error":null,"op":"monoid-factor","result":{"elasticity":"1",'
+            '"elasticity_is_lower_bound":false,"factorizations":[[]],"lengths":[0],'
+            '"provably_infinite":false}}\n',
+        ),
+        # 7 factorizations over the atoms 1/3, 1/10, 1/28 and 1/88: the sha256 of each output
+        ("--spec", "grams", "--b", "3/2", "--length-cap", "40"): (
+            "fdbd0481bf6c5d5e88d4b1350a138a84bb4f6e3bc6ead6cc8621fbeff6e9dbf8",
+            "2dafa2ff8279d1f634c05bdd0a4c547d62e2c75bdbacf8aa39cd21da68ee424b",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", FACTOR_PINS, ids=lambda argv: argv[1] + ":" + argv[-3])
+    def test_factor_output_is_pinned(self, capsys, argv):
+        outputs = []
+        for fmt in ("text", "json"):
+            assert run(["monoid-factor", *argv, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            outputs.append(out if "\n" in self.FACTOR_PINS[argv][0]
+                           else hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(outputs) == self.FACTOR_PINS[argv]
+
+    def test_factor_formats_each_atom_once(self, capsys, monkeypatch):
+        from ivpoly import cli, puiseux, rationals
+
+        calls = []
+
+        def spy(q):
+            calls.append(q)
+            return rationals.format_rational(q)
+
+        for module in (cli, puiseux):
+            monkeypatch.setattr(module, "format_rational", spy)
+        for fmt in ("text", "json"):
+            status, out, _ = invoke(capsys, "monoid-factor", "--spec", "grams", "--b", "3/2",
+                                    "--length-cap", "40", "--format", fmt)
+            assert status == 0 and "1/88" in out
+            # the four atoms, then the elasticity 39/8
+            assert calls == [Fraction(1, 3), Fraction(1, 10), Fraction(1, 28), Fraction(1, 88),
+                             Fraction(39, 8)]
+            calls.clear()
 
     def test_accp_chain(self, capsys):
         status, payload = invoke_json(capsys, "accp-chain", "--n-max", "10")

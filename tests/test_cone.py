@@ -173,6 +173,21 @@ class TestOracleAgreement:
                 assert mass_system_agreement(i, ConeSpec(n)) == (True, True)
         assert max(fm_rows) <= 64
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_pair_and_generator_system(self, n):
+        # each generator, and each generator minus t, with and without itself
+        spec = ConeSpec(n)
+        for i in range(1, n + 1):
+            assert mass_system_agreement(i, spec) == (True, True)
+        verdicts = []
+        for g in spec.generators():
+            for target in (g.poly, g.poly - t_power(1)):
+                for exclude in (set(), {g.label}):
+                    simplex, fm = membership_system_agreement(target, spec, exclude)
+                    assert simplex == fm
+                    verdicts.append(simplex)
+        assert True in verdicts and False in verdicts
+
 
 @pytest.fixture
 def fm_rows(monkeypatch):

@@ -55,15 +55,24 @@ def brute_lp_max(a, b, c):
     return best
 
 
+def _negative_costs(tab):
+    return [j for j, v in tab[-1].items() if v < 0 and j != linprog._RHS]
+
+
 @contextmanager
 def _checked_pivots():
     """Check the tableau after every simplex pivot: each row holds only ``int``
     entries and is primitive, and each basic column is a unit column with a
-    positive entry in its row.  Yields the (row, column) pivots taken."""
-    pivot = linprog._pivot
+    positive entry in its row.  Each pivot of Bland's rule enters the least
+    column of negative cost, and the rule stops as optimal only when no cost
+    is negative.  Yields the (row, column) pivots taken."""
+    pivot, bland = linprog._pivot, linprog._bland_min
     taken = []
+    in_bland = []
 
     def spy(tab, basis, r, c):
+        if in_bland:
+            assert c == min(_negative_costs(tab))
         pivot(tab, basis, r, c)
         taken.append((r, c))
         assert tab[r][c] > 0
@@ -73,11 +82,45 @@ def _checked_pivots():
             if col in tab[i]:
                 assert tab[i][col] > 0 and all(col not in row for row in tab[:i] + tab[i + 1:])
 
-    linprog._pivot = spy
+    def bland_spy(tab, basis):
+        in_bland.append(True)
+        try:
+            status = bland(tab, basis)
+        finally:
+            in_bland.pop()
+        assert status == "unbounded" or not _negative_costs(tab)
+        return status
+
+    linprog._pivot, linprog._bland_min = spy, bland_spy
     try:
         yield taken
     finally:
-        linprog._pivot = pivot
+        linprog._pivot, linprog._bland_min = pivot, bland
+
+
+@contextmanager
+def _checked_substitutions():
+    """Check the equality rows after every Fourier-Motzkin substitution pivot:
+    each row and its right side hold only ``int`` entries and are primitive,
+    and each row pivoted so far has a positive entry in its column and is the
+    only row with a nonzero there.  Yields the (row, column) pivots taken."""
+    substitute = linprog._substitute
+    taken = []
+
+    def spy(mat, rhs, r, c):
+        substitute(mat, rhs, r, c)
+        taken.append((r, c))
+        for row, const in zip(mat, rhs):
+            assert all(type(v) is int for v in row.values()) and type(const) is int
+            assert gcd(*row.values(), const) in (0, 1)
+        for i, col in taken:
+            assert mat[i][col] > 0 and all(col not in row for row in mat[:i] + mat[i + 1:])
+
+    linprog._substitute = spy
+    try:
+        yield taken
+    finally:
+        linprog._substitute = substitute
 
 
 def _assert_exact(res):
@@ -153,7 +196,8 @@ def test_simplex_and_fm_agree_on_random_systems(m, n, data):
         res = simplex_solve(rows, b, n)
     _assert_exact(res)
     simplex_verdict = res.status == "optimal"
-    assert fm_feasible_eq(rows, b, n) == simplex_verdict
+    with _checked_substitutions():
+        assert fm_feasible_eq(rows, b, n) == simplex_verdict
 
 
 @given(st.integers(1, 3), st.integers(1, 5), st.data())
@@ -281,7 +325,8 @@ def test_sparse_systems_agree_with_fourier_motzkin(m, n, data):
         res = simplex_solve(rows, b, n, objective)
     _assert_exact(res)
     sol = simplex_feasible(rows, b, n)
-    assert (sol is not None) == fm_feasible_eq(rows, b, n) == (res.status != "infeasible")
+    with _checked_substitutions():
+        assert (sol is not None) == fm_feasible_eq(rows, b, n) == (res.status != "infeasible")
     if sol is not None:
         assert _satisfies(a, b, sol)
 
@@ -361,3 +406,55 @@ def test_fm_prune_and_split_rules():
     # x1 - x2 <= -1 and x2 <= 0: only x1's row with x1 deleted, -x2 <= -1, meets x2 <= 0
     assert not linprog._eliminate([(((1, 1), (2, -1)), -1), (((2, 1),), 0)])
     assert linprog._eliminate([(((1, 1), (2, -1)), -1), (((2, 1),), 1)])
+
+
+def test_the_one_sign_sweep_drops_and_deletes_in_one_prune(monkeypatch):
+    seen = []
+    prune = linprog._prune
+
+    def spy(rows):
+        seen.append(list(rows))
+        return prune(rows)
+
+    monkeypatch.setattr(linprog, "_prune", spy)
+    # x0 has only a negative coefficient and x1 only positive ones: the sweep drops
+    # the row of x0 and deletes x1, leaving -2 x2 <= -6 (made primitive) and x2 <= 4
+    rows = [(((0, -1), (2, 1)), 1), (((1, 2), (2, -2)), -6), (((1, 1), (2, 1)), 4)]
+    assert linprog._eliminate(rows)
+    assert seen[1] == [(((2, -1),), -3), (((2, 1),), 4)]
+    assert len(seen) == 3
+    assert not linprog._eliminate([(((1, 2), (2, -2)), -6), (((1, 1), (2, 1)), 2)])
+
+
+def _signed_block(data, m, n):
+    """An m x n system whose first k columns each hold entries of one sign, the
+    sign drawn per column; the other entries are sparse small fractions."""
+    k = data.draw(st.integers(1, n))
+    signs = [data.draw(st.sampled_from((-1, 1))) for _ in range(k)]
+    a = [[s * abs(data.draw(_sparse_entries())) for s in signs]
+         + [data.draw(_sparse_entries()) for _ in range(n - k)] for _ in range(m)]
+    return a, [data.draw(_sparse_entries()) for _ in range(m)]
+
+
+@given(st.integers(1, 7), st.integers(1, 10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_sign_columns_agree_with_the_simplex(m, n, data):
+    a, b = _signed_block(data, m, n)
+    rows = _as_mappings(a)
+    with _checked_pivots():
+        sol = simplex_feasible(rows, b, n)
+    with _checked_substitutions():
+        assert fm_feasible_eq(rows, b, n) == (sol is not None)
+
+
+@given(st.integers(1, 7), st.integers(1, 10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_sign_inequalities_agree_with_the_simplex(m, n, data):
+    # the rows a x <= b over x >= 0 straight into the elimination; the simplex
+    # decides a x + s = b over x, s >= 0, with one slack column per row
+    a, b = _signed_block(data, m, n)
+    ints = [_row([int(v * 6) for v in row]) for row in a]
+    consts = [int(c * 6) for c in b]
+    fm_rows = [linprog._primitive(tuple(sorted(row.items())), c) for row, c in zip(ints, consts)]
+    slack = [{**row, n + i: 1} for i, row in enumerate(ints)]
+    assert linprog._eliminate(fm_rows) == (simplex_feasible(slack, consts, n + m) is not None)

@@ -5,7 +5,8 @@ defines a function, class or method that nothing reads, no function there
 calls itself unless ``SELF_CALLS`` says why its depth stays small, no
 float literal or ``float(...)`` call appears there unless ``FLOATS`` says
 why, the simplex and Fourier-Motzkin engines of ``linprog`` share no helper
-unless ``SHARED_LP`` says why, ``cone.cone_member`` reaches no ``linprog``
+unless ``SHARED_LP`` says why, Fourier-Motzkin reads no ``Fraction`` below
+its input coercion, ``cone.cone_member`` reaches no ``linprog``
 name while ``cone.membership_system_agreement`` reaches both engines, and
 every ``ivpoly ...`` line of the README's CLI block runs as printed.
 """
@@ -42,6 +43,8 @@ FLOATS = {
 SHARED_LP = {
     "_sparse": "it only coerces input rows",
 }
+#: the integer row helpers of the simplex, which Fourier-Motzkin keeps its own of
+SIMPLEX_ROW_HELPERS = {"_combine_rows", "_over_gcd", "_int_scaled"}
 
 
 def _listed(tree: ast.Module, lists: tuple[str, ...]) -> set[str]:
@@ -156,6 +159,15 @@ def _shared_lp(source: str) -> set[str]:
     return _reachable(source, {"simplex_solve"}) & _reachable(source, {"fm_feasible_eq"})
 
 
+def _fm_fraction_readers(source: str) -> set[str]:
+    """Functions that ``fm_feasible_eq`` reaches, ``_sparse`` aside, whose
+    bodies (not their signatures) read the name ``Fraction``."""
+    defs = _top_level_defs(source)
+    return {name for name in _reachable(source, {"fm_feasible_eq"}) - {"_sparse"}
+            if any(isinstance(n, ast.Name) and n.id == "Fraction"
+                   for stmt in defs[name].body for n in ast.walk(stmt))}
+
+
 def _linprog_names(source: str) -> set[str]:
     """The names that the top-level imports of source bind to ``linprog`` or to its contents."""
     out = set()
@@ -239,6 +251,9 @@ def test_no_float_outside_the_allowlist():
     assert found == set(FLOATS)
 
 
+LINPROG = (ROOT / "src" / "ivpoly" / "linprog.py").read_text()
+
+
 def test_the_check_sees_a_shared_lp_helper():
     source = "def simplex_solve(): return _pivot(_sparse())\ndef _pivot(r): return _gcd(r)\n"
     source += "def fm_feasible_eq(): return _eliminate(_sparse()) or map(_gcd, [])\n"
@@ -247,7 +262,20 @@ def test_the_check_sees_a_shared_lp_helper():
 
 
 def test_simplex_and_fourier_motzkin_share_only_the_allowlist():
-    assert _shared_lp((ROOT / "src" / "ivpoly" / "linprog.py").read_text()) == set(SHARED_LP)
+    assert _shared_lp(LINPROG) == set(SHARED_LP)
+
+
+def test_the_check_sees_a_fraction_below_the_coercion():
+    source = "def fm_feasible_eq(a: Fraction) -> bool: return _eliminate(_sparse(a))\n"
+    source += "def _eliminate(r: list[Fraction]): return _scale(r)\ndef _scale(r): return Fraction(r)\n"
+    source += "def _sparse(r): return Fraction(r)\n"
+    assert _fm_fraction_readers(source) == {"_scale"}
+
+
+def test_fourier_motzkin_works_on_ints_below_its_input_coercion():
+    assert _fm_fraction_readers(LINPROG) == set()
+    assert not _reachable(LINPROG, {"fm_feasible_eq"}) & SIMPLEX_ROW_HELPERS
+    assert SIMPLEX_ROW_HELPERS <= _reachable(LINPROG, {"simplex_solve"})
 
 
 CONE = (ROOT / "src" / "ivpoly" / "cone.py").read_text()
