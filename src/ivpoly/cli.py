@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import groupby
@@ -47,6 +48,11 @@ MAX_ROOT_CHECK_PRODUCTS = 200_000
 #: largest --n-max accepted by accp-chain: each step certifies a Grams
 #: membership, and the chain's time grows faster than n
 MAX_CHAIN_STEPS = 10_000
+
+
+#: a token that starts like a negative number: "-1", "-.5", and also "-1/3"
+#: and "-1,5", which argparse before Python 3.13 takes for unknown options
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _dump(obj) -> str:
@@ -511,9 +517,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative-number token joined by "=" to the long option before it."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE_VALUE.match(arg) and prev.startswith("--") and prev != "--" and "=" not in prev:
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    argv is rewritten before parsing: ``--q -1/3`` becomes ``--q=-1/3``.
+    argparse before Python 3.13 reads a token that starts with "-" as an
+    option unless it looks like "-1" or "-1.5", so "-1/3", "-1,1" and "-1,5"
+    would end in "expected one argument".  Its public API has no setting for
+    this, and the "=" form is the one it reads as a value.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     op = args.command
     try:
         out = args.func(args)

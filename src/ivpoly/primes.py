@@ -1,6 +1,7 @@
 """Small prime utilities shared across the package."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 from .errors import InputTooLargeError
@@ -49,16 +50,18 @@ def odd_prime(i: int) -> int:
 def odd_prime_index(p: int) -> int:
     """Position of p in the odd primes 3, 5, 7, 11, ...
 
-    Primes above MAX_INDEXED_PRIME raise InputTooLargeError.
+    Extends the prime table until it reaches p, then bisects it.  Primes
+    above MAX_INDEXED_PRIME raise InputTooLargeError; 2 and every number
+    that is not a prime raise ValueError.
     """
     if p > MAX_INDEXED_PRIME:
         raise InputTooLargeError(f"prime {p} exceeds the index bound {MAX_INDEXED_PRIME}")
-    i = 0
-    while odd_prime(i) < p:
-        i += 1
-    if odd_prime(i) != p:
+    while _PRIMES[-1] < p:
+        _extend_to(2 * len(_PRIMES))
+    i = bisect_left(_PRIMES, p)
+    if p == 2 or _PRIMES[i] != p:
         raise ValueError(f"{p} is not an odd prime")
-    return i
+    return i - 1
 
 
 def is_prime(n: int) -> bool:

@@ -103,7 +103,12 @@ class GramsMonoid(PuiseuxMonoid):
         return dec is not None and not (dec.nu == 0 and sum(c for _, c in dec.coeffs) == 1)
 
     def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
-        """Generators with p_i <= cap, or with p_i exactly once in b's denominator."""
+        """Generators at most b with p_i <= cap, or with p_i exactly once in
+        b's denominator, decreasing.
+
+        The generators 1/(2^i p_i) decrease as i grows, so the ascending
+        indices give the order, and 1/(2^i p_i) <= b is tested on integers.
+        """
         idx = set()
         i = 0
         while odd_prime(i) <= cap:
@@ -112,7 +117,12 @@ class GramsMonoid(PuiseuxMonoid):
         for p, e in factorize(b.denominator).items():
             if p != 2 and e == 1:
                 idx.add(odd_prime_index(p))
-        return sorted((self.generator(i) for i in idx if self.generator(i) <= b), reverse=True)
+        atoms = []
+        for i in sorted(idx):
+            denominator = odd_prime(i) << i
+            if b.numerator * denominator >= b.denominator:
+                atoms.append(Fraction(1, denominator))
+        return atoms
 
     def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
         dec = grams_decompose(b)
@@ -218,7 +228,10 @@ class MembershipCertificate:
         return dict(self.combo)
 
     def total(self, spec: PuiseuxMonoid) -> Fraction:
-        return sum((m * spec.generator(i) for i, m in self.combo), Fraction(0))
+        """The weighted sum, as one integer sum over the lcm of the generators' denominators."""
+        gens = [(m, spec.generator(i)) for i, m in self.combo]
+        scale = lcm(*(g.denominator for _, g in gens))
+        return Fraction(sum(m * g.numerator * (scale // g.denominator) for m, g in gens), scale)
 
     def verify(self, spec: PuiseuxMonoid, q: Fraction) -> bool:
         return self.total(spec) == q
@@ -298,28 +311,37 @@ class ChainStep:
 def grams_decompose(q: Fraction) -> GramsDecomposition | None:
     """Unique decomposition of q in the Grams monoid, or None for non-members.
 
-    For every odd prime p_i in the denominator of q the residue
-    c_i = q * 2^i * p_i (mod p_i) clears the p_i-part; q is a member exactly
-    when the cleared remainder is a nonnegative dyadic rational.
+    Write q = a/b in lowest terms.  For every odd prime p_i dividing b the
+    residue c_i = q·2^i·p_i (mod p_i) = a·2^i·(b/p_i)^(-1) (mod p_i) clears
+    the p_i-part; q is a member exactly when no odd prime divides b twice and
+    the rest q − Σ c_i/(2^i p_i) is a nonnegative dyadic rational.  Only the
+    odd part of b is factored.  The rest is one integer numerator over b,
+    shifted left whenever 2^i exceeds the power of 2 in the denominator so
+    far, and ν is the one ``Fraction`` built.
     """
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q < 0:
         raise NegativeInputError("the monoid lives in the nonnegative rationals")
-    coeffs: dict[int, int] = {}
-    rest = q
-    for p, e in sorted(factorize(q.denominator).items()):
-        if p == 2:
-            continue
+    a, b = q.numerator, q.denominator
+    twos = (b & -b).bit_length() - 1
+    odd = b >> twos
+    coeffs = []
+    rest = a  # the rest is rest / (odd · 2^twos)
+    # factorize lists its primes increasing, so the indices i increase too
+    for p, e in factorize(odd).items():
         if e >= 2:
             return None  # p-adic valuation below -1 is unreachable
         i = odd_prime_index(p)
-        t = q * 2**i * p
-        c = t.numerator * pow(t.denominator, -1, p) % p
-        coeffs[i] = c
-        rest -= Fraction(c, 2**i * p)
-    if rest < 0 or not is_dyadic(rest):
+        c = a * pow(2, i, p) * pow(b // p, -1, p) % p
+        coeffs.append((i, c))
+        if i > twos:
+            rest <<= i - twos
+            twos = i
+        rest -= c * (odd // p) << (twos - i)
+    if rest < 0 or rest % odd:
         return None
-    return GramsDecomposition(nu=rest, coeffs=tuple(sorted(coeffs.items())))
+    return GramsDecomposition(nu=Fraction(rest // odd, 1 << twos), coeffs=tuple(coeffs))
 
 
 def _dyadic_certificate(q: Fraction) -> MembershipCertificate:
@@ -423,7 +445,8 @@ def membership(spec: PuiseuxMonoid, q: Fraction) -> MembershipResult:
     generator lists; for other kinds absence only means "not representable
     within the truncation" and the result is flagged inexact.
     """
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q < 0:
         raise NegativeInputError("membership queries must be nonnegative")
     if q == 0:

@@ -51,13 +51,13 @@ def format_rational(q: Fraction) -> str:
 
 def is_dyadic(q: Fraction) -> bool:
     """True iff the reduced denominator of q is a power of two."""
-    d = Fraction(q).denominator
+    d = (q if isinstance(q, Fraction) else Fraction(q)).denominator
     return d & (d - 1) == 0
 
 
 def dyadic_exponent(q: Fraction) -> int:
     """k such that the reduced denominator of dyadic q equals 2**k."""
-    d = Fraction(q).denominator
+    d = (q if isinstance(q, Fraction) else Fraction(q)).denominator
     if d & (d - 1) != 0:
         raise ValueError(f"{q} is not dyadic")
     return d.bit_length() - 1

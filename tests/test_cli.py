@@ -527,6 +527,41 @@ class TestInputsThatOnceCrashed:
 
 #: JSON values, with the element's own keys and some valid strings mixed in so
 #: that near misses of {"ring": str, "terms": [[str, str], ...]} turn up
+class TestLeadingMinusValues:
+    """A value that starts with "-" reaches its handler after a space as after "=".
+
+    argparse before Python 3.13 took "-1/3" and "-1,5" for unknown options,
+    and the space form exited 2 with no envelope.
+    """
+
+    @pytest.mark.parametrize("argv, status, stdout", [
+        (["grams-decompose", "--q", "-1/3"], 1,
+         '{"error":{"code":"negative-input","message":"the monoid lives in the nonnegative '
+         'rationals"},"op":"grams-decompose","result":null}'),
+        (["monoid-member", "--spec", "grams", "--q", "-1/2"], 1,
+         '{"error":{"code":"negative-input","message":"membership queries must be nonnegative"},'
+         '"op":"monoid-member","result":null}'),
+        (["ivp-member", "--poly", "-1,1"], 0,
+         '{"error":null,"op":"ivp-member","result":{"member":true}}'),
+        (["ivp-member", "--poly", "-1/2,1/2"], 0,
+         '{"error":null,"op":"ivp-member","result":{"member":false}}'),
+        (["cone-member", "--target", "-1,5", "--truncation", "1"], 0,
+         '{"error":null,"op":"cone-member","result":{"certificate":null,"member":false,'
+         '"verified_up_to":1}}'),
+    ], ids=["grams-decompose", "monoid-member", "ivp-member", "ivp-member-halves", "cone-member"])
+    def test_space_form_matches_the_equals_form(self, capsys, argv, status, stdout):
+        assert invoke(capsys, *argv, "--format", "json") == (status, stdout + "\n", "")
+        i = next(i for i, arg in enumerate(argv) if arg[:1] == "-" and arg[1:2].isdigit())
+        joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+        assert invoke(capsys, *joined, "--format", "json") == (status, stdout + "\n", "")
+
+    def test_a_negative_value_after_a_flag_stays_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["ivp-member", "--poly", "0,1", "--binomial", "-1,1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.sampled_from(["Z", "Q", "F3", "1", "1/2"]),

@@ -59,10 +59,18 @@ def test_no_unproven_prime_verdict():
 
 
 def test_odd_prime_index_up_to_its_bound():
+    assert odd_prime_index(3) == 0
     assert odd_prime_index(99991) == 9590
     assert _PRIMES[:9592] == list(sympy.primerange(2, 10**5))
+    assert [odd_prime_index(p) for p in sympy.primerange(3, 10**5)] == list(range(9591))
     with pytest.raises(InputTooLargeError):
         odd_prime_index(sympy.nextprime(MAX_INDEXED_PRIME))
+
+
+@pytest.mark.parametrize("n", [2, 9, 1, 0, -3, 99999, MAX_INDEXED_PRIME])
+def test_odd_prime_index_rejects_two_and_non_primes(n):
+    with pytest.raises(ValueError, match="is not an odd prime"):
+        odd_prime_index(n)
 
 
 def _random_prime(rng, digits):

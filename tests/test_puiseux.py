@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 
@@ -10,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 from ivpoly import puiseux
 from ivpoly.errors import (
     DuplicateGeneratorsError,
+    InputTooLargeError,
     NegativeInputError,
     NotAMemberError,
     NotDyadicError,
     SpecKindError,
     TruncationError,
 )
-from ivpoly.primes import nth_prime, odd_prime
+from ivpoly.primes import factorize, nth_prime, odd_prime, odd_prime_index
 from ivpoly.puiseux import (
     DyadicValuation,
     ExplicitMonoid,
@@ -459,6 +461,90 @@ class TestOrderPin:
         lines = self.RUNS[name]()
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == self.PINS[name]
+
+
+def _reference_decompose(q):
+    """``grams_decompose`` as a plain ``Fraction`` loop: the residue of each odd
+    prime of the denominator, subtracted one generator at a time."""
+    coeffs, rest = [], q
+    for p, e in sorted(factorize(q.denominator).items()):
+        if p == 2:
+            continue
+        if e >= 2:
+            return None
+        i = odd_prime_index(p)
+        t = q * 2**i * p
+        c = t.numerator * pow(t.denominator, -1, p) % p
+        coeffs.append((i, c))
+        rest -= F(c, 2**i * p)
+    if rest < 0 or rest.denominator & (rest.denominator - 1):
+        return None
+    return rest, tuple(coeffs)
+
+
+def _decompose_corpus():
+    """Zero, dyadics, p^2 and p^3 denominators, products of up to six odd
+    primes, and primes next to MAX_INDEXED_PRIME, each over a random power of 2."""
+    rng = random.Random(24)
+    small = [odd_prime(i) for i in range(60)]
+    edge = [99961, 99971, 99989, 99991, 100003]
+    out = [F(0), *(F(rng.randint(0, 99), 2**k) for k in range(12))]
+    for _ in range(300):
+        p = rng.choice(small[:10])
+        out.append(F(rng.randint(1, 500), p ** rng.choice((2, 3)) * 2 ** rng.randint(0, 6)))
+    for _ in range(1500):
+        den = 2 ** rng.randint(0, 40)
+        for p in rng.sample(small, rng.randint(1, 6)):
+            den *= p
+        # values up to 4, and values below 1/64, which the residues often overshoot
+        out.append(F(rng.randint(0, rng.choice((4 * den, den // 64))), den))
+    for p in edge:
+        for _ in range(4):
+            out.append(F(rng.randint(1, 40 * p), p * 2 ** rng.randint(0, 9) * rng.choice((1, 3, 15))))
+    return out
+
+
+class TestIntegerGramsPath:
+    """The integer Grams code against the plain ``Fraction`` code it replaced."""
+
+    def test_decompose_matches_the_fraction_loop(self):
+        outcomes = Counter()
+        for q in _decompose_corpus():
+            try:
+                want = _reference_decompose(q)
+            except InputTooLargeError:
+                with pytest.raises(InputTooLargeError):
+                    grams_decompose(q)
+                outcomes["too large"] += 1
+                continue
+            dec = grams_decompose(q)
+            assert (dec and (dec.nu, dec.coeffs)) == want, q
+            outcomes["member" if dec else "non-member"] += 1
+        assert outcomes == {"member": 1286, "non-member": 543, "too large": 4}
+
+    def test_usable_atoms_match_the_sorted_filter(self):
+        targets = (F(1), F(1, 2), F(3, 4), F(5, 6), F(2), F(3, 2), F(11, 10), F(15, 28),
+                   F(7, 4), F(1, 3), F(7, 30), F(1, 88), F(1, 89), F(1, 3 * 5 * 7 * 11 * 13))
+        for b in targets:
+            odd_once = {odd_prime_index(p) for p, e in factorize(b.denominator).items()
+                        if p != 2 and e == 1}
+            for cap in range(1, 61):
+                idx = odd_once | {i for i in range(cap) if odd_prime(i) <= cap}
+                want = sorted((g for g in map(GRAMS.generator, idx) if g <= b), reverse=True)
+                assert GRAMS.usable_atoms(b, cap) == want, (b, cap)
+
+    @pytest.mark.parametrize("spec", [GRAMS, DyadicValuation(), PrimeReciprocal(16),
+                                      ExplicitMonoid((F(2, 3), F(4, 5), F(7, 12), F(3)))],
+                             ids=["grams", "dyadic", "prime_reciprocal", "explicit"])
+    def test_certificate_total_matches_the_fraction_sum(self, spec):
+        rng = random.Random(7)
+        size = len(spec.generators) if isinstance(spec, ExplicitMonoid) else 16
+        for _ in range(300):
+            combo = {i: rng.randint(0, 9) for i in rng.sample(range(size), rng.randint(0, 4))}
+            cert = puiseux.MembershipCertificate.from_dict(combo)
+            want = sum((m * spec.generator(i) for i, m in cert.combo), F(0))
+            assert cert.total(spec) == want
+            assert cert.verify(spec, want) and not cert.verify(spec, want + F(1, 7))
 
 
 class TestAccpChain:

@@ -5,8 +5,9 @@ defines a function, class or method that nothing reads, no function there
 calls itself unless ``SELF_CALLS`` says why its depth stays small, no
 float literal or ``float(...)`` call appears there unless ``FLOATS`` says
 why, the simplex and Fourier-Motzkin engines of ``linprog`` share no helper
-unless ``SHARED_LP`` says why, Fourier-Motzkin reads no ``Fraction`` below
-its input coercion, ``cone.cone_member`` reaches no ``linprog``
+unless ``SHARED_LP`` says why, Fourier-Motzkin and ``puiseux.grams_decompose``
+read no ``Fraction`` below their input coercion (but for the Grams ν),
+``cone.cone_member`` reaches no ``linprog``
 name while ``cone.membership_system_agreement`` reaches both engines, and
 every ``ivpoly ...`` line of the README's CLI block runs as printed.
 """
@@ -159,13 +160,43 @@ def _shared_lp(source: str) -> set[str]:
     return _reachable(source, {"simplex_solve"}) & _reachable(source, {"fm_feasible_eq"})
 
 
-def _fm_fraction_readers(source: str) -> set[str]:
-    """Functions that ``fm_feasible_eq`` reaches, ``_sparse`` aside, whose
-    bodies (not their signatures) read the name ``Fraction``."""
+def _fraction_readers(source: str, names: set[str]) -> set[str]:
+    """The functions and classes among names whose bodies (not their
+    signatures) read the name ``Fraction``."""
     defs = _top_level_defs(source)
-    return {name for name in _reachable(source, {"fm_feasible_eq"}) - {"_sparse"}
+    return {name for name in names
             if any(isinstance(n, ast.Name) and n.id == "Fraction"
                    for stmt in defs[name].body for n in ast.walk(stmt))}
+
+
+def _fm_fraction_readers(source: str) -> set[str]:
+    """Functions that ``fm_feasible_eq`` reaches, ``_sparse`` aside, that read ``Fraction``."""
+    return _fraction_readers(source, _reachable(source, {"fm_feasible_eq"}) - {"_sparse"})
+
+
+def _fraction_roles(source: str, name: str) -> set[str]:
+    """What each read of ``Fraction`` in the body of the top-level function
+    name does: "input" where it coerces the first parameter, as in
+    ``if not isinstance(q, Fraction): q = Fraction(q)``, "nu" where it builds
+    the value of a keyword argument ``nu``, and "line <n>" otherwise."""
+    func = _top_level_defs(source)[name]
+    param = func.args.args[0].arg
+    parent = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+    roles = set()
+    for stmt in func.body:
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Name) and node.id == "Fraction"):
+                continue
+            call = parent[node]
+            if ast.unparse(call) == f"isinstance({param}, Fraction)" or (
+                ast.unparse(parent[call]) == f"{param} = Fraction({param})"
+            ):
+                roles.add("input")
+            elif isinstance(parent[call], ast.keyword) and parent[call].arg == "nu":
+                roles.add("nu")
+            else:
+                roles.add(f"line {node.lineno}")
+    return roles
 
 
 def _linprog_names(source: str) -> set[str]:
@@ -276,6 +307,40 @@ def test_fourier_motzkin_works_on_ints_below_its_input_coercion():
     assert _fm_fraction_readers(LINPROG) == set()
     assert not _reachable(LINPROG, {"fm_feasible_eq"}) & SIMPLEX_ROW_HELPERS
     assert SIMPLEX_ROW_HELPERS <= _reachable(LINPROG, {"simplex_solve"})
+
+
+PUISEUX = (ROOT / "src" / "ivpoly" / "puiseux.py").read_text()
+PRIMES = (ROOT / "src" / "ivpoly" / "primes.py").read_text()
+
+
+def _grams_fraction_use(puiseux: str, primes: str) -> tuple[set[str], set[str]]:
+    """How ``grams_decompose`` reads ``Fraction`` (see ``_fraction_roles``),
+    and which of the functions it reaches in ``puiseux`` and in ``primes``
+    (``factorize`` and ``odd_prime_index`` and theirs) read it at all.  Its
+    result record ``GramsDecomposition`` is left out: its ``value`` sums
+    ``Fraction``s for callers."""
+    helpers = _reachable(puiseux, {"grams_decompose"}) - {"grams_decompose", "GramsDecomposition"}
+    callees = _reachable(primes, {"factorize", "odd_prime_index"})
+    return (_fraction_roles(puiseux, "grams_decompose"),
+            _fraction_readers(puiseux, helpers) | _fraction_readers(primes, callees))
+
+
+def test_the_check_sees_a_fraction_in_the_grams_path():
+    for planted in ("    rest = a  #", "        rest -= c"):
+        assert PUISEUX.count(planted) == 1
+    source = PUISEUX.replace("    rest = a  #", "    rest = Fraction(a)  #")
+    roles, readers = _grams_fraction_use(source, PRIMES)
+    assert roles - {"input", "nu"} and not readers
+    source = PUISEUX.replace("        rest -= c", "        rest = _step(rest)\n        rest -= c")
+    source += "\ndef _step(rest):\n    return Fraction(rest)\n"
+    assert _grams_fraction_use(source, PRIMES)[1] == {"_step"}
+    source = PRIMES.replace("    i = bisect_left(_PRIMES, p)\n", "    i = bisect_left(_PRIMES, Fraction(p))\n")
+    assert source != PRIMES
+    assert _grams_fraction_use(PUISEUX, source)[1] == {"odd_prime_index"}
+
+
+def test_grams_decompose_works_on_ints_below_its_input_coercion():
+    assert _grams_fraction_use(PUISEUX, PRIMES) == ({"input", "nu"}, set())
 
 
 CONE = (ROOT / "src" / "ivpoly" / "cone.py").read_text()
