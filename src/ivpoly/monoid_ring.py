@@ -3,12 +3,15 @@
 Elements are finite formal sums of terms c * y^e with exponents in a
 Puiseux monoid or a rational cone, kept canonically: strictly decreasing
 exponents, no zero coefficients, prime-field coefficients reduced.
+Products work on integer exponents, each exponent times the lcm of the
+operands' exponent denominators, and build one ``Fraction`` per output term.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -46,6 +49,8 @@ class IntegerRing(CoefficientRing):
     tag = "Z"
 
     def coerce(self, c):
+        if type(c) is int:
+            return c
         q = Fraction(c)
         if q.denominator != 1:
             raise CoefficientRingError(f"{c} is not an integer")
@@ -84,6 +89,8 @@ class PrimeField(CoefficientRing):
         return f"F{self.p}"
 
     def coerce(self, c):
+        if type(c) is int:
+            return c % self.p
         q = Fraction(c)
         if q.denominator % self.p == 0:
             raise CoefficientRingError(f"{c} has no image in F_{self.p}")
@@ -187,17 +194,31 @@ def add(a: MonoidRingElement, b: MonoidRingElement) -> MonoidRingElement:
 
 
 def mul(a: MonoidRingElement, b: MonoidRingElement) -> MonoidRingElement:
-    """Exact convolution product in canonical form."""
+    """Exact convolution product in canonical form.
+
+    Each exponent e is keyed by the integer e·L, L the lcm of both operands'
+    exponent denominators; each distinct sum of keys is coerced once.
+    """
     _check_same_ring(a, b)
-    raw = [
-        (ca * cb, ea + eb) for ca, ea in a.terms for cb, eb in b.terms
-    ]
-    return canonicalize(raw, a.ring)
+    scale = lcm(*(e.denominator for _, e in a.terms), *(e.denominator for _, e in b.terms))
+    left = [(c, e.numerator * (scale // e.denominator)) for c, e in a.terms]
+    acc: dict[int, object] = {}
+    for cb, eb in b.terms:
+        kb = eb.numerator * (scale // eb.denominator)
+        for ca, ka in left:
+            k = ka + kb
+            acc[k] = acc.get(k, 0) + ca * cb
+    coerced = ((a.ring.coerce(acc[k]), k) for k in sorted(acc, reverse=True))
+    return MonoidRingElement(a.ring, tuple((c, Fraction(k, scale)) for c, k in coerced if c != 0))
 
 
 def power(a: MonoidRingElement, n: int) -> MonoidRingElement:
+    """a^n for an int n >= 0, by n products."""
+    steps = range(n)  # TypeError for an n that is not an int
+    if n < 0:
+        raise NegativeExponentError("powers take a nonnegative exponent")
     out = one(a.ring)
-    for _ in range(n):
+    for _ in steps:
         out = mul(out, a)
     return out
 

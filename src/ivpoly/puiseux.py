@@ -7,9 +7,10 @@ classical Grams monoid (generated by 1/(2^n p_n) over the odd primes p_n),
 and the unique dyadic-plus-residues decomposition of its elements.
 
 Membership is decided in closed form where the monoid structure allows it
-(the Grams monoid and the dyadic valuation monoid); the remaining generator
-families use bounded search, and results carry an ``exact`` flag so callers
-can tell "not a member" apart from "not representable within the truncation".
+(the Grams monoid, the dyadic valuation monoid, and the prime-reciprocal
+monoid within its truncation); explicit generator lists use bounded search,
+and results carry an ``exact`` flag so callers can tell "not a member" apart
+from "not representable within the truncation".
 """
 from __future__ import annotations
 
@@ -75,6 +76,12 @@ class PuiseuxMonoid:
         """(complete, provably infinite) for the length set of b > 0 found under the cap."""
         return False, False
 
+    def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
+        """(usable atoms, length exactness) for b > 0, or None when b is not a member."""
+        if not membership(self, b).is_member:
+            return None
+        return self.usable_atoms(b, cap), self.length_exactness(b, cap)
+
 
 def _leading_generators(spec: PuiseuxMonoid, bound: int) -> list[Fraction]:
     """The generators up to bound of a family whose denominators grow with the index."""
@@ -104,33 +111,43 @@ class GramsMonoid(PuiseuxMonoid):
 
     def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
         """Generators at most b with p_i <= cap, or with p_i exactly once in
-        b's denominator, decreasing.
-
-        The generators 1/(2^i p_i) decrease as i grows, so the ascending
-        indices give the order, and 1/(2^i p_i) <= b is tested on integers.
-        """
-        idx = set()
-        i = 0
-        while odd_prime(i) <= cap:
-            idx.add(i)
-            i += 1
-        for p, e in factorize(b.denominator).items():
-            if p != 2 and e == 1:
-                idx.add(odd_prime_index(p))
-        atoms = []
-        for i in sorted(idx):
-            denominator = odd_prime(i) << i
-            if b.numerator * denominator >= b.denominator:
-                atoms.append(Fraction(1, denominator))
-        return atoms
+        b's denominator, decreasing."""
+        once = [odd_prime_index(p) for p, e in factorize(b.denominator).items() if p != 2 and e == 1]
+        return _grams_atoms(b, cap, once)
 
     def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
+        return _grams_exactness(grams_decompose(b), cap)
+
+    def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
+        """All three from one decomposition: the odd primes dividing a
+        member's denominator once are the indices of its residues."""
         dec = grams_decompose(b)
-        if dec is not None and dec.nu == 0:
-            # residues force the unique multiplicity vector c_i
-            return sum(c for _, c in dec.coeffs) <= cap, False
-        # a positive dyadic part can be filled by p_n blocks of any index
-        return False, True
+        if dec is None:
+            return None
+        return _grams_atoms(b, cap, [i for i, _ in dec.coeffs]), _grams_exactness(dec, cap)
+
+
+def _grams_atoms(b: Fraction, cap: int, once: list[int]) -> list[Fraction]:
+    """The generators 1/(2^i p_i) <= b with p_i <= cap or i in once, decreasing.
+
+    They decrease as i grows, so the ascending indices give the order, and
+    1/(2^i p_i) <= b is tested on integers.
+    """
+    small = list(takewhile(lambda p: p <= cap, map(odd_prime, count())))
+    atoms = []
+    for i in sorted(set(range(len(small))).union(once)):
+        denominator = (small[i] if i < len(small) else odd_prime(i)) << i
+        if b.numerator * denominator >= b.denominator:
+            atoms.append(Fraction(1, denominator))
+    return atoms
+
+
+def _grams_exactness(dec: GramsDecomposition | None, cap: int) -> tuple[bool, bool]:
+    if dec is not None and dec.nu == 0:
+        # residues force the unique multiplicity vector c_i
+        return sum(c for _, c in dec.coeffs) <= cap, False
+    # a positive dyadic part can be filled by p_n blocks of any index
+    return False, True
 
 
 @dataclass(frozen=True)
@@ -157,7 +174,11 @@ class DyadicValuation(PuiseuxMonoid):
 
 @dataclass(frozen=True)
 class PrimeReciprocal(PuiseuxMonoid):
-    """Generators 1/p over the primes p = 2, 3, 5, ..."""
+    """Generators 1/p over the first ``truncation`` primes p = 2, 3, 5, ...
+
+    Membership within the truncation is a closed form (``member``); every
+    non-member is flagged inexact, the verdict of the search it replaced.
+    """
 
     truncation: int = 16
 
@@ -170,6 +191,34 @@ class PrimeReciprocal(PuiseuxMonoid):
 
     def search_generators(self) -> tuple[Fraction, ...]:
         return tuple(self.generator(i) for i in range(self.truncation))
+
+    def member(self, q: Fraction) -> MembershipResult:
+        """Membership of q = a/b by residues.
+
+        In any q = sum m_p / p, m_p is a·(b/p)^(-1) mod p for the primes p
+        dividing b and 0 mod p for the others.  So q is a member exactly when
+        b is squarefree over the first ``truncation`` primes and the rest
+        R = q - sum r_p / p of the least residues r_p is a nonnegative
+        integer.  The certificate adds 2R to the multiplicity of 1/2: the
+        largest multiplicity vector in the order 1/2, 1/3, 1/5, ..., which is
+        the first hit of the base class's search.
+        """
+        a, b = q.numerator, q.denominator
+        combo, total, left = {}, a, b
+        for i in range(self.truncation):
+            if left == 1:
+                break
+            p = nth_prime(i)
+            if left % p == 0:
+                left //= p
+                if left % p == 0:
+                    break  # p^2 divides b
+                combo[i] = a * pow(b // p, -1, p) % p
+                total -= combo[i] * (b // p)
+        if left != 1 or total < 0:
+            return MembershipResult(None, self.exact)
+        combo[0] = combo.get(0, 0) + 2 * (total // b)
+        return MembershipResult(MembershipCertificate.from_dict(combo), True)
 
     def splits(self, g: Fraction) -> bool:
         """A nonzero member splits iff it is not a generator 1/p.
@@ -476,39 +525,51 @@ def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Fa
     Complete within the cap (and the truncation, for search-based kinds);
     multisets are returned with parts in decreasing order, no duplicates.
     """
+    return _factored(spec, b, length_cap)[0]
+
+
+def _factored(
+    spec: PuiseuxMonoid, b: Fraction, length_cap: int
+) -> tuple[list[Factorization], tuple[bool, bool]]:
+    """The factorizations of b under the cap, and the length exactness of b."""
     b = Fraction(b)
     if length_cap < 1:
         raise TruncationError("length cap must be at least 1")
-    if not membership(spec, b).is_member:
+    if b <= 0:
+        membership(spec, b)  # rejects b < 0
+        return [Factorization(())], (True, False)
+    found = spec.factoring(b, length_cap)
+    if found is None:
         raise NotAMemberError(f"{format_rational(b)} is not a member")
-    if b == 0:
-        return [Factorization(())]
-    atoms = spec.usable_atoms(b, length_cap)
+    atoms, exactness = found
     weights, suffix, target = _integer_weights(atoms, b)
     if target is None:
-        return []
+        return [], exactness
     return [
         Factorization(tuple(a for a, (_, _, k) in zip(atoms, stack) for _ in range(k)))
         for stack in _walk(weights, suffix, target, length_cap, None)
-    ]
+    ], exactness
 
 
 def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:
     """Lengths of factorizations found under the cap, with max/min elasticity."""
-    b = Fraction(b)
-    return profile_of(spec, b, cap, factorizations(spec, b, cap))
+    return _profile(*_factored(spec, b, cap))
 
 
 def profile_of(
     spec: PuiseuxMonoid, b: Fraction, cap: int, facs: list[Factorization]
 ) -> LengthProfile:
     """The length profile of b from its factorizations under the cap."""
+    return _profile(facs, (True, False) if b == 0 else spec.length_exactness(b, cap))
+
+
+def _profile(facs: list[Factorization], exactness: tuple[bool, bool]) -> LengthProfile:
     lengths = frozenset(f.length for f in facs)
     if not lengths:
         return LengthProfile(lengths, None, True)
     lo, hi = min(lengths), max(lengths)
     elasticity = Fraction(hi, lo) if lo else Fraction(1)
-    exact, infinite = (True, False) if b == 0 else spec.length_exactness(b, cap)
+    exact, infinite = exactness
     return LengthProfile(lengths, elasticity, not exact, infinite)
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from ivpoly.monoid_ring import (
     GF,
     QQ,
     ZZ,
+    MonoidRingElement,
     add,
     canonicalize,
     element,
@@ -94,6 +96,83 @@ class TestArithmetic:
     @settings(max_examples=60)
     def test_frobenius_identity(self, a, b):
         assert power(add(a, b), 3) == add(power(a, 3), power(b, 3))
+
+
+#: the largest prime below 2^63, a 19-digit prime field
+BIG_P = 2**63 - 25
+
+
+def _reference_mul(ring, a, b):
+    """a·b from plain ``Fraction`` exponent sums merged in a dict."""
+    acc = {}
+    for ca, ea in a.terms:
+        for cb, eb in b.terms:
+            acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+    terms = [(ring.coerce(c), e) for e, c in sorted(acc.items(), reverse=True)]
+    return tuple((c, e) for c, e in terms if c != 0)
+
+
+def _product_corpus(ring, rng):
+    """Pairs of elements over ring, exponent denominators from a coprime pool
+    or from one sharing factors, each pair (a, b) followed by (a + b, a - b),
+    whose product a^2 - b^2 cancels the cross terms."""
+    pools = ([F(n, d) for n in range(5) for d in (1, 5, 7, 11)],
+             [F(n, d) for n in range(5) for d in (2, 4, 6, 12)])
+    coeffs = {"Z": [-3, -1, 1, 2], "Q": [-3, F(-1, 3), F(1, 3), 1, 2]}.get(ring.tag)
+    coeffs = coeffs or [1, 2, ring.p - 1]
+    for _ in range(40):
+        pool = rng.choice(pools)
+        a, b = [element(ring, [(rng.choice(coeffs), rng.choice(pool)) for _ in range(rng.randint(0, 4))])
+                for _ in range(2)]
+        yield a, b
+        yield add(a, b), add(a, element(ring, [(-c, e) for c, e in b.terms]))
+
+
+class TestIntegerExponentProducts:
+    """``mul`` and ``power`` against a plain reference on ``Fraction`` exponents."""
+
+    RINGS = [ZZ, QQ, GF(2), GF(3), GF(BIG_P)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
+    def test_mul_matches_the_reference(self, ring):
+        rng = random.Random(ring.tag)
+        cancelled = 0
+        for a, b in _product_corpus(ring, rng):
+            got = mul(a, b)
+            assert got.terms == _reference_mul(ring, a, b), (a, b)
+            sums = {ea + eb for _, ea in a.terms for _, eb in b.terms}
+            cancelled += len(sums) - len(got.terms)
+            if ring != QQ:
+                assert all(type(c) is int for c, _ in got.terms)
+        assert cancelled > 0  # some exponent sums cancelled to zero
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
+    def test_power_matches_the_reference(self, ring):
+        rng = random.Random(ring.tag)
+        for a, _ in _product_corpus(ring, rng):
+            want = element(ring, [(1, 0)])
+            for n in range(5):
+                assert power(a, n) == want, (a, n)
+                want = MonoidRingElement(ring, _reference_mul(ring, want, a))
+
+    def test_zero_element(self):
+        a = element(GF(3), [(1, F(1, 2))])
+        assert mul(zero(GF(3)), a) == mul(a, zero(GF(3))) == zero(GF(3))
+        assert power(zero(QQ), 0) == element(QQ, [(1, 0)]) and power(zero(QQ), 3) == zero(QQ)
+
+    def test_prime_field_sum_cancels(self):
+        a = element(GF(3), [(1, F(1, 2)), (1, F(1, 3))])
+        b = element(GF(3), [(1, F(1, 3)), (2, F(1, 2))])
+        assert mul(a, b) == element(GF(3), [(2, 1), (1, F(2, 3))])
+
+    def test_negative_power_rejected(self):
+        a = element(ZZ, [(2, F(1, 2))])
+        with pytest.raises(NegativeExponentError) as err:
+            power(a, -1)
+        assert err.value.code == "negative-exponent"
+        for n in (2.0, F(2), "2", None):
+            with pytest.raises(TypeError):
+                power(a, n)
 
 
 class TestUnits:

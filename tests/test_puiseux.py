@@ -547,6 +547,56 @@ class TestIntegerGramsPath:
             assert cert.verify(spec, want) and not cert.verify(spec, want + F(1, 7))
 
 
+
+def _prime_reciprocal_corpus(t, rng):
+    """Rationals for PrimeReciprocal(t): squarefree denominators over the first
+    t primes and with a prime beyond them, p^2 denominators, numerators small
+    enough that the least residues overshoot, and integers and 0."""
+    inside, beyond = [nth_prime(i) for i in range(t)], [nth_prime(t + i) for i in range(8)]
+    out = [F(0), F(1), F(rng.randint(2, 9))]
+    for _ in range(24):
+        den = 1
+        for p in rng.sample(inside, rng.randint(1, min(t, 5))):
+            den *= p
+        kind = rng.randrange(4)
+        if kind == 1:
+            den *= rng.choice(beyond)
+        elif kind == 2:
+            den *= rng.choice(inside)
+        out.append(F(rng.randint(1, rng.choice((3, den, 3 * den))), den))
+    return out
+
+
+class TestPrimeReciprocalClosedForm:
+    """``PrimeReciprocal.member`` against the bounded search of the base class."""
+
+    def test_matches_the_search(self):
+        rng = random.Random(25)
+        outcomes = Counter()
+        for t in range(1, 21):
+            spec = PrimeReciprocal(t)
+            for q in _prime_reciprocal_corpus(t, rng):
+                got, want = spec.member(q), PuiseuxMonoid.member(spec, q)
+                assert got == want, (t, q)
+                fact = factorize(q.denominator)
+                kind = ("p^2" if max(fact.values(), default=1) > 1 else
+                        "beyond" if max(fact, default=2) > nth_prime(t - 1) else
+                        "member" if got.is_member else "negative rest")
+                outcomes[kind] += 1
+        assert outcomes == {"member": 220, "negative rest": 180, "beyond": 98, "p^2": 42}
+
+    def test_negative_rest(self):
+        spec = PrimeReciprocal(3)
+        q = F(1, 3) + F(1, 5) - F(1, 2)  # 1/30: its residues sum to 31/30
+        assert spec.member(q) == PuiseuxMonoid.member(spec, q) == puiseux.MembershipResult(None, False)
+        assert spec.member(q + 1).certificate.as_dict() == {0: 1, 1: 1, 2: 1}
+
+    def test_integer_rest_goes_to_one_half(self):
+        res = PrimeReciprocal(16).member(F(7, 3))
+        assert res.exact and res.certificate.as_dict() == {0: 4, 1: 1}
+        assert PrimeReciprocal(1).member(F(0)).certificate.as_dict() == {}
+
+
 class TestAccpChain:
     def test_chain_through_ten(self):
         steps = accp_chain_check(GRAMS, 10)

@@ -8,7 +8,8 @@ why, the simplex and Fourier-Motzkin engines of ``linprog`` share no helper
 unless ``SHARED_LP`` says why, Fourier-Motzkin and ``puiseux.grams_decompose``
 read no ``Fraction`` below their input coercion (but for the Grams ν),
 ``cone.cone_member`` reaches no ``linprog``
-name while ``cone.membership_system_agreement`` reaches both engines, and
+name while ``cone.membership_system_agreement`` reaches both engines,
+``puiseux.PrimeReciprocal.member`` reaches neither Puiseux search, and
 every ``ivpoly ...`` line of the README's CLI block runs as printed.
 """
 import ast
@@ -142,8 +143,9 @@ def _top_level_defs(source: str) -> dict[str, ast.AST]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
-def _reachable(source: str, roots: set[str]) -> set[str]:
-    """The top-level functions and classes of source that roots name, directly or through each other."""
+def _reachable(source: str, roots: set[str], walk=ast.walk) -> set[str]:
+    """The top-level functions and classes of source that roots name, directly
+    or through each other, reading each definition's nodes through walk."""
     defs = _top_level_defs(source)
     seen: set[str] = set()
     stack = list(roots)
@@ -151,8 +153,21 @@ def _reachable(source: str, roots: set[str]) -> set[str]:
         name = stack.pop()
         if name in defs and name not in seen:
             seen.add(name)
-            stack += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+            stack += [n.id for n in walk(defs[name]) if isinstance(n, ast.Name)]
     return seen
+
+
+def _walk_code(node: ast.AST):
+    """``ast.walk`` without annotations, which never run: every module of
+    ``src/ivpoly`` has ``from __future__ import annotations``."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                todo += [v for v in (value if isinstance(value, list) else [value])
+                         if isinstance(v, ast.AST)]
 
 
 def _shared_lp(source: str) -> set[str]:
@@ -363,3 +378,55 @@ def test_the_check_sees_a_planted_linprog_call():
 def test_cone_member_does_not_reach_its_oracles():
     assert _linprog_reached(CONE, "cone_member") == set()
     assert {"simplex_feasible", "fm_feasible_eq"} <= _linprog_reached(CONE, "membership_system_agreement")
+
+
+def _method_reached(source: str, cls: str, method: str) -> set[str]:
+    """The top-level functions and classes of source that the method of the
+    top-level class cls reaches: the names it reads, the methods it calls as
+    ``self.<m>`` or ``super().<m>`` (looked up along the first top-level base
+    class), and what those reach in turn, annotations aside."""
+    defs = _top_level_defs(source)
+
+    def lookup(owner, name):
+        while owner in defs:
+            for node in defs[owner].body:
+                if isinstance(node, ast.FunctionDef) and node.name == name:
+                    return owner, node
+            owner = defs[owner].bases[0].id if defs[owner].bases else None
+        return None
+
+    names, todo, seen = set(), [lookup(cls, method)], set()
+    while todo:
+        found = todo.pop()
+        if found is None or found in seen:
+            continue
+        seen.add(found)
+        owner, func = found
+        for n in _walk_code(func):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute) and ast.unparse(n.value) == "self":
+                todo.append(lookup(cls, n.attr))
+            elif isinstance(n, ast.Attribute) and ast.unparse(n.value) == "super()":
+                todo.append(lookup(defs[owner].bases[0].id, n.attr))
+    return _reachable(source, names, _walk_code)
+
+
+#: the first line of ``PrimeReciprocal.member``'s body after its docstring
+PR_MEMBER_LINE = "        combo, total, left = {}, a, b\n"
+PR_MEMBER_DEF = "    def member(self, q: Fraction) -> MembershipResult:\n        \"\"\"Membership of q = a/b by residues."
+SEARCHES = {"_walk", "_bounded_search"}
+
+
+def test_the_check_sees_a_search_in_a_method():
+    assert SEARCHES <= _method_reached(PUISEUX, "PuiseuxMonoid", "member")
+    assert PUISEUX.count(PR_MEMBER_LINE) == 1 and PUISEUX.count(PR_MEMBER_DEF) == 1
+    fallback = "    def fallback(self, q):\n        return _bounded_search(self.search_generators(), q)\n\n"
+    for call in ("PuiseuxMonoid.member(self, q)", "super().member(q)", "self.fallback(q)"):
+        planted = PUISEUX.replace(PR_MEMBER_LINE, f"        return {call}\n" + PR_MEMBER_LINE)
+        planted = planted.replace(PR_MEMBER_DEF, fallback + PR_MEMBER_DEF)
+        assert SEARCHES <= _method_reached(planted, "PrimeReciprocal", "member"), call
+
+
+def test_prime_reciprocal_member_does_not_reach_the_search():
+    assert not _method_reached(PUISEUX, "PrimeReciprocal", "member") & SEARCHES
