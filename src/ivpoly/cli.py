@@ -167,12 +167,10 @@ def _cmd_monoid_atoms(args):
 
 
 def _cmd_monoid_factor(args):
-    from .puiseux import factorizations, profile_of
+    from .puiseux import factorizations_with_profile
 
     spec = _parse_spec(args)
-    b = parse_rational(args.b)
-    facs = factorizations(spec, b, args.length_cap)
-    profile = profile_of(spec, b, args.length_cap, facs)
+    facs, profile = factorizations_with_profile(spec, parse_rational(args.b), args.length_cap)
     # each distinct atom is formatted once, for both outputs; the parts come in
     # runs of equal atoms, so each run costs one lookup (a Fraction hash)
     names: dict[Fraction, str] = {}

@@ -556,11 +556,12 @@ def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:
     return _profile(*_factored(spec, b, cap))
 
 
-def profile_of(
-    spec: PuiseuxMonoid, b: Fraction, cap: int, facs: list[Factorization]
-) -> LengthProfile:
-    """The length profile of b from its factorizations under the cap."""
-    return _profile(facs, (True, False) if b == 0 else spec.length_exactness(b, cap))
+def factorizations_with_profile(
+    spec: PuiseuxMonoid, b: Fraction, cap: int
+) -> tuple[list[Factorization], LengthProfile]:
+    """``factorizations`` and ``length_set`` of b from one listing."""
+    facs, exactness = _factored(spec, b, cap)
+    return facs, _profile(facs, exactness)
 
 
 def _profile(facs: list[Factorization], exactness: tuple[bool, bool]) -> LengthProfile:

@@ -29,6 +29,7 @@ from ivpoly.puiseux import (
     atoms_up_to,
     dyadic_divides,
     factorizations,
+    factorizations_with_profile,
     grams_decompose,
     length_set,
     membership,
@@ -391,6 +392,20 @@ class TestLengthSets:
             atoms = spec.usable_atoms(b, cap)
             want = (cap >= b / min(atoms), False) if atoms else (False, False)
             assert spec.length_exactness(b, cap) == want
+
+    @pytest.mark.parametrize("spec, b", [(GRAMS, F(3, 4)), (GRAMS, F(1)), (GRAMS, F(0)),
+                                         (DyadicValuation(), F(1, 2)), (PrimeReciprocal(4), F(5, 6)),
+                                         (ExplicitMonoid((F(1, 2), F(1, 3), F(1, 5))), F(1))])
+    def test_factorizations_with_profile_is_both_calls(self, spec, b):
+        assert factorizations_with_profile(spec, b, 12) == (
+            factorizations(spec, b, 12), length_set(spec, b, 12))
+
+    def test_factorizations_with_profile_decomposes_grams_once(self, monkeypatch):
+        calls = []
+        real = puiseux.grams_decompose
+        monkeypatch.setattr(puiseux, "grams_decompose", lambda q: calls.append(q) or real(q))
+        factorizations_with_profile(GRAMS, F(3, 4), 12)
+        assert calls == [F(3, 4)]
 
     def test_dyadic_has_no_factorizations(self):
         assert factorizations(DyadicValuation(), F(1, 2), 5) == []
