@@ -176,8 +176,9 @@ class DyadicValuation(PuiseuxMonoid):
 class PrimeReciprocal(PuiseuxMonoid):
     """Generators 1/p over the first ``truncation`` primes p = 2, 3, 5, ...
 
-    Membership within the truncation is a closed form (``member``); every
-    non-member is flagged inexact, the verdict of the search it replaced.
+    Membership within the truncation is a closed form (``member``).  A
+    non-member is flagged exact when no truncation can make it a member, and
+    inexact when its denominator has a prime beyond the truncation.
     """
 
     truncation: int = 16
@@ -202,6 +203,10 @@ class PrimeReciprocal(PuiseuxMonoid):
         integer.  The certificate adds 2R to the multiplicity of 1/2: the
         largest multiplicity vector in the order 1/2, 1/3, 1/5, ..., which is
         the first hit of the base class's search.
+
+        The residues and the rest do not depend on the truncation, so p^2
+        dividing b or a negative rest rules q out of the whole monoid, an
+        exact verdict; a prime of b beyond the truncation leaves it open.
         """
         a, b = q.numerator, q.denominator
         combo, total, left = {}, a, b
@@ -212,11 +217,13 @@ class PrimeReciprocal(PuiseuxMonoid):
             if left % p == 0:
                 left //= p
                 if left % p == 0:
-                    break  # p^2 divides b
+                    return MembershipResult(None, True)  # p^2 divides b
                 combo[i] = a * pow(b // p, -1, p) % p
                 total -= combo[i] * (b // p)
-        if left != 1 or total < 0:
+        if left != 1:
             return MembershipResult(None, self.exact)
+        if total < 0:
+            return MembershipResult(None, True)
         combo[0] = combo.get(0, 0) + 2 * (total // b)
         return MembershipResult(MembershipCertificate.from_dict(combo), True)
 

@@ -592,18 +592,21 @@ class TestPrimeReciprocalClosedForm:
             spec = PrimeReciprocal(t)
             for q in _prime_reciprocal_corpus(t, rng):
                 got, want = spec.member(q), PuiseuxMonoid.member(spec, q)
-                assert got == want, (t, q)
                 fact = factorize(q.denominator)
                 kind = ("p^2" if max(fact.values(), default=1) > 1 else
                         "beyond" if max(fact, default=2) > nth_prime(t - 1) else
                         "member" if got.is_member else "negative rest")
+                # the search cannot tell a non-member of the whole monoid apart
+                assert got.certificate == want.certificate, (t, q)
+                assert got.exact == (kind != "beyond"), (t, q)
                 outcomes[kind] += 1
         assert outcomes == {"member": 220, "negative rest": 180, "beyond": 98, "p^2": 42}
 
     def test_negative_rest(self):
         spec = PrimeReciprocal(3)
         q = F(1, 3) + F(1, 5) - F(1, 2)  # 1/30: its residues sum to 31/30
-        assert spec.member(q) == PuiseuxMonoid.member(spec, q) == puiseux.MembershipResult(None, False)
+        assert spec.member(q) == puiseux.MembershipResult(None, True)
+        assert PuiseuxMonoid.member(spec, q) == puiseux.MembershipResult(None, False)
         assert spec.member(q + 1).certificate.as_dict() == {0: 1, 1: 1, 2: 1}
 
     def test_integer_rest_goes_to_one_half(self):
