@@ -11,6 +11,15 @@ Membership is decided in closed form where the monoid structure allows it
 monoid within its truncation); explicit generator lists use bounded search,
 and results carry an ``exact`` flag so callers can tell "not a member" apart
 from "not representable within the truncation".
+
+Factorizations are listed by one integer walk over the usable atoms that
+each kind's ``factoring`` names.  Length sets are read off that listing,
+except on the Grams monoid: there every factorization takes c_i + k_i·p_i
+copies of generator i, with c_i the residues of the decomposition and
+Σ k_i/2^i its dyadic part ν, so a carry DP over the levels i finds the
+lengths with at most (cap/3 + 1) carries per level, each an int bitmask of
+lengths, and no listing.  The chain steps of ``accp_chain_check`` are
+closed forms, each certificate verified.
 """
 from __future__ import annotations
 
@@ -66,21 +75,24 @@ class PuiseuxMonoid:
                 return True
         return False
 
-    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
-        """Atoms that can occur in a factorization of b with length <= cap, decreasing."""
-        max_denom = max((g.denominator for g in self.search_generators()), default=1)
-        atoms = atoms_up_to(self, max_denom)
-        return sorted((a for a in atoms if a <= b), reverse=True)
-
-    def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
-        """(complete, provably infinite) for the length set of b > 0 found under the cap."""
-        return False, False
-
     def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
-        """(usable atoms, length exactness) for b > 0, or None when b is not a member."""
+        """(usable atoms, length exactness) for b > 0, or None when b is not a member.
+
+        The usable atoms are those that can occur in a factorization of b
+        with length <= cap, decreasing; the length exactness is (complete,
+        provably infinite) for the length set of b found under the cap.
+        """
         if not membership(self, b).is_member:
             return None
-        return self.usable_atoms(b, cap), self.length_exactness(b, cap)
+        max_denom = max((g.denominator for g in self.search_generators()), default=1)
+        atoms = atoms_up_to(self, max_denom)
+        return sorted((a for a in atoms if a <= b), reverse=True), (False, False)
+
+    def lengths(self, b: Fraction, cap: int) -> tuple[list[int], tuple[bool, bool]]:
+        """The lengths of b's factorizations under the cap, and the length
+        exactness of b, for b > 0; read off the listing."""
+        facs, exactness = _listed(self, b, cap)
+        return [f.length for f in facs], exactness
 
 
 def _leading_generators(spec: PuiseuxMonoid, bound: int) -> list[Fraction]:
@@ -109,22 +121,21 @@ class GramsMonoid(PuiseuxMonoid):
         dec = grams_decompose(g)
         return dec is not None and not (dec.nu == 0 and sum(c for _, c in dec.coeffs) == 1)
 
-    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
-        """Generators at most b with p_i <= cap, or with p_i exactly once in
-        b's denominator, decreasing."""
-        once = [odd_prime_index(p) for p, e in factorize(b.denominator).items() if p != 2 and e == 1]
-        return _grams_atoms(b, cap, once)
-
-    def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
-        return _grams_exactness(grams_decompose(b), cap)
-
     def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
-        """All three from one decomposition: the odd primes dividing a
-        member's denominator once are the indices of its residues."""
+        """The generators at most b with p_i <= cap or p_i once in b's
+        denominator, decreasing, from one decomposition: those odd primes
+        of a member are the indices of its residues."""
         dec = grams_decompose(b)
         if dec is None:
             return None
         return _grams_atoms(b, cap, [i for i, _ in dec.coeffs]), _grams_exactness(dec, cap)
+
+    def lengths(self, b: Fraction, cap: int) -> tuple[list[int], tuple[bool, bool]]:
+        """The lengths by the carry DP of ``_grams_lengths``, with no listing."""
+        dec = grams_decompose(b)
+        if dec is None:
+            raise NotAMemberError(f"{format_rational(b)} is not a member")
+        return _grams_lengths(dec, cap), _grams_exactness(dec, cap)
 
 
 def _grams_atoms(b: Fraction, cap: int, once: list[int]) -> list[Fraction]:
@@ -140,6 +151,51 @@ def _grams_atoms(b: Fraction, cap: int, once: list[int]) -> list[Fraction]:
         if b.numerator * denominator >= b.denominator:
             atoms.append(Fraction(1, denominator))
     return atoms
+
+
+def _grams_lengths(dec: GramsDecomposition, cap: int) -> list[int]:
+    """The lengths at most cap of the factorizations of ν + Σ c_i/(2^i p_i).
+
+    A factorization has m_i = c_i + k_i·p_i copies of generator i, with
+    k_i >= 0 since 0 < c_i < p_i clears p_i, and Σ k_i/2^i = ν; its length
+    is C + Σ k_i·p_i with C = Σ c_i.  So the extra lengths E = Σ k_i·p_i are
+    at most R = cap − C, and k_i > 0 only for the levels i with p_i <= R.
+    Over the top such level N, the carry T at level i is what is left of
+    ν·2^N in units of 2^-i: level N starts at ν·2^N, each level i > 0 takes a
+    k_i of T's parity and passes (T − k_i)/2 down, and level 0 takes all of
+    its T.  Each carry keeps an int bitmask of the extra lengths reaching
+    it.  Every unit of ν left costs at least 3 more (p_0·2^0 is the least
+    p_i·2^i), so a carry T at level i keeps only its bits up to
+    R − ⌈3T/2^i⌉, and is dropped when that is negative.  A level below the
+    top holds at most R/3 + 1 carries, since the levels above it take at
+    most Σ_j (R/p_j)·2^(i−j) <= R/3 from ν·2^i; each level tries at most
+    R/p_i + 1 values of k_i, on masks of R + 1 bits.
+    """
+    base = sum(c for _, c in dec.coeffs)
+    room = cap - base
+    if room < 0:
+        return []
+    top = len(list(takewhile(lambda p: p <= room, map(odd_prime, count())))) - 1
+    nu = dec.nu
+    if top < 0 or nu.denominator > 1 << top:
+        # no level can carry ν, or its denominator is finer than the top level
+        return [base] if nu == 0 else []
+    carries = {nu.numerator << (top - nu.denominator.bit_length() + 1): 1}
+    for i in range(top, -1, -1):
+        p, below = odd_prime(i), {}
+        for t, mask in carries.items():
+            limit = room - ((3 * t + (1 << i) - 1) >> i)
+            if limit < 0:
+                continue
+            mask &= (2 << limit) - 1
+            if i == 0:
+                below[0] = below.get(0, 0) | mask << t * p
+                continue
+            for k in range(t & 1, min(t, room // p) + 1, 2):
+                below[(t - k) >> 1] = below.get((t - k) >> 1, 0) | mask << k * p
+        carries = below
+    mask = carries.get(0, 0)
+    return [base + e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
 def _grams_exactness(dec: GramsDecomposition | None, cap: int) -> tuple[bool, bool]:
@@ -168,8 +224,9 @@ class DyadicValuation(PuiseuxMonoid):
     def splits(self, g: Fraction) -> bool:
         return g > 0  # everything halves
 
-    def usable_atoms(self, b: Fraction, cap: int) -> list[Fraction]:
-        return []  # the dyadic valuation monoid has no atoms
+    def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
+        # the dyadic valuation monoid has no atoms
+        return ([], (False, False)) if is_dyadic(b) else None
 
 
 @dataclass(frozen=True)
@@ -258,16 +315,17 @@ class ExplicitMonoid(PuiseuxMonoid):
     def search_generators(self) -> tuple[Fraction, ...]:
         return self.generators
 
-    def length_exactness(self, b: Fraction, cap: int) -> tuple[bool, bool]:
-        """Complete once the cap reaches b over the smallest usable atom.
+    def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
+        """Complete once the cap reaches b over the smallest generator.
 
         The smallest generator is always an atom, since every nonzero member
-        is at least as large; it is usable exactly when it is <= b.
+        is at least as large, and no factorization of b is longer than b
+        over it.
         """
-        small = min(self.generators, default=b + 1)
-        if small > b:
-            return False, False
-        return cap >= b / small, False
+        found = super().factoring(b, cap)
+        if found is None:
+            return None
+        return found[0], (cap >= b / min(self.generators), False)
 
 
 @dataclass(frozen=True)
@@ -535,16 +593,30 @@ def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Fa
     return _factored(spec, b, length_cap)[0]
 
 
+def _checked(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> Fraction:
+    """b as a ``Fraction``, once the cap is at least 1 and b is not negative."""
+    b = Fraction(b)
+    if length_cap < 1:
+        raise TruncationError("length cap must be at least 1")
+    if b < 0:
+        membership(spec, b)  # raises
+    return b
+
+
 def _factored(
     spec: PuiseuxMonoid, b: Fraction, length_cap: int
 ) -> tuple[list[Factorization], tuple[bool, bool]]:
     """The factorizations of b under the cap, and the length exactness of b."""
-    b = Fraction(b)
-    if length_cap < 1:
-        raise TruncationError("length cap must be at least 1")
-    if b <= 0:
-        membership(spec, b)  # rejects b < 0
+    b = _checked(spec, b, length_cap)
+    if b == 0:
         return [Factorization(())], (True, False)
+    return _listed(spec, b, length_cap)
+
+
+def _listed(
+    spec: PuiseuxMonoid, b: Fraction, length_cap: int
+) -> tuple[list[Factorization], tuple[bool, bool]]:
+    """``_factored`` for b > 0: ``_walk`` over the spec's usable atoms."""
     found = spec.factoring(b, length_cap)
     if found is None:
         raise NotAMemberError(f"{format_rational(b)} is not a member")
@@ -559,8 +631,16 @@ def _factored(
 
 
 def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:
-    """Lengths of factorizations found under the cap, with max/min elasticity."""
-    return _profile(*_factored(spec, b, cap))
+    """Lengths of factorizations found under the cap, with max/min elasticity.
+
+    The spec's ``lengths`` gives them: the base class reads them off the
+    listing of ``factorizations``, and the Grams monoid runs a carry DP over
+    the levels of its generators (``_grams_lengths``), with no listing.
+    """
+    b = _checked(spec, b, cap)
+    if b == 0:
+        return _profile([0], (True, False))
+    return _profile(*spec.lengths(b, cap))
 
 
 def factorizations_with_profile(
@@ -568,11 +648,11 @@ def factorizations_with_profile(
 ) -> tuple[list[Factorization], LengthProfile]:
     """``factorizations`` and ``length_set`` of b from one listing."""
     facs, exactness = _factored(spec, b, cap)
-    return facs, _profile(facs, exactness)
+    return facs, _profile([f.length for f in facs], exactness)
 
 
-def _profile(facs: list[Factorization], exactness: tuple[bool, bool]) -> LengthProfile:
-    lengths = frozenset(f.length for f in facs)
+def _profile(found: list[int], exactness: tuple[bool, bool]) -> LengthProfile:
+    lengths = frozenset(found)
     if not lengths:
         return LengthProfile(lengths, None, True)
     lo, hi = min(lengths), max(lengths)
@@ -584,9 +664,12 @@ def _profile(facs: list[Factorization], exactness: tuple[bool, bool]) -> LengthP
 def accp_chain_check(spec: PuiseuxMonoid, n_max: int) -> list[ChainStep]:
     """Verify the ascending, never-stabilizing chain of ideals (1/2^n + M).
 
-    Step n is ascending iff 1/2^(n+1) is a member (certificate: p_{n+1}
-    copies of generator n+1) and strict because the reverse difference is
-    negative, hence never a member.
+    Step n is ascending iff 1/2^(n+1) is a member, and its certificate is
+    the closed form {n+1: p_(n+1)}: p_(n+1) copies of 1/(2^(n+1) p_(n+1)).
+    Each certificate is verified against 1/2^(n+1), so ``ascending`` is a
+    checked fact, with no decomposition.  The step is strict because the
+    reverse difference 1/2^(n+1) − 1/2^n is negative, that is
+    2^n < 2^(n+1), so 1/2^(n+1) is not in 1/2^n + M.
     """
     if not isinstance(spec, GramsMonoid):
         raise SpecKindError("the chain witness is specific to the Grams monoid")
@@ -594,11 +677,9 @@ def accp_chain_check(spec: PuiseuxMonoid, n_max: int) -> list[ChainStep]:
         raise TruncationError("n_max must be at least 1")
     steps = []
     for n in range(n_max + 1):
-        gap = Fraction(1, 2 ** (n + 1))
-        res = membership(spec, gap)
-        ascending = res.is_member and res.certificate.verify(spec, gap)
-        strict = gap - Fraction(1, 2**n) < 0
-        steps.append(ChainStep(n, ascending, strict, res.certificate))
+        certificate = MembershipCertificate(((n + 1, odd_prime(n + 1)),))
+        ascending = certificate.verify(spec, Fraction(1, 2 << n))
+        steps.append(ChainStep(n, ascending, 1 << n < 2 << n, certificate))
     return steps
 
 

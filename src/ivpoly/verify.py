@@ -48,7 +48,7 @@ from .intpoly import (
 )
 from .monoid_ring import GF, element, power, pth_root
 from .primes import odd_prime
-from .puiseux import GramsMonoid, accp_chain_check, atoms_up_to
+from .puiseux import GramsMonoid, accp_chain_check, atoms_up_to, membership
 from .qfactor import factor_rational
 
 
@@ -250,13 +250,23 @@ def _fact_grams_atoms():
 
 
 def _fact_grams_accp():
+    """Each step's certificate is {n+1: p_(n+1)}, sums to 1/2^(n+1) over
+    generators built here, and is the one ``membership`` finds through the
+    Grams decomposition."""
     spec = GramsMonoid()
     steps = accp_chain_check(spec, 10)
     ok = len(steps) == 11
     for step in steps:
-        cert_ok = step.certificate is not None and step.certificate.as_dict() == {
-            step.step + 1: odd_prime(step.step + 1)
-        }
+        gap = Fraction(1, 2 ** (step.step + 1))
+        cert_ok = (
+            step.certificate is not None
+            and step.certificate.as_dict() == {step.step + 1: odd_prime(step.step + 1)}
+            and sum(
+                (m * Fraction(1, 2**i * odd_prime(i)) for i, m in step.certificate.combo),
+                Fraction(0),
+            ) == gap
+            and membership(spec, gap).certificate == step.certificate
+        )
         ok = ok and step.ascending and step.strict and cert_ok
     return ok, f"{len(steps)} steps, all ascending and strict"
 

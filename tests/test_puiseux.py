@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from math import lcm
@@ -372,8 +373,12 @@ class TestLengthSets:
     def test_prime_reciprocal_atoms_match_the_search(self, truncation):
         spec = PrimeReciprocal(truncation)
         primes = [nth_prime(i) for i in range(truncation)]
-        for b in (F(0), F(1, 7), F(5, 6), F(3)):
-            assert spec.usable_atoms(b, 4) == [F(1, p) for p in primes if F(1, p) <= b]
+        for b in (F(1, 7), F(5, 6), F(3), F(1, 4), F(1, 30), F(1, 29 * 31)):
+            found = spec.factoring(b, 4)
+            if not membership(spec, b).is_member:
+                assert found is None, b
+                continue
+            assert found == ([F(1, p) for p in primes if F(1, p) <= b], (False, False)), b
 
     def test_explicit_length_set_finds_atoms_once(self, monkeypatch):
         calls = []
@@ -389,9 +394,12 @@ class TestLengthSets:
             gens = tuple({F(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
             spec = ExplicitMonoid(gens)
             b, cap = F(rng.randint(1, 12), rng.randint(1, 4)), rng.randint(1, 9)
-            atoms = spec.usable_atoms(b, cap)
-            want = (cap >= b / min(atoms), False) if atoms else (False, False)
-            assert spec.length_exactness(b, cap) == want
+            found = spec.factoring(b, cap)
+            if not membership(spec, b).is_member:
+                assert found is None, (spec, b)
+                continue
+            atoms, exactness = found
+            assert exactness == (cap >= b / min(atoms), False)
 
     @pytest.mark.parametrize("spec, b", [(GRAMS, F(3, 4)), (GRAMS, F(1)), (GRAMS, F(0)),
                                          (DyadicValuation(), F(1, 2)), (PrimeReciprocal(4), F(5, 6)),
@@ -539,14 +547,23 @@ class TestIntegerGramsPath:
 
     def test_usable_atoms_match_the_sorted_filter(self):
         targets = (F(1), F(1, 2), F(3, 4), F(5, 6), F(2), F(3, 2), F(11, 10), F(15, 28),
-                   F(7, 4), F(1, 3), F(7, 30), F(1, 88), F(1, 89), F(1, 3 * 5 * 7 * 11 * 13))
+                   F(7, 4), F(1, 3), F(7, 30), F(1, 88), F(1, 89), F(1, 3 * 5 * 7 * 11 * 13),
+                   F(1, 9), F(1, 30), F(1, 6))
+        outcomes = Counter()
         for b in targets:
             odd_once = {odd_prime_index(p) for p, e in factorize(b.denominator).items()
                         if p != 2 and e == 1}
+            member = grams_decompose(b) is not None
+            outcomes[member] += 1
             for cap in range(1, 61):
+                found = GRAMS.factoring(b, cap)
+                if not member:
+                    assert found is None, (b, cap)
+                    continue
                 idx = odd_once | {i for i in range(cap) if odd_prime(i) <= cap}
                 want = sorted((g for g in map(GRAMS.generator, idx) if g <= b), reverse=True)
-                assert GRAMS.usable_atoms(b, cap) == want, (b, cap)
+                assert found[0] == want, (b, cap)
+        assert outcomes == {True: 12, False: 5}
 
     @pytest.mark.parametrize("spec", [GRAMS, DyadicValuation(), PrimeReciprocal(16),
                                       ExplicitMonoid((F(2, 3), F(4, 5), F(7, 12), F(3)))],
@@ -615,7 +632,65 @@ class TestPrimeReciprocalClosedForm:
         assert PrimeReciprocal(1).member(F(0)).certificate.as_dict() == {}
 
 
+#: the ``monoid`` benchmark's Grams targets
+GRAMS_TARGETS = (F(1), F(1, 2), F(3, 4), F(5, 6), F(2), F(3, 2), F(11, 10), F(15, 28), F(7, 4))
+
+
+class TestGramsLengthDP:
+    """The carry DP of ``length_set`` against the listing's profile."""
+
+    @staticmethod
+    def _listed(b, cap):
+        return factorizations_with_profile(GRAMS, b, cap)[1]
+
+    @pytest.mark.parametrize("b", [*GRAMS_TARGETS, F(3), F(7, 3), F(0)], ids=str)
+    def test_matches_the_listing_at_caps_up_to_60(self, b):
+        for cap in range(1, 61):
+            assert length_set(GRAMS, b, cap) == self._listed(b, cap), cap
+
+    @pytest.mark.parametrize("b", [F(1), F(3, 4), F(15, 28), F(3)], ids=str)
+    def test_matches_the_listing_at_caps_120_and_200(self, b):
+        for cap in (120, 200):
+            assert length_set(GRAMS, b, cap) == self._listed(b, cap), cap
+
+    def test_cap_below_the_residues_is_empty(self):
+        b = F(2, 3) + F(3, 10) + F(1, 1)  # residues 2 and 3, so every length is >= 5
+        for cap in range(1, 5):
+            profile = length_set(GRAMS, b, cap)
+            assert profile == puiseux.LengthProfile(frozenset(), None, True) == self._listed(b, cap)
+        assert min(length_set(GRAMS, b, 5 + 3).lengths) == 5 + 3
+
+    @pytest.mark.parametrize("b", [F(1, 9), F(7, 30), F(1, 6)], ids=str)
+    def test_non_member_raises(self, b):
+        with pytest.raises(NotAMemberError):
+            length_set(GRAMS, b, 12)
+
+    def test_cap_400_in_well_under_a_second(self):
+        start = time.perf_counter()
+        profile = length_set(GRAMS, F(3), 400)
+        assert time.perf_counter() - start < 1.0
+        assert {n for n in profile.lengths if n <= 250} == length_set(GRAMS, F(3), 250).lengths
+        assert max(profile.lengths) <= 400 and profile.infinite and profile.is_lower_bound
+
+
+def _reference_chain(spec, n_max):
+    """``accp_chain_check`` as a plain loop: each step's certificate from
+    ``membership`` of 1/2^(n+1), strictness from a ``Fraction`` difference."""
+    steps = []
+    for n in range(n_max + 1):
+        gap = F(1, 2 ** (n + 1))
+        res = membership(spec, gap)
+        ascending = res.is_member and res.certificate.verify(spec, gap)
+        strict = gap - F(1, 2**n) < 0
+        steps.append(puiseux.ChainStep(n, ascending, strict, res.certificate))
+    return steps
+
+
 class TestAccpChain:
+    def test_matches_the_membership_loop(self):
+        for n_max in range(1, 61):
+            assert accp_chain_check(GRAMS, n_max) == _reference_chain(GRAMS, n_max), n_max
+
     def test_chain_through_ten(self):
         steps = accp_chain_check(GRAMS, 10)
         assert len(steps) == 11

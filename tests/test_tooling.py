@@ -11,14 +11,19 @@ read no ``Fraction`` below their input coercion (but for the Grams ν),
 name while ``cone.membership_system_agreement`` reaches both engines,
 ``puiseux.PrimeReciprocal.member`` reaches neither Puiseux search, and
 every ``ivpoly ...`` line of the README's CLI block runs as printed.
+Spies on ``puiseux`` check at run time that ``accp_chain_check`` verifies
+one certificate per step with no decomposition, and that the Grams
+``length_set`` does not list while ``factorizations`` does.
 """
 import ast
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ivpoly import puiseux
 from ivpoly.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -430,3 +435,29 @@ def test_the_check_sees_a_search_in_a_method():
 
 def test_prime_reciprocal_member_does_not_reach_the_search():
     assert not _method_reached(PUISEUX, "PrimeReciprocal", "member") & SEARCHES
+
+
+def _spy(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_accp_chain_verifies_each_step_without_a_decomposition(monkeypatch):
+    members = _spy(monkeypatch, puiseux, "membership")
+    decompositions = _spy(monkeypatch, puiseux, "grams_decompose")
+    verified = _spy(monkeypatch, puiseux.MembershipCertificate, "verify")
+    steps = puiseux.accp_chain_check(puiseux.GramsMonoid(), 12)
+    assert all(s.ascending and s.strict for s in steps) and len(steps) == 13
+    assert members == [] and decompositions == []
+    assert [q for _, _, q in verified] == [Fraction(1, 2 ** (n + 1)) for n in range(13)]
+
+
+def test_grams_length_set_does_not_list(monkeypatch):
+    walks = _spy(monkeypatch, puiseux, "_walk")
+    grams = puiseux.GramsMonoid()
+    for b in (Fraction(3), Fraction(15, 28), Fraction(1, 10)):
+        assert puiseux.length_set(grams, b, 30).lengths
+    assert walks == []
+    assert puiseux.factorizations(grams, Fraction(3), 30) and len(walks) == 1
