@@ -635,7 +635,8 @@ def length_set(spec: PuiseuxMonoid, b: Fraction, cap: int) -> LengthProfile:
 
     The spec's ``lengths`` gives them: the base class reads them off the
     listing of ``factorizations``, and the Grams monoid runs a carry DP over
-    the levels of its generators (``_grams_lengths``), with no listing.
+    the levels of its generators (``_grams_lengths``), with no listing: at
+    most cap/3 + 1 carries per level, each with an int bitmask of lengths.
     """
     b = _checked(spec, b, cap)
     if b == 0:

@@ -373,7 +373,7 @@ class TestLengthSets:
     def test_prime_reciprocal_atoms_match_the_search(self, truncation):
         spec = PrimeReciprocal(truncation)
         primes = [nth_prime(i) for i in range(truncation)]
-        for b in (F(1, 7), F(5, 6), F(3), F(1, 4), F(1, 30), F(1, 29 * 31)):
+        for b in (F(0), F(1, 7), F(5, 6), F(3), F(1, 4), F(1, 30), F(1, 29 * 31)):
             found = spec.factoring(b, 4)
             if not membership(spec, b).is_member:
                 assert found is None, b
