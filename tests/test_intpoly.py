@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ivpoly import intpoly, qpoly
 from ivpoly.errors import (
+    IvpolyError,
     DuplicatePointsError,
     MalformedInputError,
     NotAMemberError,
@@ -829,3 +831,71 @@ class TestSplitWalk:
     @settings(max_examples=80, deadline=None)
     def test_finite_site_irreducible_iff_two_divisors(self, f):
         assert is_irreducible(f) == (len(divisors(f).divisors) == 2)
+
+
+def _answers(label, f):
+    """One line per question asked of f: the repr of the answer, or the
+    class of the error it raises."""
+    lines = []
+    for ask in (divisors, factorizations, length_profile, to_binomial_basis):
+        try:
+            answer = repr(ask(f))
+        except IvpolyError as exc:
+            answer = type(exc).__name__
+        lines.append(f"{label} {ask.__name__}: {answer}")
+    return lines
+
+
+def _divisor_corpus_pin():
+    return [line for i, f in enumerate(divisor_corpus()) for line in _answers(f"z{i}", f)]
+
+
+def _finite_site_pin():
+    return [line for i, f in enumerate(finite_site_corpus()) for line in _answers(f"s{i}", f)]
+
+
+def _factorial_binomial_pin():
+    """n! * C(x, n) for n = 1..9: 2,710 factorizations at n = 9."""
+    return [line for n in range(1, 10) for line in _answers(f"b{n}", binomial(n).scale(factorial(n)))]
+
+
+def _deltas_pin():
+    """Seeded deltas of every length up to 41: integers, fractions with
+    denominators up to 5040, and a trailing zero; each rebuilt, then taken
+    back to the binomial basis."""
+    rng = random.Random(27)
+    lines = []
+    for n in range(1, 42):
+        cases = [
+            [rng.randint(-50, 50) for _ in range(n)],
+            [F(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(n)],
+            [F(rng.randint(-10**4, 10**4), rng.choice((1, 2, 6, 720, 5040))) for _ in range(n)] + [0],
+        ]
+        for i, deltas in enumerate(cases):
+            f = from_binomial_basis(deltas)
+            lines.append(f"d{n}.{i} from_binomial_basis: {f!r}")
+            lines.append(f"d{n}.{i} to_binomial_basis: {to_binomial_basis(f)!r}")
+    return lines
+
+
+class TestOrderPin:
+    """The divisors, factorizations, length profiles and binomial
+    coordinates of four corpora, in the order the library produces them,
+    pinned as the number of lines and the sha256 of their text: a faster
+    enumeration must give the same results in the same order, where the
+    brute-force comparisons see only sorted sets."""
+
+    RUNS = {"divisor_corpus": _divisor_corpus_pin, "finite_site": _finite_site_pin,
+            "factorial_binomial": _factorial_binomial_pin, "deltas": _deltas_pin}
+    PINS = {
+        "divisor_corpus": (200, "e327c77e82b141352f469a96912d3bef75056a70fa811779238c7d28c32d5a2d"),
+        "finite_site": (240, "0e2881fc7cf30cd89ddc8edf8d856958f59070ae46a7a3a864ab46f297c37c88"),
+        "factorial_binomial": (36, "f09c006af859a5ae219fa60df7773d44e139dab6ea6a273ab3adfb82e7a34ef5"),
+        "deltas": (246, "85a8aa1a9402551c73e9e0571e1930c4bef3c1c562491aadf85d2c269a39d727"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_output(self, name):
+        lines = self.RUNS[name]()
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.PINS[name]
