@@ -7,8 +7,9 @@ membership and the value gcd: 0..deg f on Z (the forward differences at 0
 are integer combinations of those values), the points themselves on S.
 Divisor enumeration, irreducibility, factorization sets, and elasticity
 run on those values with the same code on every site.  Each divisor of f
-is u * G_J for an exponent vector J over the Q[x] factors of f, and
-factorizations are built on the (J, u) keys of that finite table.  With
+is u * G_J for an exponent vector J over the Q[x] factors of f and u = a/b
+in lowest terms, so every question works on the integer keys (vec, a, b)
+of that finite table.  With
 f = (cn/cd) * G, a vector J carries a divisor iff cd | d(G_J) * d(G_Jc),
 d the value gcd on the sample points.  The walk over the vectors computes
 D = d(G) first, keeps the values of g_i^e for e >= 2 and of J and its
@@ -17,9 +18,16 @@ test, so C(x, n), whose only divisor vectors are the empty and the full
 one, costs a few hundred nodes instead of 2^n.  G_J is read once per
 vector from one power table per factor.
 Every question reads the keys directly: f is irreducible iff they stop
-before a third key after 1 and f, one pass in (sum(vec), vec, u) order
-keeps one integer per key, from which f's factorizations are listed
-downward on a stack, and a Furstenberg divisor is the least nonunit key.
+before a third key after 1 and f, and a Furstenberg divisor is the least
+nonunit key.  In (sum(vec), vec, a/b) order every divisor of a key comes
+before it, and the cofactor of one key by another is a vector difference
+and an integer cross-multiplication reduced by a gcd.  One pass in that
+order keeps the least largest irreducible index of each key, from which
+f's factorizations are listed downward on a stack; ``length_profile``
+runs the same pass with an int bitmask of lengths per key (the length-set
+DP of Barron-O'Neill-Pelayo) and lists nothing.  A ``Fraction`` is built
+only for a polynomial that is returned, coefficient c of G_J becoming
+c * a / b, and once per key for the order.
 The table is finite unless f vanishes on the whole of a finite site: then
 f/n divides f for every n, and divisors and factorizations raise
 ``UnsupportedSiteError`` while irreducibility still answers False.
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, islice, repeat
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import gt, mul, sub
 from typing import Iterable
 
@@ -211,23 +219,35 @@ def to_binomial_basis(f: IVPoly) -> BinomialExpansion:
 
 
 def from_binomial_basis(expansion: BinomialExpansion | Iterable, site: Site = Z_SITE) -> IVPoly:
-    """Rebuild the polynomial sum deltas[j] * C(x, j).
+    """Rebuild the polynomial sum deltas[j] * C(x, j), by Horner's rule.
 
-    The falling factorials x(x-1)...(x-j+1) are built one from the next with
-    integer coefficients, and the sum is taken over the common denominator
-    of the weights deltas[j] / j!, so the whole rebuild is O(n^2) integer
-    work and one ``Fraction`` per output coefficient.
+    With n = len(deltas) - 1, L the lcm of the deltas' denominators and
+    deltas[j] = num_j / den_j, the weights w_j = num_j * (L / den_j) * n!/j!
+    are integers and
+
+        L * n! * f = w_0 + x (w_1 + (x - 1) (w_2 + ... + (x - n + 1) w_n)),
+
+    so the rebuild is n multiplications by x - j on a list of ints, with no
+    table of falling factorials, no ``Fraction`` division per delta, and one
+    ``Fraction`` per output coefficient.  Int and ``Fraction`` deltas are
+    read as they are; anything else goes through ``Fraction`` first.
     """
-    deltas = (
-        expansion.deltas if isinstance(expansion, BinomialExpansion) else tuple(expansion)
-    )
-    weights, den = qpoly.int_scaled([Fraction(d) / factorial(j) for j, d in enumerate(deltas)])
-    out = [0] * len(deltas)
-    for k, ff in zip(weights, qpoly.int_falling_factorials(len(deltas) - 1)):
-        if k:
-            for i, c in enumerate(ff):
-                out[i] += k * c
-    return IVPoly(tuple(Fraction(c, den) for c in out), site)
+    deltas = [
+        d if type(d) in (int, Fraction) else Fraction(d)
+        for d in (expansion.deltas if isinstance(expansion, BinomialExpansion) else expansion)
+    ]
+    if not deltas:
+        return IVPoly((), site)
+    n = len(deltas) - 1
+    scale = lcm(*(d.denominator for d in deltas))
+    acc, fall = [], 1  # fall = n!/j!
+    for j in range(n, -1, -1):
+        d = deltas[j]
+        acc = [a - j * b for a, b in zip([0, *acc], [*acc, 0])]
+        acc[0] += d.numerator * (scale // d.denominator) * fall
+        fall *= j
+    den = scale * factorial(n)
+    return IVPoly(tuple(Fraction(c, den) for c in acc), site)
 
 
 def is_member(f: IVPoly) -> bool:
@@ -361,7 +381,7 @@ def _split_walk(factors, points, cd: int):
 
 
 def _divisor_candidates(f: IVPoly):
-    """Yield every divisor of f (normalized, no associates) as (vec, u, G_J).
+    """Yield every divisor u * G_J of f (normalized, no associates) as (vec, a, b, G_J).
 
     ``qfactor`` is imported here, so deciding membership never loads it.
 
@@ -380,7 +400,7 @@ def _divisor_candidates(f: IVPoly):
     runs over the divisors of cn * b * d(G_Jc) / cd prime to b.  G_J is built
     once per vector from one power table [1, g_i, ..., g_i^m_i] per factor.
     Each divisor is yielded once: G_J is primitive with positive leading
-    coefficient, so (vec, u) determines it.
+    coefficient, so (vec, a, b) determines it, and no ``Fraction`` is built.
     """
     from .qfactor import factor_rational
 
@@ -398,7 +418,12 @@ def _divisor_candidates(f: IVPoly):
             b = b0 * k
             afact = {p: e - cd_fact.get(p, 0) for p, e in num.items() if b % p}
             for a in divisors_from_factorization(afact):
-                yield vec, Fraction(a, b), gj
+                yield vec, a, b, gj
+
+
+def _scaled(gj, a: int, b: int) -> tuple[Fraction, ...]:
+    """The coefficients of (a/b) * G_J."""
+    return tuple(Fraction(c * a, b) for c in gj)
 
 
 def divisors(f: IVPoly) -> DivisorList:
@@ -414,7 +439,7 @@ def divisors(f: IVPoly) -> DivisorList:
         raise ZeroElementError("the zero polynomial is not factored")
     if not is_member(f):
         raise NotAMemberError("f is not integer-valued")
-    out = (IVPoly(qpoly.scale(gj, u), f.site) for _, u, gj in _divisor_candidates(f))
+    out = (IVPoly(_scaled(gj, a, b), f.site) for _, a, b, gj in _divisor_candidates(f))
     return DivisorList(f.normalized(), tuple(sorted(out, key=IVPoly.sort_key)))
 
 
@@ -469,30 +494,42 @@ class PolyFactorization:
 
 
 def _cofactor(key, by):
-    """(vec - vec', u / u'), or None when an exponent goes negative."""
-    if any(map(gt, by[0], key[0])):
+    """The key of key / by: (vec - vec', a b' / (b a') in lowest terms), or
+    None when an exponent goes negative."""
+    vec, a, b = key
+    dvec, da, db = by
+    if any(map(gt, dvec, vec)):
         return None
-    return tuple(map(sub, key[0], by[0])), key[1] / by[1]
+    num, den = a * db, b * da
+    g = gcd(num, den)
+    return tuple(map(sub, vec, dvec)), num // g, den // g
+
+
+def _keys(f: IVPoly):
+    """The divisor table {(vec, a, b): G_J} of f, and its keys in
+    (sum(vec), vec, a/b) order: the unit first and f last."""
+    table = {(vec, a, b): gj for vec, a, b, gj in _divisor_candidates(f)}
+    return table, sorted(table, key=lambda k: (sum(k[0]), k[0], Fraction(k[1], k[2])))
 
 
 def factorizations(f: IVPoly) -> list[PolyFactorization]:
     """The complete finite set of factorizations of f into irreducibles.
 
-    Works on the divisor table of f, keyed by (vec, u) for u * G_J, and so
-    raises ``UnsupportedSiteError`` as ``divisors`` does.  k / d is a key iff
-    d divides k (a divisor of a divisor of f divides f), and it precedes k
-    in (sum(vec), vec, u) order (a constant irreducible is a prime, so it
-    lowers u).  One pass in that order numbers the irreducibles d_j and
-    keeps low[k], the least largest index over k's factorizations: the
-    first j with low[k / d_j] <= j (-1 for the unit), else k is irreducible
-    and gets the next index.  f is then listed downward on a stack of (key,
-    bound, tail) over j in low[k]..bound: each multiset comes once, every
-    push ends in a factorization, and memory is bounded by the output.
+    Works on the divisor table of f, keyed by (vec, a, b) for (a/b) * G_J,
+    and so raises ``UnsupportedSiteError`` as ``divisors`` does.  k / d is a
+    key iff d divides k (a divisor of a divisor of f divides f), and it
+    precedes k in (sum(vec), vec, a/b) order (a constant irreducible is a
+    prime, so it lowers a/b).  One pass in that order numbers the
+    irreducibles d_j and keeps low[k], the least largest index over k's
+    factorizations: the first j with low[k / d_j] <= j (-1 for the unit),
+    else k is irreducible and gets the next index.  f is then listed
+    downward on a stack of (key, bound, tail) over j in low[k]..bound: each
+    multiset comes once, every push ends in a factorization, and memory is
+    bounded by the output.
     Parts come out in decreasing ``sort_key`` order.
     """
     _reject_trivial(f)
-    table = {(vec, u): gj for vec, u, gj in _divisor_candidates(f)}
-    unit, *nonunits = sorted(table, key=lambda k: (sum(k[0]), k[0], k[1]))
+    table, (unit, *nonunits) = _keys(f)
     irr = []
     low = {unit: -1}
     for k in nonunits:
@@ -508,7 +545,7 @@ def factorizations(f: IVPoly) -> list[PolyFactorization]:
                 facs.append((j,) + tail)
             elif low.get(rest, j + 1) <= j:
                 stack.append((rest, j, (j,) + tail))
-    parts = [IVPoly(qpoly.scale(table[k], k[1]), f.site) for k in irr]
+    parts = [IVPoly(_scaled(table[k], k[1], k[2]), f.site) for k in irr]
     out = [PolyFactorization(tuple(sorted((parts[j] for j in t), key=IVPoly.sort_key, reverse=True)))
            for t in facs]
     return sorted(out, key=lambda z: (z.length, [p.sort_key() for p in z.parts]))
@@ -523,15 +560,39 @@ class PolyLengthProfile:
 
 
 def length_profile(f: IVPoly) -> PolyLengthProfile:
-    """Factorization lengths of f with elasticity max/min."""
-    return profile_of(factorizations(f))
+    """Factorization lengths of f with elasticity max/min, with no listing.
+
+    The keys of ``factorizations`` are walked in the same order, and each
+    gets an int bitmask of the lengths of its factorizations: the unit has
+    bit 0; a key k is irreducible, with mask 0b10, when no earlier
+    irreducible d leaves a cofactor key k / d, and otherwise its mask is the
+    OR of the masks of those cofactors, shifted left by 1.  Every
+    factorization of k is a part d times a factorization of k / d, so f's
+    mask holds exactly its lengths.
+    """
+    _reject_trivial(f)
+    _, (unit, *nonunits) = _keys(f)
+    irr, masks = [], {unit: 1}
+    for k in nonunits:
+        mask = 0
+        for d in irr:
+            mask |= masks.get(_cofactor(k, d), 0)
+        if mask:
+            masks[k] = mask << 1
+        else:
+            irr.append(k)
+            masks[k] = 2
+    mask = masks[nonunits[-1]]
+    return _profile(frozenset(n for n in range(mask.bit_length()) if mask >> n & 1))
 
 
 def profile_of(facs: list[PolyFactorization]) -> PolyLengthProfile:
     """The length profile of a nonempty list of factorizations."""
-    lengths = frozenset(z.length for z in facs)
-    elasticity = Fraction(max(lengths), min(lengths))
-    return PolyLengthProfile(lengths, elasticity, len(lengths) > 1)
+    return _profile(frozenset(z.length for z in facs))
+
+
+def _profile(lengths: frozenset[int]) -> PolyLengthProfile:
+    return PolyLengthProfile(lengths, Fraction(max(lengths), min(lengths)), len(lengths) > 1)
 
 
 def find_irreducible_divisor(f: IVPoly) -> IVPoly:
@@ -550,9 +611,9 @@ def find_irreducible_divisor(f: IVPoly) -> IVPoly:
         return constant(2, f.site)
     if g >= 2:
         return constant(smallest_prime_factor(g), f.site)
-    keys = [(len(gj), u, gj) for _, u, gj in _divisor_candidates(f) if len(gj) > 1 or u != 1]
-    shortest = min(n for n, _, _ in keys)
-    return IVPoly(min(qpoly.scale(gj, u) for n, u, gj in keys if n == shortest), f.site)
+    keys = [(len(gj), a, b, gj) for _, a, b, gj in _divisor_candidates(f) if len(gj) > 1 or a != b]
+    shortest = min(n for n, _, _, _ in keys)
+    return IVPoly(min(_scaled(gj, a, b) for n, a, b, gj in keys if n == shortest), f.site)
 
 
 @dataclass(frozen=True)

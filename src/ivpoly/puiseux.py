@@ -75,6 +75,10 @@ class PuiseuxMonoid:
                 return True
         return False
 
+    def generator_is_atom(self, g: Fraction) -> bool:
+        """Is the generator g an atom?  It is unless it splits."""
+        return not self.splits(g)
+
     def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
         """(usable atoms, length exactness) for b > 0, or None when b is not a member.
 
@@ -120,6 +124,11 @@ class GramsMonoid(PuiseuxMonoid):
         """g splits unless its dyadic part vanishes and its residues sum to one."""
         dec = grams_decompose(g)
         return dec is not None and not (dec.nu == 0 and sum(c for _, c in dec.coeffs) == 1)
+
+    def generator_is_atom(self, g: Fraction) -> bool:
+        """Always: 1/(2^i p_i) decomposes with no dyadic part and the one
+        residue 1 at index i, so it does not split."""
+        return True
 
     def factoring(self, b: Fraction, cap: int) -> tuple[list[Fraction], tuple[bool, bool]] | None:
         """The generators at most b with p_i <= cap or p_i once in b's
@@ -341,14 +350,20 @@ class MembershipCertificate:
     def as_dict(self) -> dict[int, int]:
         return dict(self.combo)
 
-    def total(self, spec: PuiseuxMonoid) -> Fraction:
-        """The weighted sum, as one integer sum over the lcm of the generators' denominators."""
+    def _scaled_total(self, spec: PuiseuxMonoid) -> tuple[int, int]:
+        """(L * the weighted sum, L), L the lcm of the generators' denominators."""
         gens = [(m, spec.generator(i)) for i, m in self.combo]
         scale = lcm(*(g.denominator for _, g in gens))
-        return Fraction(sum(m * g.numerator * (scale // g.denominator) for m, g in gens), scale)
+        return sum(m * g.numerator * (scale // g.denominator) for m, g in gens), scale
+
+    def total(self, spec: PuiseuxMonoid) -> Fraction:
+        """The weighted sum, as one integer sum over the lcm of the generators' denominators."""
+        return Fraction(*self._scaled_total(spec))
 
     def verify(self, spec: PuiseuxMonoid, q: Fraction) -> bool:
-        return self.total(spec) == q
+        """Is the weighted sum q?  Compared by integer cross-multiplication."""
+        total, scale = self._scaled_total(spec)
+        return total * q.denominator == q.numerator * scale
 
 
 @dataclass(frozen=True)
@@ -572,8 +587,8 @@ def atoms_up_to(spec: PuiseuxMonoid, denom_bound: int) -> list[Fraction]:
     """Atoms of M with reduced denominator <= denom_bound, smallest denominator first.
 
     Every atom of a generated monoid is a generator, so candidates are the
-    generators within the bound; each is kept unless it splits as a sum of
-    two nonzero members.
+    generators within the bound; the spec's ``generator_is_atom`` keeps
+    each that does not split as a sum of two nonzero members.
     """
     if denom_bound < 1:
         raise NegativeInputError("denominator bound must be at least 1")
@@ -581,7 +596,7 @@ def atoms_up_to(spec: PuiseuxMonoid, denom_bound: int) -> list[Fraction]:
         set(spec.generators_with_denominator_up_to(denom_bound)),
         key=lambda g: (g.denominator, g),
     )
-    return [g for g in candidates if not spec.splits(g)]
+    return [g for g in candidates if spec.generator_is_atom(g)]
 
 
 def factorizations(spec: PuiseuxMonoid, b: Fraction, length_cap: int) -> list[Factorization]:

@@ -19,8 +19,11 @@ IntPoly = tuple[int, ...]
 
 
 def poly(coeffs) -> Coeffs:
-    """Build a trimmed coefficient tuple from any iterable of rationals."""
-    return trim(tuple(Fraction(c) for c in coeffs))
+    """Build a trimmed coefficient tuple from any iterable of rationals.
+
+    A ``Fraction`` is kept as it is; anything else goes through ``Fraction``.
+    """
+    return trim(tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
 
 def trim(cs) -> Coeffs:

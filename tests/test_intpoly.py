@@ -37,6 +37,7 @@ from ivpoly.intpoly import (
     is_member,
     ivpoly,
     length_profile,
+    profile_of,
     pulling_sequence,
     to_binomial_basis,
     vanishing_nonatomic_witness,
@@ -362,7 +363,7 @@ def _irreducible_by_scaling(f):
     """The former test: build u * G_J for every candidate and compare it with
     1 and the normalized f."""
     trivial = ((F(1),), f.normalized().coeffs)
-    return all(qpoly.scale(gj, u) in trivial for _, u, gj in _divisor_candidates(f))
+    return all(qpoly.scale(gj, F(a, b)) in trivial for _, a, b, gj in _divisor_candidates(f))
 
 
 class TestIrreducibleKeys:
@@ -782,8 +783,8 @@ class TestSplitWalk:
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_binomial_candidates_are_the_two_trivial_keys(self, n):
-        keys = {(vec, u) for vec, u, _ in _divisor_candidates(binomial(n))}
-        assert keys == {((0,) * n, F(1)), ((1,) * n, F(1, factorial(n)))}
+        keys = {(vec, a, b) for vec, a, b, _ in _divisor_candidates(binomial(n))}
+        assert keys == {((0,) * n, 1, 1), ((1,) * n, 1, factorial(n))}
 
     @given(_content_denominator_products())
     @settings(max_examples=60, deadline=None)
@@ -831,6 +832,61 @@ class TestSplitWalk:
     @settings(max_examples=80, deadline=None)
     def test_finite_site_irreducible_iff_two_divisors(self, f):
         assert is_irreducible(f) == (len(divisors(f).divisors) == 2)
+
+
+class TestLengthProfileDP:
+    """The bitmask DP of ``length_profile`` against the profile of the listing."""
+
+    @pytest.mark.parametrize("corpus", [divisor_corpus, finite_site_corpus])
+    def test_corpus(self, corpus):
+        checked = 0
+        for f in corpus():
+            if f.is_unit():
+                continue
+            assert length_profile(f) == profile_of(factorizations(f)), str(f)
+            checked += 1
+        assert checked >= 45
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_factorial_binomial(self, n):
+        f = binomial(n).scale(factorial(n))
+        assert length_profile(f) == profile_of(factorizations(f))
+
+    @given(_members())
+    @settings(max_examples=100, deadline=None)
+    def test_members(self, f):
+        assume(not f.is_unit())
+        assert length_profile(f) == profile_of(factorizations(f))
+
+    @given(_site_members())
+    @settings(max_examples=60, deadline=None)
+    def test_site_members(self, f):
+        assume(not f.is_unit())
+        assert length_profile(f) == profile_of(factorizations(f))
+
+    def test_lists_nothing(self, monkeypatch):
+        f = binomial(6).scale(720)
+        want = profile_of(factorizations(f))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("length_profile listed the factorizations")
+
+        monkeypatch.setattr(intpoly, "factorizations", refuse)
+        monkeypatch.setattr(intpoly, "profile_of", refuse)
+        monkeypatch.setattr(intpoly, "PolyFactorization", refuse)
+        assert length_profile(f) == want
+        assert len(want.lengths) > 1
+
+    @pytest.mark.parametrize("f, error", [
+        (constant(0), ZeroElementError),
+        (ivpoly([0, F(1, 2)]), NotAMemberError),
+        (constant(-1), UnitElementError),
+        (ivpoly([0, -1, 1], FiniteSite((0, 1))), UnsupportedSiteError),
+    ], ids=["zero", "non-member", "unit", "vanishing"])
+    def test_rejections_match_the_listing(self, f, error):
+        for ask in (factorizations, length_profile):
+            with pytest.raises(error):
+                ask(f)
 
 
 def _answers(label, f):

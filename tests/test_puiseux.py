@@ -188,6 +188,20 @@ class TestAtoms:
         with pytest.raises(NegativeInputError):
             atoms_up_to(GRAMS, 0)
 
+    def test_grams_atoms_are_the_split_filter_up_to_ten_thousand(self):
+        # the answer can only change at a generator's denominator
+        dens = [g.denominator for g in GRAMS.generators_with_denominator_up_to(10**4)]
+        for bound in sorted({1, 10**4, *dens, *(d - 1 for d in dens)}):
+            candidates = GRAMS.generators_with_denominator_up_to(bound)
+            assert atoms_up_to(GRAMS, bound) == [g for g in candidates if not GRAMS.splits(g)], bound
+
+    def test_grams_atoms_decompose_nothing(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError("atoms_up_to decomposed a generator")
+
+        monkeypatch.setattr(puiseux, "grams_decompose", refuse)
+        assert atoms_up_to(GRAMS, 10**4) == [GRAMS.generator(i) for i in range(9)]
+
     def test_prime_reciprocal_large_bound(self):
         spec = PrimeReciprocal(truncation=16)
         atoms = atoms_up_to(spec, 100)
@@ -577,7 +591,14 @@ class TestIntegerGramsPath:
             want = sum((m * spec.generator(i) for i, m in cert.combo), F(0))
             assert cert.total(spec) == want
             assert cert.verify(spec, want) and not cert.verify(spec, want + F(1, 7))
+            assert cert.verify(spec, want.numerator) == (want.denominator == 1)
 
+    def test_verify_builds_no_total(self, monkeypatch):
+        def refuse(self, spec):
+            raise AssertionError("verify built the Fraction total")
+
+        monkeypatch.setattr(puiseux.MembershipCertificate, "total", refuse)
+        assert all(step.ascending for step in accp_chain_check(GRAMS, 40))
 
 
 def _prime_reciprocal_corpus(t, rng):

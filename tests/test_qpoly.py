@@ -21,6 +21,13 @@ def test_trim_and_degree():
     assert qpoly.degree(qpoly.poly([0, 0, 5])) == 2
 
 
+def test_poly_gives_fractions_for_int_str_and_fraction_input():
+    half = F(1, 2)
+    cs = qpoly.poly([3, "2/6", half, True, 0])
+    assert cs == (F(3), F(1, 3), F(1, 2), F(1))
+    assert all(type(c) is F for c in cs) and cs[2] is half
+
+
 def test_int_divexact():
     b = (1, 1)
     assert qpoly.int_divexact(qpoly.int_mul(b, (-2, 3)), b) == (-2, 3)
