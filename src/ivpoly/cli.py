@@ -36,10 +36,10 @@ from .rationals import format_rational, parse_rational
 
 
 #: largest --truncation accepted by cone-member, cone-idf and the
-#: prime-reciprocal spec.  Membership does not need it: ``cone_member`` is a
-#: closed form, linear in the truncation.  It caps the mass LP and the family
-#: check behind cone-idf, which take well under a second at truncation 200,
-#: and the prime-reciprocal monoid-* searches, which have no work bound.
+#: prime-reciprocal spec.  The cone does not need it: ``cone_member`` and the
+#: common-divisor mass behind cone-idf are closed forms, linear in the
+#: truncation.  It caps the prime-reciprocal monoid-* searches, which have no
+#: work bound.
 MAX_TRUNCATION = 100
 
 #: most term products ring-root spends on the root check, p products that grow with p

@@ -18,7 +18,9 @@ times the lcm of their denominators, in O(N) and without an LP.
 The simplex and Fourier-Motzkin stay as the oracles: ``_membership_system``
 builds the same equations as a sparse system, row d mapping a generator's
 column to its nonzero coefficient of t^d, and ``membership_system_agreement``
-hands it to both engines.  The common-divisor mass is an LP on such rows.
+hands it to both engines.  The common-divisor mass is the value of an LP on
+such rows (``_pair_system``), decided by a fixed dual certificate; the simplex
+on ``_pair_system`` is its oracle.
 
 Truncation semantics: a certificate proves membership outright (it survives
 any larger truncation), while infeasibility only certifies nonexistence
@@ -33,7 +35,7 @@ from math import lcm
 
 from . import qpoly
 from .errors import DegreeBoundError, IndexRangeError, TruncationError
-from .linprog import fm_feasible_eq, simplex_feasible, simplex_solve
+from .linprog import fm_feasible_eq, simplex_feasible
 from .rationals import format_rational
 
 
@@ -287,18 +289,56 @@ def _pair_system(spec: ConeSpec, first: TPoly, second: TPoly):
     return system, rhs, 3 * k, {j: 1 for j in range(k)}
 
 
+def _mass_dual(i: int, n: int) -> tuple[list[int], list[int]]:
+    """The dual pair (y, z) over degrees 0..n+1 that caps the mass of index i at 0."""
+    y = [1, 2] + [1] * n
+    z = [2, 1] + [0] * n
+    z[i + 1] = 1
+    return y, z
+
+
+def _mass_dual_holds(i: int, spec: ConeSpec, y: list[int], z: list[int]) -> bool:
+    """Whether (y, z) is feasible for the dual of the mass LP of index i with value 0.
+
+    Every generator g needs y.g >= 0, z.g >= 0 and (y+z).g >= 1, and the
+    objective is y.a_i + z.b_i.  The sums run over the generators' terms on
+    Python ints; a term that is not an integer fails the check.
+    """
+    for g in spec.generators():
+        p = q = 0
+        for d, c in g.terms:
+            if c.denominator != 1:
+                return False
+            v = c.numerator
+            p += y[d] * v
+            q += z[d] * v
+        if p < 0 or q < 0 or p + q < 1:
+            return False
+    objective = sum(y[d] * c for d, c in _generator("a_", i).terms)
+    return objective + sum(z[d] * c for d, c in _generator("b_", i).terms) == 0
+
+
 def common_divisor_mass(i: int, spec: ConeSpec) -> Fraction:
     """Largest total weight of a cone element c with a_i - c and b_i - c in the cone.
 
-    A maximum of 0 certifies that, within the truncation, only c = 0 yields a
-    common monomial divisor of y^{a_i} and y^{b_i}.
+    The mass LP maximizes 1.u subject to G(u+v) = a_i, G(u+w) = b_i and
+    u, v, w >= 0, G the generator columns.  Its dual asks for (y, z) over
+    degrees 0..N+1 with G^T y >= 0, G^T z >= 0, G^T(y+z) >= 1, and minimizes
+    y.a_i + z.b_i.  The pair y = (1, 2, 1, ..., 1), z = (2, 1, 0, ..., 0) with
+    z_(i+1) = 1 is feasible: t^n gives (y_n, z_n), a_n gives
+    (y_0 - y_(n+1), z_0 - z_(n+1)) and b_n gives (y_1 - y_(n+1), z_1 - z_(n+1)),
+    each >= 0 with a sum >= 1, and its objective is
+    (y_0 - y_(i+1)) + (z_1 - z_(i+1)) = 0.  By weak duality every feasible u
+    has 1.u <= 0, and u = 0, v = e_(a_i), w = e_(b_i) is feasible, so the mass
+    is 0 at every truncation N >= i: within the truncation only c = 0 yields a
+    common monomial divisor of y^{a_i} and y^{b_i}.  The pair is checked
+    against every generator in O(N) int sums; no LP runs.
     """
     if not 1 <= i <= spec.truncation:
         raise IndexRangeError(f"index {i} outside 1..{spec.truncation}")
-    res = simplex_solve(*_pair_system(spec, a_gen(i), b_gen(i)))
-    if res.status != "optimal":
-        raise ArithmeticError(f"mass LP unexpectedly {res.status}")
-    return res.value
+    if not _mass_dual_holds(i, spec, *_mass_dual(i, spec.truncation)):
+        raise ArithmeticError(f"mass dual certificate failed at index {i}")
+    return Fraction(0)
 
 
 @dataclass(frozen=True)

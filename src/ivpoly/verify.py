@@ -20,6 +20,10 @@ from . import qpoly
 from .cone import (
     ConeCertificate,
     ConeSpec,
+    _pair_system,
+    a_gen,
+    b_gen,
+    common_divisor_mass,
     cone_member,
     idf_family_check,
     mass_system_agreement,
@@ -46,6 +50,7 @@ from .intpoly import (
     to_binomial_basis,
     vanishing_nonatomic_witness,
 )
+from .linprog import simplex_solve
 from .monoid_ring import GF, element, power, pth_root
 from .primes import odd_prime
 from .puiseux import GramsMonoid, accp_chain_check, atoms_up_to, membership
@@ -391,6 +396,10 @@ def _fact_cone():
         # all_ok includes a common-divisor mass of 0
         if not idf_family_check(i, spec8).all_ok:
             return False, f"family check failed at i={i}"
+        # the simplex on the mass LP is the oracle of the dual certificate
+        res = simplex_solve(*_pair_system(spec8, a_gen(i), b_gen(i)))
+        if res.status != "optimal" or res.value != common_divisor_mass(i, spec8):
+            return False, f"the simplex and the dual certificate disagreed on the mass at i={i}"
     agreements = [
         membership_system_agreement(one, spec6),
         membership_system_agreement(t, spec6, {"t^1"}),

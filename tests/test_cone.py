@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ivpoly import cone, linprog
+from ivpoly import cone, linprog, verify
 from ivpoly.cone import (
     ConeCertificate,
     ConeSpec,
@@ -102,6 +102,46 @@ class TestCommonDivisorMass:
         diff = b_gen(2) - a_gen(2)
         assert diff.coeffs == (F(-1), F(1))
         assert cone_member(diff, SPEC6) is None
+
+    def test_the_same_value_as_the_simplex(self):
+        cases = [(i, n) for n in range(1, 13) for i in range(1, n + 1)]
+        for i, n in cases + [*TestPivotPathPin.MASS_CASES, *TestPivotPathPin.IDF_CASES]:
+            res = _mass_simplex(i, n)
+            assert res.status == "optimal", (i, n)
+            assert common_divisor_mass(i, ConeSpec(n)) == res.value, (i, n)
+
+    def test_no_pivot(self, pivots):
+        for i, n in TestPivotPathPin.MASS_CASES + TestPivotPathPin.IDF_CASES:
+            assert common_divisor_mass(i, ConeSpec(n)) == 0
+            assert idf_family_check(i, ConeSpec(n)).all_ok
+        assert pivots == []
+
+    @pytest.mark.parametrize("i, n", [(1, 1), (1, 8), (5, 8), (8, 8), (20, 40)])
+    def test_the_dual_check_is_not_vacuous(self, i, n):
+        spec = ConeSpec(n)
+        y, z = cone._mass_dual(i, n)
+        assert cone._mass_dual_holds(i, spec, y, z)
+        # y_1 = 1 leaves (y+z).b_i = 0 < 1
+        assert not cone._mass_dual_holds(i, spec, [y[0], 1, *y[2:]], z)
+        # z_(i+1) = 0 leaves the objective z.b_i = 1
+        assert not cone._mass_dual_holds(i, spec, y, z[:i + 1] + [0] + z[i + 2:])
+        # z_0 = -1 makes z.a_n negative
+        assert not cone._mass_dual_holds(i, spec, y, [-1, *z[1:]])
+
+    def test_a_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(cone, "_mass_dual", lambda i, n: ([1] * (n + 2), [0] * (n + 2)))
+        with pytest.raises(ArithmeticError):
+            common_divisor_mass(2, ConeSpec(4))
+        with pytest.raises(ArithmeticError):
+            idf_family_check(2, ConeSpec(4))
+
+    def test_verify_paper_checks_the_mass_against_the_simplex(self, monkeypatch):
+        (result,) = verify.run_facts(["cone-idf"]).results
+        assert result.passed
+        assert result.detail == "certificates, masses, family checks, and LP agreement all hold"
+        monkeypatch.setattr(verify, "common_divisor_mass", lambda i, spec: F(1))
+        (result,) = verify.run_facts(["cone-idf"]).results
+        assert not result.passed and "mass at i=1" in result.detail
 
     def test_positive_control_for_the_mass_formulation(self):
         # for the degenerate pair (a_1, a_1) the element c = a_1 itself is a
@@ -301,6 +341,11 @@ def _simplex_weights(target, spec, exclude=frozenset()):
     return None if sol is None else tuple((g.label, w) for g, w in zip(gens, sol) if w)
 
 
+def _mass_simplex(i, n):
+    """The simplex on the mass LP of index i at truncation n, the oracle of the closed form."""
+    return simplex_solve(*_pair_system(ConeSpec(n), a_gen(i), b_gen(i)))
+
+
 class TestGoldenPivotPath:
     """Results of the dense-tableau simplex, pinned so that any change to the
     pivot sequence shows: Bland's rule makes certificates and LP solutions a
@@ -377,7 +422,7 @@ class TestGoldenPivotPath:
         runs = {
             "quarter": lambda: _simplex_weights(self.TARGETS["quarter"], SPEC6),
             "square": lambda: _simplex_weights(self.TARGETS["square"], SPEC6),
-            "mass": lambda: common_divisor_mass(2, ConeSpec(4)),
+            "mass": lambda: _mass_simplex(2, 4),
         }
         for name, call in runs.items():
             pivots.clear()
@@ -435,9 +480,8 @@ class TestPivotPathPin:
         **{f"member_{n}": (lambda n=n: [_simplex_weights(t, ConeSpec(n))
                                          for t in TestGoldenPivotPath.TARGETS.values()])
            for n in (6, 20, 40)},
-        "mass": lambda: [common_divisor_mass(i, ConeSpec(n))
-                         for i, n in TestPivotPathPin.MASS_CASES],
-        "idf": lambda: [idf_family_check(i, ConeSpec(n)) for i, n in TestPivotPathPin.IDF_CASES],
+        "mass": lambda: [_mass_simplex(i, n) for i, n in TestPivotPathPin.MASS_CASES],
+        "idf": lambda: [_mass_simplex(i, n) for i, n in TestPivotPathPin.IDF_CASES],
         "random": lambda: [simplex_solve(*system) for system in _random_systems(19)],
     }
     PINS = {

@@ -385,6 +385,12 @@ def test_cone_member_does_not_reach_its_oracles():
     assert {"simplex_feasible", "fm_feasible_eq"} <= _linprog_reached(CONE, "membership_system_agreement")
 
 
+def test_the_common_divisor_mass_does_not_reach_its_oracles():
+    assert _linprog_reached(CONE, "common_divisor_mass") == set()
+    assert _linprog_reached(CONE, "idf_family_check") == set()
+    assert {"simplex_feasible", "fm_feasible_eq"} <= _linprog_reached(CONE, "mass_system_agreement")
+
+
 def _method_reached(source: str, cls: str, method: str) -> set[str]:
     """The top-level functions and classes of source that the method of the
     top-level class cls reaches: the names it reads, the methods it calls as
