@@ -10,12 +10,13 @@ domain error (the envelope carries a machine-readable error code) or on an
 error inside a handler (code ``internal-error``), 2 on usage errors.
 
 Every command runs in a fresh process, so its cold start is most of its
-time.  Only the standard library, ``errors`` and ``rationals`` load with
-this module; each handler and parse helper imports its own subsystem where
-it runs (``intpoly`` for ``ivp-*``, ``puiseux`` for ``monoid-*``,
-``grams-*`` and ``accp-chain``, ``monoid_ring`` for ``ring-*``, ``cone``
-for ``cone-*``), and only ``verify-paper`` loads ``verify``, which imports
-everything.
+time.  ``run`` builds the parser of the command named first alone, from the
+``COMMANDS`` table.  Only the standard library, ``errors`` and ``rationals``
+load with this module; each handler and parse helper imports its own
+subsystem where it runs (``intpoly`` for ``ivp-*``, ``puiseux`` for
+``monoid-*``, ``grams-*`` and ``accp-chain``, ``monoid_ring`` for
+``ring-*``, ``cone`` for ``cone-*``), and ``verify-paper`` loads ``verify``
+and the subsystems of the facts it runs: all of them without ``--facts``.
 """
 from __future__ import annotations
 
@@ -432,86 +433,80 @@ def _cmd_verify_paper(args):
     return result, text, 0 if report.all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: the arguments of every monoid-* command, then of every ivp-* command, as (flag, keywords)
+_SPEC_ARGS = (
+    ("--spec", dict(required=True, choices=("grams", "dyadic", "prime-reciprocal", "explicit"))),
+    ("--gens", dict(help="comma-separated generators for explicit monoids")),
+    ("--truncation", dict(type=int, default=16)),
+)
+_POLY_ARGS = (
+    ("--poly", dict(required=True,
+                    help="comma-separated rational coefficients, lowest degree first")),
+    ("--binomial", dict(action="store_true",
+                        help="interpret the list as binomial-basis coordinates")),
+    ("--site", dict(default="Z", help='"Z" (default) or a comma-separated list of integers')),
+)
+
+#: name -> (help, handler, arguments after --format), in the order of ``ivpoly --help``
+COMMANDS = {
+    "monoid-member": ("membership with certificate", _cmd_monoid_member,
+                      (*_SPEC_ARGS, ("--q", dict(required=True)))),
+    "monoid-atoms": ("atoms within a denominator bound", _cmd_monoid_atoms,
+                     (*_SPEC_ARGS, ("--denom-bound", dict(type=int, required=True)))),
+    "monoid-factor": ("factorizations into atoms", _cmd_monoid_factor,
+                      (*_SPEC_ARGS, ("--b", dict(required=True)),
+                       ("--length-cap", dict(type=int, default=10)))),
+    "grams-decompose": ("dyadic-plus-residues decomposition", _cmd_grams_decompose,
+                        (("--q", dict(required=True)),)),
+    "accp-chain": ("strictly ascending ideal chain witness", _cmd_accp_chain,
+                   (("--n-max", dict(type=int, default=10)),)),
+    "ring-mul": ("monoid-ring product", _cmd_ring_mul,
+                 (("--a", dict(required=True, help='element JSON {"ring": ..., "terms": ...}')),
+                  ("--b", dict(required=True)))),
+    "ring-root": ("p-th root over a prime field", _cmd_ring_root,
+                  (("--f", dict(required=True, help="element JSON over a prime field")),
+                   ("--not-cone-closed", dict(action="store_true")))),
+    "ivp-member": ("integer-valuedness", _cmd_ivp_member, _POLY_ARGS),
+    "ivp-basis": ("binomial-basis coordinates", _cmd_ivp_basis, _POLY_ARGS),
+    "ivp-divisors": ("all divisors up to associates", _cmd_ivp_divisors, _POLY_ARGS),
+    "ivp-factor": ("all factorizations into irreducibles", _cmd_ivp_factor, _POLY_ARGS),
+    "ivp-irreducible": ("irreducibility", _cmd_ivp_irreducible, _POLY_ARGS),
+    "ivp-furstenberg": ("an irreducible divisor", _cmd_ivp_furstenberg, _POLY_ARGS),
+    "ivp-nonatomic": ("vanishing non-atomicity witness", _cmd_ivp_nonatomic, _POLY_ARGS),
+    "cone-member": ("rational-cone membership certificate", _cmd_cone_member,
+                    (("--target", dict(required=True, help="comma-separated coefficients "
+                                       "in t, lowest degree first")),
+                     ("--truncation", dict(type=int, default=6)),
+                     ("--exclude", dict(default="", help="comma-separated generator labels")))),
+    "cone-idf": ("irreducible-family verification at one index", _cmd_cone_idf,
+                 (("--index", dict(type=int, required=True)),
+                  ("--truncation", dict(type=int, default=8)))),
+    "verify-paper": ("replay the built-in golden fact suite", _cmd_verify_paper,
+                     (("--facts", dict(default="",
+                                       help="comma-separated fact ids (default: all)")),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or one that knows only the named command.
+
+    The one-command parser prints the same usage line as the full parser, so
+    an error that argparse reports against it reads the same.
+    """
     parser = argparse.ArgumentParser(
         prog="ivpoly",
         description="Exact factorization toolkit for integer-valued polynomials, "
         "Puiseux monoids, monoid rings, and rational cones.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    def add_spec_args(p):
-        p.add_argument("--spec", required=True,
-                       choices=("grams", "dyadic", "prime-reciprocal", "explicit"))
-        p.add_argument("--gens", help="comma-separated generators for explicit monoids")
-        p.add_argument("--truncation", type=int, default=16)
-
-    def add_poly_args(p):
-        p.add_argument("--poly", required=True,
-                       help="comma-separated rational coefficients, lowest degree first")
-        p.add_argument("--binomial", action="store_true",
-                       help="interpret the list as binomial-basis coordinates")
-        p.add_argument("--site", default="Z",
-                       help='"Z" (default) or a comma-separated list of integers')
-
-    p = add("monoid-member", _cmd_monoid_member, "membership with certificate")
-    add_spec_args(p)
-    p.add_argument("--q", required=True)
-
-    p = add("monoid-atoms", _cmd_monoid_atoms, "atoms within a denominator bound")
-    add_spec_args(p)
-    p.add_argument("--denom-bound", type=int, required=True, dest="denom_bound")
-
-    p = add("monoid-factor", _cmd_monoid_factor, "factorizations into atoms")
-    add_spec_args(p)
-    p.add_argument("--b", required=True)
-    p.add_argument("--length-cap", type=int, default=10, dest="length_cap")
-
-    p = add("grams-decompose", _cmd_grams_decompose, "dyadic-plus-residues decomposition")
-    p.add_argument("--q", required=True)
-
-    p = add("accp-chain", _cmd_accp_chain, "strictly ascending ideal chain witness")
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
-
-    p = add("ring-mul", _cmd_ring_mul, "monoid-ring product")
-    p.add_argument("--a", required=True, help='element JSON {"ring": ..., "terms": ...}')
-    p.add_argument("--b", required=True)
-
-    p = add("ring-root", _cmd_ring_root, "p-th root over a prime field")
-    p.add_argument("--f", required=True, help="element JSON over a prime field")
-    p.add_argument("--not-cone-closed", action="store_true", dest="not_cone_closed")
-
-    for name, func, help_text in (
-        ("ivp-member", _cmd_ivp_member, "integer-valuedness"),
-        ("ivp-basis", _cmd_ivp_basis, "binomial-basis coordinates"),
-        ("ivp-divisors", _cmd_ivp_divisors, "all divisors up to associates"),
-        ("ivp-factor", _cmd_ivp_factor, "all factorizations into irreducibles"),
-        ("ivp-irreducible", _cmd_ivp_irreducible, "irreducibility"),
-        ("ivp-furstenberg", _cmd_ivp_furstenberg, "an irreducible divisor"),
-        ("ivp-nonatomic", _cmd_ivp_nonatomic, "vanishing non-atomicity witness"),
-    ):
-        p = add(name, func, help_text)
-        add_poly_args(p)
-
-    p = add("cone-member", _cmd_cone_member, "rational-cone membership certificate")
-    p.add_argument("--target", required=True,
-                   help="comma-separated coefficients in t, lowest degree first")
-    p.add_argument("--truncation", type=int, default=6)
-    p.add_argument("--exclude", default="", help="comma-separated generator labels")
-
-    p = add("cone-idf", _cmd_cone_idf, "irreducible-family verification at one index")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--truncation", type=int, default=8)
-
-    p = add("verify-paper", _cmd_verify_paper, "replay the built-in golden fact suite")
-    p.add_argument("--facts", default="", help="comma-separated fact ids (default: all)")
-
+    every = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -536,11 +531,13 @@ def run(argv=None) -> int:
     would end in "expected one argument".  Its public API has no setting for
     this, and the "=" form is the one it reads as a value.
     """
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    # a command named first builds its own parser alone; anything else, the full one
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     op = args.command
     try:
-        out = args.func(args)
+        # by name, so that a handler replaced on this module is the one that runs
+        out = globals()[args.func.__name__](args)
     except Exception as exc:
         # a domain error carries its own code; anything else is a handler bug
         if isinstance(exc, IvpolyError):

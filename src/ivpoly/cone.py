@@ -20,7 +20,9 @@ builds the same equations as a sparse system, row d mapping a generator's
 column to its nonzero coefficient of t^d, and ``membership_system_agreement``
 hands it to both engines.  The common-divisor mass is the value of an LP on
 such rows (``_pair_system``), decided by a fixed dual certificate; the simplex
-on ``_pair_system`` is its oracle.
+on ``_pair_system`` is its oracle.  Only the two agreement functions import
+``linprog``, when they first run, so membership and the family check load
+no LP code.
 
 Truncation semantics: a certificate proves membership outright (it survives
 any larger truncation), while infeasibility only certifies nonexistence
@@ -35,7 +37,6 @@ from math import lcm
 
 from . import qpoly
 from .errors import DegreeBoundError, IndexRangeError, TruncationError
-from .linprog import fm_feasible_eq, simplex_feasible
 from .rationals import format_rational
 
 
@@ -378,9 +379,11 @@ def idf_family_check(i: int, spec: ConeSpec) -> IdfReport:
     identity_t = top + pair[1] == t_power(1)
     mass = common_divisor_mass(i, spec)
     # the cached generators list a_1..a_N, then b_1..b_N, after t^1..t^N; each
-    # polynomial is compared by its nonzero terms
+    # pair is compared by its top degrees, which differ for any two indices of
+    # the family, and only then by its nonzero terms
     n, gens = spec.truncation, spec.generators()
-    pairs = [(a.terms, b.terms) for a, b in zip(gens[n:2 * n], gens[2 * n:])]
+    pairs = [(a.terms[-1][0], b.terms[-1][0], a.terms, b.terms)
+             for a, b in zip(gens[n:2 * n], gens[2 * n:])]
     distinct = all(p != pairs[i - 1] for j, p in enumerate(pairs, 1) if j != i)
     return IdfReport(
         index=i,
@@ -393,10 +396,24 @@ def idf_family_check(i: int, spec: ConeSpec) -> IdfReport:
     )
 
 
+@lru_cache(maxsize=None)
+def _engines():
+    """The simplex and Fourier-Motzkin feasibility tests.
+
+    ``linprog`` is imported on the first call, so that only the agreement
+    oracles load it; the cache keeps the import statement out of every
+    later call.
+    """
+    from .linprog import fm_feasible_eq, simplex_feasible
+
+    return simplex_feasible, fm_feasible_eq
+
+
 def membership_system_agreement(
     target: TPoly, spec: ConeSpec, exclude: frozenset[str] | set[str] = frozenset()
 ) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one membership system."""
+    simplex_feasible, fm_feasible_eq = _engines()
     gens, rows, rhs = _membership_system(target, spec, exclude)
     simplex = simplex_feasible(rows, rhs, len(gens)) is not None
     fm = fm_feasible_eq(rows, rhs, len(gens))
@@ -405,6 +422,7 @@ def membership_system_agreement(
 
 def mass_system_agreement(i: int, spec: ConeSpec) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one mass-LP base system."""
+    simplex_feasible, fm_feasible_eq = _engines()
     system, rhs, n, _ = _pair_system(spec, a_gen(i), b_gen(i))
     simplex = simplex_feasible(system, rhs, n) is not None
     fm = fm_feasible_eq(system, rhs, n)

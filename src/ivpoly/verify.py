@@ -11,50 +11,57 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import qpoly
-from .cone import (
-    ConeCertificate,
-    ConeSpec,
-    _pair_system,
-    a_gen,
-    b_gen,
-    common_divisor_mass,
-    cone_member,
-    idf_family_check,
-    mass_system_agreement,
-    membership_system_agreement,
-    tpoly,
-)
 from .errors import MalformedInputError
-from .intpoly import (
-    FiniteSite,
-    IVPoly,
-    PolyFactorization,
-    binomial,
-    constant,
-    divide,
-    divisors,
-    factorizations,
-    find_irreducible_divisor,
-    from_binomial_basis,
-    is_irreducible,
-    is_member,
-    ivpoly,
-    length_profile,
-    pulling_sequence,
-    to_binomial_basis,
-    vanishing_nonatomic_witness,
-)
-from .linprog import simplex_solve
-from .monoid_ring import GF, element, power, pth_root
-from .primes import odd_prime
-from .puiseux import GramsMonoid, accp_chain_check, atoms_up_to, membership
-from .qfactor import factor_rational
+
+#: the names that the facts and oracles below read from each subsystem.  None
+#: is imported with this module: each fact and public oracle first calls
+#: ``_load`` on the subsystems it reads, so ``verify-paper --facts`` loads only
+#: those of the facts it runs, and a name read from outside first loads its
+#: subsystem through ``__getattr__``.
+_NAMES = {
+    "cone": ("ConeCertificate", "ConeSpec", "_pair_system", "a_gen", "b_gen",
+             "common_divisor_mass", "cone_member", "idf_family_check",
+             "mass_system_agreement", "membership_system_agreement", "tpoly"),
+    "intpoly": ("FiniteSite", "IVPoly", "PolyFactorization", "binomial", "constant", "divide",
+                "divisors", "factorizations", "find_irreducible_divisor", "from_binomial_basis",
+                "is_irreducible", "is_member", "ivpoly", "length_profile", "pulling_sequence",
+                "to_binomial_basis", "vanishing_nonatomic_witness"),
+    "linprog": ("simplex_solve",),
+    "monoid_ring": ("GF", "element", "power", "pth_root"),
+    "primes": ("odd_prime",),
+    "puiseux": ("GramsMonoid", "accp_chain_check", "atoms_up_to", "membership"),
+    "qfactor": ("factor_rational",),
+    "qpoly": (),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind each subsystem, and its names in ``_NAMES``, in this module.
+
+    The package imports a subsystem on first use (PEP 562).  A name that is
+    already bound, by an earlier call or by a test's monkeypatch, is kept.
+    """
+    namespace = globals()
+    for module in modules:
+        home = getattr(sys.modules[__package__], module)
+        namespace.setdefault(module, home)
+        for name in _NAMES[module]:
+            namespace.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: a subsystem name read from outside before any fact bound it
+    for module, names in _NAMES.items():
+        if name == module or name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,7 @@ def bruteforce_divisors(f: IVPoly, bound_scale: int = 1) -> tuple[IVPoly, ...]:
     Z) decide membership, and the cofactor is checked through exact division.
     Independent of the divisor-enumeration shortcuts.
     """
+    _load("intpoly", "qfactor", "qpoly")
     target = f.normalized()
     c, factors = factor_rational(target.coeffs)
     cn, cd = abs(c.numerator), c.denominator
@@ -198,6 +206,7 @@ def divisor_corpus() -> list[IVPoly]:
 
     Five crafted many-divisor instances plus seeded random ones.
     """
+    _load("intpoly")
     crafted = [
         ivpoly([0, -1, 1]),  # x^2 - x
         ivpoly([0, -2, 2]),  # 2x^2 - 2x
@@ -224,6 +233,7 @@ def finite_site_corpus() -> list[IVPoly]:
     members vanishing on the whole site, which have no finite divisor list,
     are skipped.
     """
+    _load("intpoly", "qpoly")
     crafted = [
         ivpoly([0, 0, 1], FiniteSite((0, 1))),  # x^2 = x * x
         ivpoly([1, 0, 1], FiniteSite((0, 1, 2))),  # x^2 + 1, values 1, 2, 5
@@ -249,6 +259,7 @@ def finite_site_corpus() -> list[IVPoly]:
 
 
 def _fact_grams_atoms():
+    _load("puiseux")
     expected = [Fraction(1, d) for d in (3, 10, 28, 88)]
     got = atoms_up_to(GramsMonoid(), 100)
     return got == expected, f"atoms {[str(a) for a in got]}"
@@ -258,6 +269,7 @@ def _fact_grams_accp():
     """Each step's certificate is {n+1: p_(n+1)}, sums to 1/2^(n+1) over
     generators built here, and is the one ``membership`` finds through the
     Grams decomposition."""
+    _load("primes", "puiseux")
     spec = GramsMonoid()
     steps = accp_chain_check(spec, 10)
     ok = len(steps) == 11
@@ -277,6 +289,7 @@ def _fact_grams_accp():
 
 
 def _fact_newton_roundtrip():
+    _load("intpoly")
     rng = random.Random(CORPUS_SEED + 1)
     checked = 0
     for _ in range(1000):
@@ -305,6 +318,7 @@ def _fact_newton_roundtrip():
 
 
 def _fact_hfd_witness():
+    _load("intpoly")
     lhs = constant(6).mul(binomial(6))
     rhs = ivpoly([-5, 1]).mul(binomial(5))
     if lhs.coeffs != rhs.coeffs:
@@ -319,11 +333,13 @@ def _fact_hfd_witness():
 
 
 def _fact_binomial_irreducible():
+    _load("intpoly")
     bad = [n for n in range(1, 9) if not is_irreducible(binomial(n))]
     return not bad, "C(x,n) irreducible for n in 1..8" if not bad else f"failed at {bad}"
 
 
 def _fact_divisor_oracle():
+    _load("intpoly")
     for f in divisor_corpus():
         mine = tuple(d.coeffs for d in divisors(f).divisors)
         brute = tuple(d.coeffs for d in bruteforce_divisors(f))
@@ -333,6 +349,7 @@ def _fact_divisor_oracle():
 
 
 def _fact_pulling():
+    _load("intpoly", "qpoly")
     rng = random.Random(CORPUS_SEED + 2)
     done = 0
     while done < 200:
@@ -354,12 +371,14 @@ def _fact_pulling():
 
 
 def _fact_ckd_family():
+    _load("intpoly")
     site = FiniteSite((0, 1))
     bad = [r for r in range(2, 21) if not is_irreducible(ivpoly([1, r], site))]
     return not bad, "r*x + 1 irreducible on {0,1} for r in 2..20" if not bad else str(bad)
 
 
 def _fact_furstenberg():
+    _load("intpoly")
     x0 = ivpoly([0, 1], FiniteSite((0,)))
     div = find_irreducible_divisor(x0)
     if div.coeffs != (Fraction(2),):
@@ -371,6 +390,7 @@ def _fact_furstenberg():
 
 
 def _fact_cone():
+    _load("cone", "linprog")
     spec6 = ConeSpec(6)
     one, t = tpoly([1]), tpoly([0, 1])
     c1 = cone_member(one, spec6)
@@ -411,6 +431,7 @@ def _fact_cone():
 
 
 def _fact_frobenius_roots():
+    _load("monoid_ring")
     rng = random.Random(CORPUS_SEED + 3)
     for p in (2, 3):
         field = GF(p)
@@ -433,6 +454,7 @@ def _fact_frobenius_roots():
 
 
 def _fact_ffd_stability():
+    _load("intpoly")
     for f in divisor_corpus():
         base = bruteforce_divisors(f, bound_scale=1)
         doubled = bruteforce_divisors(f, bound_scale=2)
@@ -447,6 +469,7 @@ def _fact_ffd_stability():
 
 
 def _fact_finite_site_divisors():
+    _load("intpoly")
     corpus = finite_site_corpus()
     for f in corpus:
         brute = bruteforce_divisors(f)

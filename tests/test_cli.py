@@ -4,13 +4,21 @@ import json
 import signal
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivpoly.cli import MAX_CHAIN_STEPS, MAX_ROOT_CHECK_PRODUCTS, MAX_TRUNCATION, run
+from ivpoly import cli
+from ivpoly.cli import (
+    COMMANDS,
+    MAX_CHAIN_STEPS,
+    MAX_ROOT_CHECK_PRODUCTS,
+    MAX_TRUNCATION,
+    build_parser,
+    run,
+)
 from ivpoly.errors import InputTooLargeError, MalformedInputError
 from ivpoly.primes import odd_prime
 from ivpoly.rationals import MAX_DIGITS, parse_rational
@@ -688,6 +696,83 @@ class TestOutputIsStable:
             "",
         )
         assert invoke(capsys, *argv) == (1, "", "error[internal-error]: KeyError: 'key'\n")
+
+
+#: a sample argv of every command, after its name
+SAMPLE_ARGS = {
+    "monoid-member": ["--spec", "explicit", "--gens", "2,3", "--q", "5"],
+    "monoid-atoms": ["--spec", "prime-reciprocal", "--truncation", "8", "--denom-bound", "30"],
+    "monoid-factor": ["--spec", "grams", "--b", "1/2", "--length-cap", "4"],
+    "grams-decompose": ["--q", "3/5"],
+    "accp-chain": ["--n-max", "3"],
+    "ring-mul": ["--a", '{"ring":"Z","terms":[]}', "--b", '{"ring":"Z","terms":[]}'],
+    "ring-root": ["--f", '{"ring":"F2","terms":[["1","1"]]}', "--not-cone-closed"],
+    "ivp-member": ["--poly", "0,1/2,1/2", "--site", "0,1"],
+    "ivp-basis": ["--poly", "0,1", "--binomial"],
+    "ivp-divisors": ["--poly", "0,-1,1", "--site", "0,1,2"],
+    "ivp-factor": ["--poly", "0,-1,1"],
+    "ivp-irreducible": ["--poly", "1,6", "--site", "0,1"],
+    "ivp-furstenberg": ["--poly", "0,1", "--site", "0"],
+    "ivp-nonatomic": ["--poly", "0,1", "--site", "0"],
+    "cone-member": ["--target", "1", "--truncation", "6", "--exclude", "t^1"],
+    "cone-idf": ["--index", "1", "--truncation", "8"],
+    "verify-paper": ["--facts", "grams-atoms"],
+}
+#: the commands with no required argument
+NOTHING_REQUIRED = {"accp-chain", "verify-paper"}
+
+
+def _parse(parser, argv):
+    """(exit status, parsed arguments, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status, parsed = None, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            status, parsed = exc.code, None
+    return status, parsed, out.getvalue(), err.getvalue()
+
+
+class TestOneCommandParser:
+    """``run`` parses with a parser that knows only the command named first.
+
+    It must read every argv as the parser of every command does: the same
+    arguments, and the same help, usage errors and exit status, byte for byte.
+    """
+
+    def test_samples_cover_the_table(self):
+        assert list(SAMPLE_ARGS) == list(COMMANDS)
+
+    @pytest.mark.parametrize("case", ["sample", "help", "missing", "bad-format", "unrecognized"])
+    @pytest.mark.parametrize("name", list(SAMPLE_ARGS))
+    def test_reads_argv_as_the_full_parser(self, monkeypatch, name, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        sample = [name, *SAMPLE_ARGS[name]]
+        argv, status = {
+            "sample": (sample, None),
+            "help": ([name, "--help"], 0),
+            "missing": ([name], None if name in NOTHING_REQUIRED else 2),
+            "bad-format": ([*sample, "--format", "xml"], 2),
+            # reported by the top-level parser, with its usage line
+            "unrecognized": ([*sample, "--nope"], 2),
+        }[case]
+        full = _parse(build_parser(), argv)
+        assert _parse(build_parser(name), argv) == full
+        assert full[0] == status
+        assert (full[1] is None) == (status is not None)
+
+    def test_run_builds_the_parser_of_the_named_command_alone(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert run(["grams-decompose", "--q", "1/10"]) == 0
+        for argv in (["--help"], [], ["no-such-command"]):
+            with pytest.raises(SystemExit):
+                run(argv)
+        capsys.readouterr()
+        assert built == ["grams-decompose", None, None, None]
+        status, _, _, err = _parse(build_parser("grams-decompose"), ["ivp-member", "--poly", "1"])
+        assert status == 2 and "invalid choice: 'ivp-member'" in err
 
 
 def test_module_entrypoint_subprocess():

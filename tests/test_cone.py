@@ -186,6 +186,29 @@ class TestIdfFamily:
         assert idf_family_check(3, ConeSpec(6)).distinct_from_other_indices
 
 
+    def test_a_planted_pair_with_the_same_top_degrees_is_distinct(self, monkeypatch):
+        generators = cone._generators
+
+        def planted(n):
+            # a_5 replaced by 2 a_2, which has the top degree of a_2 but other terms
+            gens = list(generators(n))
+            gens[n + 4] = cone.ConeGenerator("a_5", tpoly([2, 0, -2]))
+            gens[2 * n + 4] = gens[2 * n + 1]
+            return tuple(gens)
+
+        monkeypatch.setattr(cone, "_generators", planted)
+        assert idf_family_check(2, ConeSpec(6)).all_ok
+
+    def test_reports_equal_the_checks_from_the_definitions(self):
+        pairs = {j: (a_gen(j), b_gen(j)) for j in range(1, 41)}
+        for n in range(1, 41):
+            for i in range(1, n + 1):
+                distinct = all(pairs[j] != pairs[i] for j in range(1, n + 1) if j != i)
+                assert idf_family_check(i, ConeSpec(n)) == cone.IdfReport(
+                    index=i, truncation=n, identity_one=True, identity_t=True, mass=F(0),
+                    only_trivial_common_divisor=True, distinct_from_other_indices=distinct)
+
+
 class TestOracleAgreement:
     def test_membership_systems(self):
         for target, exclude in ((ONE, set()), (T, {"t^1"}), (tpoly([1, -1]), set())):

@@ -102,6 +102,27 @@ runpy.run_module("ivpoly.cli", run_name="__main__", alter_sys=True)
 """
 
 
+#: puiseux and intpoly with the modules they import
+_PUISEUX = {"puiseux", "primes"}
+_INTPOLY = {"intpoly", "qpoly", "primes"}
+#: golden fact -> the modules it loads besides the package, ``verify`` and what ``cli`` loads
+FACT_MODULES = {
+    "grams-atoms": _PUISEUX,
+    "grams-accp": _PUISEUX,
+    "newton-roundtrip": _INTPOLY,
+    "hfd-witness": _INTPOLY | {"qfactor"},
+    "binomial-irreducible": _INTPOLY | {"qfactor"},
+    "divisor-oracle": _INTPOLY | {"qfactor"},
+    "pulling-sequence": _INTPOLY,
+    "ckd-family": _INTPOLY,
+    "furstenberg": _INTPOLY,
+    "cone-idf": {"cone", "linprog", "qpoly"},
+    "frobenius-roots": _PUISEUX | {"monoid_ring"},
+    "ffd-stability": _INTPOLY | {"qfactor"},
+    "finite-site-divisors": _INTPOLY | {"qfactor"},
+}
+
+
 def _loaded_by(*argv: str) -> set[str]:
     proc = _fresh(_CLI_PROBE, *argv, "--format", "json")
     assert proc.returncode == 0, proc.stderr
@@ -129,16 +150,25 @@ class TestImportSets:
          {"intpoly", "qfactor", "cone", "linprog", "verify"}),
         (["ivp-member", "--poly", "0,1/2,1/2"], {"intpoly"},
          {"qfactor", "puiseux", "cone", "linprog", "verify"}),
-        (["cone-member", "--target", "1"], {"cone", "linprog"},
-         {"intpoly", "puiseux", "verify"}),
+        (["cone-member", "--target", "1"], {"cone"},
+         {"intpoly", "puiseux", "linprog", "verify"}),
+        (["cone-idf", "--index", "2", "--truncation", "12"], {"cone"},
+         {"intpoly", "qfactor", "puiseux", "linprog", "verify"}),
         (["ring-mul", "--a", '{"ring":"Z","terms":[]}', "--b", '{"ring":"Z","terms":[]}'],
          {"monoid_ring"}, {"intpoly", "qfactor", "cone", "linprog", "verify"}),
-    ], ids=["monoid-member", "ivp-member", "cone-member", "ring-mul"])
+    ], ids=["monoid-member", "ivp-member", "cone-member", "cone-idf", "ring-mul"])
     def test_command_loads_only_its_subsystem(self, argv, needed, unwanted):
         loaded = _loaded_by(*argv)
         assert needed <= loaded
         assert not loaded & unwanted
 
+    @pytest.mark.parametrize("fact", list(FACT_MODULES))
+    def test_verify_paper_loads_only_the_subsystems_of_its_facts(self, fact):
+        loaded = _loaded_by("verify-paper", "--facts", fact)
+        assert loaded == FACT_MODULES[fact] | {"ivpoly", "errors", "rationals", "verify"}
+
     def test_verify_paper_loads_everything(self):
-        loaded = _loaded_by("verify-paper", "--facts", "grams-atoms")
-        assert set(SUBMODULES) | {"verify"} <= loaded
+        from ivpoly.verify import FACTS
+
+        assert [fact_id for fact_id, _, _ in FACTS] == list(FACT_MODULES)
+        assert set(SUBMODULES) | {"verify"} <= _loaded_by("verify-paper")

@@ -9,8 +9,9 @@ unless ``SHARED_LP`` says why, Fourier-Motzkin and ``puiseux.grams_decompose``
 read no ``Fraction`` below their input coercion (but for the Grams ν),
 ``cone.cone_member`` reaches no ``linprog``
 name while ``cone.membership_system_agreement`` reaches both engines,
-``puiseux.PrimeReciprocal.member`` reaches neither Puiseux search, and
-every ``ivpoly ...`` line of the README's CLI block runs as printed.
+``puiseux.PrimeReciprocal.member`` reaches neither Puiseux search,
+every ``ivpoly ...`` line of the README names a command of ``cli.COMMANDS``,
+and every such line of the README's CLI block runs as printed.
 Spies on ``puiseux`` check at run time that ``accp_chain_check`` verifies
 one certificate per step with no decomposition, and that the Grams
 ``length_set`` does not list while ``factorizations`` does.
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from ivpoly import puiseux
-from ivpoly.cli import run
+from ivpoly.cli import COMMANDS, run
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "ivpoly").glob("*.py"))
@@ -32,6 +33,8 @@ READERS = [*MODULES, *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "be
 README = (ROOT / "README.md").read_text()
 (CLI_BLOCK,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S) if "monoid-atoms" in b]
 CLI_LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("ivpoly ")]
+#: the command of every line of the README that starts with ``ivpoly ``
+README_COMMANDS = re.findall(r"^ivpoly (\S+)", README, re.M)
 
 #: every function of ``src/ivpoly`` that calls itself, with the reason its depth stays small
 SELF_CALLS = {
@@ -220,9 +223,10 @@ def _fraction_roles(source: str, name: str) -> set[str]:
 
 
 def _linprog_names(source: str) -> set[str]:
-    """The names that the top-level imports of source bind to ``linprog`` or to its contents."""
+    """The names that the imports of source, at the top or inside a function,
+    bind to ``linprog`` or to its contents."""
     out = set()
-    for node in ast.parse(source).body:
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             from_linprog = (node.module or "").split(".")[-1] == "linprog"
             out |= {alias.asname or alias.name for alias in node.names
@@ -274,6 +278,11 @@ def test_no_self_call_outside_the_allowlist():
 
 def test_readme_block_has_every_example():
     assert len(CLI_LINES) == 13
+
+
+def test_every_readme_example_names_a_table_command():
+    assert len(README_COMMANDS) == len(CLI_LINES) + 3  # and the three verify-paper lines
+    assert set(README_COMMANDS) <= set(COMMANDS)
 
 
 @pytest.mark.parametrize("line", CLI_LINES, ids=lambda line: shlex.split(line)[1])
@@ -375,6 +384,8 @@ def test_the_check_sees_a_planted_linprog_call():
     source += "def agreement(t): return linprog.simplex_solve(t), fm_feasible_eq(t)\n"
     assert _linprog_reached(source, "member") == {"feasible"}
     assert _linprog_reached(source, "agreement") == {"linprog", "fm_feasible_eq"}
+    source += "def oracle(t):\n    from .linprog import fm_feasible_eq as fm\n    return fm(t)\n"
+    assert _linprog_reached(source, "oracle") == {"fm"}
     assert CONE.count(RHS_DOC) == 1
     planted = CONE.replace(RHS_DOC, RHS_DOC + "    simplex_feasible([], [], 0)\n")
     assert _linprog_reached(planted, "cone_member") == {"simplex_feasible"}
