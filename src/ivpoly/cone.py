@@ -397,33 +397,34 @@ def idf_family_check(i: int, spec: ConeSpec) -> IdfReport:
 
 
 @lru_cache(maxsize=None)
-def _engines():
-    """The simplex and Fourier-Motzkin feasibility tests.
+def _linprog():
+    """The ``linprog`` module, imported on the first call so that only the
+    agreement oracles load it; the cache keeps the import statement out of
+    every later call."""
+    from . import linprog
 
-    ``linprog`` is imported on the first call, so that only the agreement
-    oracles load it; the cache keeps the import statement out of every
-    later call.
+    return linprog
+
+
+def _agreement(rows, rhs, n: int) -> tuple[bool, bool]:
+    """(simplex verdict, Fourier-Motzkin verdict) for rows x = rhs, x >= 0.
+
+    Both engines are looked up on ``linprog`` at each call, so a patched
+    engine, such as a tracer's wrapper, is the one that runs.
     """
-    from .linprog import fm_feasible_eq, simplex_feasible
-
-    return simplex_feasible, fm_feasible_eq
+    linprog = _linprog()
+    return linprog.simplex_feasible(rows, rhs, n) is not None, linprog.fm_feasible_eq(rows, rhs, n)
 
 
 def membership_system_agreement(
     target: TPoly, spec: ConeSpec, exclude: frozenset[str] | set[str] = frozenset()
 ) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one membership system."""
-    simplex_feasible, fm_feasible_eq = _engines()
     gens, rows, rhs = _membership_system(target, spec, exclude)
-    simplex = simplex_feasible(rows, rhs, len(gens)) is not None
-    fm = fm_feasible_eq(rows, rhs, len(gens))
-    return simplex, fm
+    return _agreement(rows, rhs, len(gens))
 
 
 def mass_system_agreement(i: int, spec: ConeSpec) -> tuple[bool, bool]:
     """(simplex verdict, Fourier-Motzkin verdict) for one mass-LP base system."""
-    simplex_feasible, fm_feasible_eq = _engines()
     system, rhs, n, _ = _pair_system(spec, a_gen(i), b_gen(i))
-    simplex = simplex_feasible(system, rhs, n) is not None
-    fm = fm_feasible_eq(system, rhs, n)
-    return simplex, fm
+    return _agreement(system, rhs, n)

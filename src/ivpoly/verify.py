@@ -6,63 +6,18 @@ The CLI exposes the suite as ``verify-paper``; the acceptance tests assert
 each fact individually together with its runtime budget.
 
 Where a fact involves randomness the generator is seeded, so reruns are
-byte-for-byte reproducible.
+byte-for-byte reproducible.  Each fact and oracle imports what it reads
+when it runs, so ``verify-paper --facts`` loads only its facts' subsystems.
 """
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import MalformedInputError
-
-#: the names that the facts and oracles below read from each subsystem.  None
-#: is imported with this module: each fact and public oracle first calls
-#: ``_load`` on the subsystems it reads, so ``verify-paper --facts`` loads only
-#: those of the facts it runs, and a name read from outside first loads its
-#: subsystem through ``__getattr__``.
-_NAMES = {
-    "cone": ("ConeCertificate", "ConeSpec", "_pair_system", "a_gen", "b_gen",
-             "common_divisor_mass", "cone_member", "idf_family_check",
-             "mass_system_agreement", "membership_system_agreement", "tpoly"),
-    "intpoly": ("FiniteSite", "IVPoly", "PolyFactorization", "binomial", "constant", "divide",
-                "divisors", "factorizations", "find_irreducible_divisor", "from_binomial_basis",
-                "is_irreducible", "is_member", "ivpoly", "length_profile", "pulling_sequence",
-                "to_binomial_basis", "vanishing_nonatomic_witness"),
-    "linprog": ("simplex_solve",),
-    "monoid_ring": ("GF", "element", "power", "pth_root"),
-    "primes": ("odd_prime",),
-    "puiseux": ("GramsMonoid", "accp_chain_check", "atoms_up_to", "membership"),
-    "qfactor": ("factor_rational",),
-    "qpoly": (),
-}
-
-
-def _load(*modules: str) -> None:
-    """Bind each subsystem, and its names in ``_NAMES``, in this module.
-
-    The package imports a subsystem on first use (PEP 562).  A name that is
-    already bound, by an earlier call or by a test's monkeypatch, is kept.
-    """
-    namespace = globals()
-    for module in modules:
-        home = getattr(sys.modules[__package__], module)
-        namespace.setdefault(module, home)
-        for name in _NAMES[module]:
-            namespace.setdefault(name, getattr(home, name))
-
-
-def __getattr__(name: str):
-    # PEP 562: a subsystem name read from outside before any fact bound it
-    for module, names in _NAMES.items():
-        if name == module or name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass(frozen=True)
 class FactResult:
@@ -96,7 +51,10 @@ def bruteforce_divisors(f: IVPoly, bound_scale: int = 1) -> tuple[IVPoly, ...]:
     Z) decide membership, and the cofactor is checked through exact division.
     Independent of the divisor-enumeration shortcuts.
     """
-    _load("intpoly", "qfactor", "qpoly")
+    from . import qpoly
+    from .intpoly import FiniteSite, IVPoly, divide
+    from .qfactor import factor_rational
+
     target = f.normalized()
     c, factors = factor_rational(target.coeffs)
     cn, cd = abs(c.numerator), c.denominator
@@ -131,6 +89,8 @@ def bruteforce_divisors(f: IVPoly, bound_scale: int = 1) -> tuple[IVPoly, ...]:
 
 
 def _product(factors, vec) -> qpoly.Coeffs:
+    from . import qpoly
+
     out = qpoly.poly([1])
     for (g, _), e in zip(factors, vec):
         for _ in range(e):
@@ -146,6 +106,8 @@ def _replay_factorizations(target: IVPoly, divs) -> list[PolyFactorization]:
     by them in ``sort_key`` order.  Independent of ``intpoly.factorizations``
     and its divisor-key arithmetic.
     """
+    from .intpoly import IVPoly, PolyFactorization
+
     nonunits = [d for d in divs if not d.is_unit()]
     products = {
         d1.mul(d2).normalized().coeffs
@@ -162,6 +124,8 @@ def _replay_factorizations(target: IVPoly, divs) -> list[PolyFactorization]:
 
 def _replay_from(irr: list[IVPoly], g: IVPoly, start: int) -> list[tuple[IVPoly, ...]]:
     """Factorizations of g over irr[start:], parts in increasing order."""
+    from .intpoly import divide
+
     out = []
     for idx in range(start, len(irr)):
         q = divide(g, irr[idx])
@@ -206,7 +170,8 @@ def divisor_corpus() -> list[IVPoly]:
 
     Five crafted many-divisor instances plus seeded random ones.
     """
-    _load("intpoly")
+    from .intpoly import ivpoly
+
     crafted = [
         ivpoly([0, -1, 1]),  # x^2 - x
         ivpoly([0, -2, 2]),  # 2x^2 - 2x
@@ -233,7 +198,9 @@ def finite_site_corpus() -> list[IVPoly]:
     members vanishing on the whole site, which have no finite divisor list,
     are skipped.
     """
-    _load("intpoly", "qpoly")
+    from . import qpoly
+    from .intpoly import FiniteSite, IVPoly, ivpoly
+
     crafted = [
         ivpoly([0, 0, 1], FiniteSite((0, 1))),  # x^2 = x * x
         ivpoly([1, 0, 1], FiniteSite((0, 1, 2))),  # x^2 + 1, values 1, 2, 5
@@ -259,7 +226,8 @@ def finite_site_corpus() -> list[IVPoly]:
 
 
 def _fact_grams_atoms():
-    _load("puiseux")
+    from .puiseux import GramsMonoid, atoms_up_to
+
     expected = [Fraction(1, d) for d in (3, 10, 28, 88)]
     got = atoms_up_to(GramsMonoid(), 100)
     return got == expected, f"atoms {[str(a) for a in got]}"
@@ -269,7 +237,9 @@ def _fact_grams_accp():
     """Each step's certificate is {n+1: p_(n+1)}, sums to 1/2^(n+1) over
     generators built here, and is the one ``membership`` finds through the
     Grams decomposition."""
-    _load("primes", "puiseux")
+    from .primes import odd_prime
+    from .puiseux import GramsMonoid, accp_chain_check, membership
+
     spec = GramsMonoid()
     steps = accp_chain_check(spec, 10)
     ok = len(steps) == 11
@@ -289,7 +259,8 @@ def _fact_grams_accp():
 
 
 def _fact_newton_roundtrip():
-    _load("intpoly")
+    from .intpoly import from_binomial_basis, is_member, ivpoly, to_binomial_basis
+
     rng = random.Random(CORPUS_SEED + 1)
     checked = 0
     for _ in range(1000):
@@ -318,7 +289,8 @@ def _fact_newton_roundtrip():
 
 
 def _fact_hfd_witness():
-    _load("intpoly")
+    from .intpoly import binomial, constant, ivpoly, length_profile
+
     lhs = constant(6).mul(binomial(6))
     rhs = ivpoly([-5, 1]).mul(binomial(5))
     if lhs.coeffs != rhs.coeffs:
@@ -333,13 +305,15 @@ def _fact_hfd_witness():
 
 
 def _fact_binomial_irreducible():
-    _load("intpoly")
+    from .intpoly import binomial, is_irreducible
+
     bad = [n for n in range(1, 9) if not is_irreducible(binomial(n))]
     return not bad, "C(x,n) irreducible for n in 1..8" if not bad else f"failed at {bad}"
 
 
 def _fact_divisor_oracle():
-    _load("intpoly")
+    from .intpoly import divisors
+
     for f in divisor_corpus():
         mine = tuple(d.coeffs for d in divisors(f).divisors)
         brute = tuple(d.coeffs for d in bruteforce_divisors(f))
@@ -349,7 +323,9 @@ def _fact_divisor_oracle():
 
 
 def _fact_pulling():
-    _load("intpoly", "qpoly")
+    from . import qpoly
+    from .intpoly import FiniteSite, IVPoly, is_member, pulling_sequence
+
     rng = random.Random(CORPUS_SEED + 2)
     done = 0
     while done < 200:
@@ -371,14 +347,17 @@ def _fact_pulling():
 
 
 def _fact_ckd_family():
-    _load("intpoly")
+    from .intpoly import FiniteSite, is_irreducible, ivpoly
+
     site = FiniteSite((0, 1))
     bad = [r for r in range(2, 21) if not is_irreducible(ivpoly([1, r], site))]
     return not bad, "r*x + 1 irreducible on {0,1} for r in 2..20" if not bad else str(bad)
 
 
 def _fact_furstenberg():
-    _load("intpoly")
+    from .intpoly import (FiniteSite, find_irreducible_divisor, is_member, ivpoly,
+                          vanishing_nonatomic_witness)
+
     x0 = ivpoly([0, 1], FiniteSite((0,)))
     div = find_irreducible_divisor(x0)
     if div.coeffs != (Fraction(2),):
@@ -390,7 +369,11 @@ def _fact_furstenberg():
 
 
 def _fact_cone():
-    _load("cone", "linprog")
+    from .cone import (ConeCertificate, ConeSpec, _pair_system, a_gen, b_gen,
+                       common_divisor_mass, cone_member, idf_family_check,
+                       mass_system_agreement, membership_system_agreement, tpoly)
+    from .linprog import simplex_solve
+
     spec6 = ConeSpec(6)
     one, t = tpoly([1]), tpoly([0, 1])
     c1 = cone_member(one, spec6)
@@ -431,7 +414,8 @@ def _fact_cone():
 
 
 def _fact_frobenius_roots():
-    _load("monoid_ring")
+    from .monoid_ring import GF, element, power, pth_root
+
     rng = random.Random(CORPUS_SEED + 3)
     for p in (2, 3):
         field = GF(p)
@@ -454,7 +438,8 @@ def _fact_frobenius_roots():
 
 
 def _fact_ffd_stability():
-    _load("intpoly")
+    from .intpoly import factorizations
+
     for f in divisor_corpus():
         base = bruteforce_divisors(f, bound_scale=1)
         doubled = bruteforce_divisors(f, bound_scale=2)
@@ -469,7 +454,8 @@ def _fact_ffd_stability():
 
 
 def _fact_finite_site_divisors():
-    _load("intpoly")
+    from .intpoly import divisors, factorizations, is_irreducible
+
     corpus = finite_site_corpus()
     for f in corpus:
         brute = bruteforce_divisors(f)

@@ -139,7 +139,8 @@ class TestCommonDivisorMass:
         (result,) = verify.run_facts(["cone-idf"]).results
         assert result.passed
         assert result.detail == "certificates, masses, family checks, and LP agreement all hold"
-        monkeypatch.setattr(verify, "common_divisor_mass", lambda i, spec: F(1))
+        monkeypatch.setattr(linprog, "simplex_solve",
+                            lambda *system: linprog.LPResult("optimal", F(1), None))
         (result,) = verify.run_facts(["cone-idf"]).results
         assert not result.passed and "mass at i=1" in result.detail
 
@@ -220,6 +221,18 @@ class TestOracleAgreement:
         for i in range(1, 5):
             simplex, fm = mass_system_agreement(i, spec8)
             assert simplex == fm
+
+    def test_each_call_runs_the_engines_linprog_holds(self, monkeypatch):
+        # a tracer or a test may replace an engine after linprog was first loaded
+        assert membership_system_agreement(ONE, SPEC6) == (True, True)
+        calls = []
+        for name in ("simplex_feasible", "fm_feasible_eq"):
+            engine = getattr(linprog, name)
+            monkeypatch.setattr(linprog, name,
+                                lambda *a, name=name, engine=engine: calls.append(name) or engine(*a))
+        assert membership_system_agreement(ONE, SPEC6) == (True, True)
+        assert mass_system_agreement(1, ConeSpec(8)) == (True, True)
+        assert calls == ["simplex_feasible", "fm_feasible_eq"] * 2
 
     def test_seeded_targets_both_ways(self, fm_rows):
         verdicts = []

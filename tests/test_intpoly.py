@@ -497,7 +497,7 @@ class TestFactorizationReplay:
         assert len(facs) == 770 and peak < 2_500_000
 
     def test_replay_is_independent_of_the_library(self, monkeypatch):
-        from ivpoly import intpoly, verify
+        from ivpoly import intpoly
 
         f = ivpoly([0, -4, 0, 4])
         want = factorizations(f)
@@ -506,7 +506,6 @@ class TestFactorizationReplay:
             raise AssertionError("the replay called intpoly.factorizations")
 
         monkeypatch.setattr(intpoly, "factorizations", refuse)
-        monkeypatch.setattr(verify, "factorizations", refuse)
         assert _replay_factorizations(f, bruteforce_divisors(f)) == want
         assert len(want) > 1
 

@@ -1,14 +1,16 @@
 """Checks on the source tree and the README that need only the standard library.
 
-No module under ``src/ivpoly`` keeps a top-level import it does not use or
+No module under ``src/ivpoly`` keeps a top-level import it does not use,
+reads a global name that no statement binds and no builtin provides, or
 defines a function, class or method that nothing reads, no function there
 calls itself unless ``SELF_CALLS`` says why its depth stays small, no
 float literal or ``float(...)`` call appears there unless ``FLOATS`` says
 why, the simplex and Fourier-Motzkin engines of ``linprog`` share no helper
 unless ``SHARED_LP`` says why, Fourier-Motzkin and ``puiseux.grams_decompose``
 read no ``Fraction`` below their input coercion (but for the Grams ν),
-``cone.cone_member`` reaches no ``linprog``
-name while ``cone.membership_system_agreement`` reaches both engines,
+``cone.cone_member``, ``cone.common_divisor_mass`` and
+``cone.idf_family_check`` reach no ``linprog`` name or attribute while each
+agreement oracle of ``cone`` reaches both engines,
 ``puiseux.PrimeReciprocal.member`` reaches neither Puiseux search,
 every ``ivpoly ...`` line of the README names a command of ``cli.COMMANDS``,
 and every such line of the README's CLI block runs as printed.
@@ -17,8 +19,10 @@ one certificate per step with no decomposition, and that the Grams
 ``length_set`` does not list while ``factorizations`` does.
 """
 import ast
+import builtins
 import re
 import shlex
+import symtable
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,6 +88,28 @@ def _unused_imports(source: str) -> list[str]:
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     read |= _listed(tree, ("__all__",))
     return [name for name in bound if name not in read]
+
+
+def _unbound_globals(source: str) -> set[str]:
+    """Global names that a function or class body of source reads but that
+    no statement binds at module level, and that are no builtins.
+
+    A binding counts at the top level, or through a ``global`` statement
+    inside a function.  Under ``from __future__ import annotations`` the
+    symbol table holds no annotation, so annotations are not read.
+    """
+    top = symtable.symtable(source, "<module>", "exec")
+    bound = {sym.get_name() for sym in top.get_symbols() if sym.is_assigned() or sym.is_imported()}
+    read, todo = set(), list(top.get_children())
+    while todo:
+        table = todo.pop()
+        todo += table.get_children()
+        for sym in table.get_symbols():
+            if sym.is_global() and sym.is_referenced():
+                read.add(sym.get_name())
+            if sym.is_declared_global() and sym.is_assigned():
+                bound.add(sym.get_name())
+    return read - bound - set(dir(builtins))
 
 
 def _definitions(source: str) -> list[str]:
@@ -235,11 +261,24 @@ def _linprog_names(source: str) -> set[str]:
 
 
 def _linprog_reached(source: str, root: str) -> set[str]:
-    """The ``linprog`` names read by the functions and classes that root reaches."""
+    """The ``linprog`` names read by the functions and classes that root
+    reaches, and the attributes they read off ``linprog``: off such a name,
+    or off a call of a top-level function that returns one."""
     defs = _top_level_defs(source)
-    read = {n.id for name in _reachable(source, {root}) for n in ast.walk(defs[name])
-            if isinstance(n, ast.Name)}
-    return read & _linprog_names(source)
+    names = _linprog_names(source)
+    getters = {name for name, node in defs.items() for n in ast.walk(node)
+               if isinstance(n, ast.Return) and isinstance(n.value, ast.Name) and n.value.id in names}
+    read = set()
+    for name in _reachable(source, {root}):
+        for n in ast.walk(defs[name]):
+            if isinstance(n, ast.Name) and n.id in names:
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and (
+                isinstance(n.value, ast.Name) and n.value.id in names
+                or isinstance(n.value, ast.Call) and ast.unparse(n.value.func) in getters
+            ):
+                read.add(n.attr)
+    return read
 
 
 def test_the_check_sees_an_unused_import():
@@ -250,6 +289,19 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unbound_name():
+    source = "from __future__ import annotations\nimport os\n"
+    source += "def f(x: Missing) -> Absent:\n    y: Gone = os.sep\n    return len(y), g(), CACHE\n"
+    source += "def g():\n    global CACHE\n    CACHE = [n for n in names]\n    return lambda: home\n"
+    source += "class A:\n    size = width\n    def m(self): return A, divisors\n"
+    assert _unbound_globals(source) == {"names", "home", "width", "divisors"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_global_name_a_function_reads_is_bound(path):
+    assert _unbound_globals(path.read_text()) == set()
 
 
 def test_the_check_sees_an_unused_definition():
@@ -383,12 +435,12 @@ def test_the_check_sees_a_planted_linprog_call():
     source += "class Spec:\n    def check(self, t): return feasible(t)\n"
     source += "def agreement(t): return linprog.simplex_solve(t), fm_feasible_eq(t)\n"
     assert _linprog_reached(source, "member") == {"feasible"}
-    assert _linprog_reached(source, "agreement") == {"linprog", "fm_feasible_eq"}
+    assert _linprog_reached(source, "agreement") == {"linprog", "simplex_solve", "fm_feasible_eq"}
     source += "def oracle(t):\n    from .linprog import fm_feasible_eq as fm\n    return fm(t)\n"
     assert _linprog_reached(source, "oracle") == {"fm"}
     assert CONE.count(RHS_DOC) == 1
-    planted = CONE.replace(RHS_DOC, RHS_DOC + "    simplex_feasible([], [], 0)\n")
-    assert _linprog_reached(planted, "cone_member") == {"simplex_feasible"}
+    planted = CONE.replace(RHS_DOC, RHS_DOC + "    _linprog().simplex_feasible([], [], 0)\n")
+    assert _linprog_reached(planted, "cone_member") == {"linprog", "simplex_feasible"}
 
 
 def test_cone_member_does_not_reach_its_oracles():
