@@ -373,15 +373,14 @@ def idf_family_check(i: int, spec: ConeSpec) -> IdfReport:
     """
     if not 1 <= i <= spec.truncation:
         raise IndexRangeError(f"index {i} outside 1..{spec.truncation}")
-    top = t_power(i + 1)
-    pair = (a_gen(i), b_gen(i))
-    identity_one = top + pair[0] == tpoly([1])
-    identity_t = top + pair[1] == t_power(1)
-    mass = common_divisor_mass(i, spec)
-    # the cached generators list a_1..a_N, then b_1..b_N, after t^1..t^N; each
-    # pair is compared by its top degrees, which differ for any two indices of
-    # the family, and only then by its nonzero terms
+    # the cached generators list a_1..a_N, then b_1..b_N, after t^1..t^N;
+    # t^(i+1) + g = 1 (or t) iff the terms of g are those of 1 - t^(i+1) (or t - t^(i+1))
     n, gens = spec.truncation, spec.generators()
+    identity_one = gens[n + i - 1].terms == ((0, 1), (i + 1, -1))
+    identity_t = gens[2 * n + i - 1].terms == ((1, 1), (i + 1, -1))
+    mass = common_divisor_mass(i, spec)
+    # each pair is compared by its top degrees, which differ for any two indices
+    # of the family, and only then by its nonzero terms
     pairs = [(a.terms[-1][0], b.terms[-1][0], a.terms, b.terms)
              for a, b in zip(gens[n:2 * n], gens[2 * n:])]
     distinct = all(p != pairs[i - 1] for j, p in enumerate(pairs, 1) if j != i)

@@ -11,7 +11,9 @@ Two independent engines:
   eliminates on sparse primitive integer rows: sorted ``(variable,
   coefficient)`` pairs and a constant, over variables that are all >= 0;
   the signs are never stored as rows.  Each elimination round first
-  sweeps out every variable that has one sign in all rows.  The two
+  sweeps out every variable that has one sign in all rows; a round that
+  eliminates a variable with one positive row also eliminates every other
+  such variable on rows disjoint from those already claimed.  The two
   engines share no helper but ``_sparse``; each has its own integer row
   arithmetic.
 
@@ -247,24 +249,34 @@ def _eliminate(rows: list[IntRow]) -> bool:
     The signs are never stored as rows.  Eliminating v keeps the rows
     without v, each positive-negative combination, and each row with a
     positive coefficient of v with that term deleted (its combination with
-    v >= 0).  Each round first sweeps the variables of one sign, the two
-    cases of elimination that make no combination (Schrijver 1986, §12.2):
-    it drops every row holding a variable whose coefficients are all
-    negative, deletes every variable whose coefficients are all positive,
-    and prunes once.  A round with no such variable eliminates the one that
-    makes the fewest rows, the least (pos * (neg + 1), pos + neg, v).
-    Feasible iff no row is left.
+    v >= 0).  One pass per round lists each variable's positive and negative
+    rows.  A round first sweeps the variables of one sign, the two cases of
+    elimination that make no combination (Schrijver 1986, §12.2): it drops
+    every row holding a variable whose coefficients are all negative and
+    deletes every variable whose coefficients are all positive.  Otherwise
+    it eliminates the variable that makes the fewest rows, the least
+    (pos * (neg + 1), pos + neg, v).  If that variable has one positive row,
+    the round also eliminates, in the same order, every other variable with
+    one positive row whose rows are disjoint from the rows already claimed.
+    Such a batch is safe: an elimination with one positive row turns its
+    1 + k rows into k + 1, so the system never grows; and eliminations on
+    disjoint rows commute, since the rows one makes hold no other batch
+    variable.  The batch thus yields the rows of one-at-a-time elimination
+    without the prunes in between, and those only drop rows that x >= 0
+    implies and keep the tightest constant per direction, so the verdict is
+    the same.  Each round prunes once.  Feasible iff no row is left.
     """
     rows = _prune(rows)
     while rows:
-        pos: Counter[int] = Counter()
-        neg: Counter[int] = Counter()
-        for terms, _ in rows:
+        # variable -> [(row index, |coefficient|)] of its positive and its negative rows
+        pos: dict[int, list[tuple[int, int]]] = {}
+        neg: dict[int, list[tuple[int, int]]] = {}
+        for i, (terms, _) in enumerate(rows):
             for v, a in terms:
                 if a > 0:
-                    pos[v] += 1
+                    pos.setdefault(v, []).append((i, a))
                 else:
-                    neg[v] += 1
+                    neg.setdefault(v, []).append((i, -a))
         only_neg = neg.keys() - pos.keys()
         only_pos = pos.keys() - neg.keys()
         if only_neg or only_pos:
@@ -275,23 +287,25 @@ def _eliminate(rows: list[IntRow]) -> bool:
                     swept.append((terms, const) if len(kept) == len(terms) else _primitive(kept, const))
             rows = _prune(swept)
             continue
-        var = min(pos, key=lambda v: (pos[v] * (neg[v] + 1), pos[v] + neg[v], v))
-        pos_rows, neg_rows, new_rows = [], [], []
-        for row in rows:
-            for v, a in row[0]:
-                if v == var:
-                    if a > 0:
-                        pos_rows.append((row, a))
-                    else:
-                        neg_rows.append((row, -a))
-                    break
-            else:
-                new_rows.append(row)
-        for prow, a in pos_rows:
-            for nrow, b in neg_rows:
-                new_rows.append(_combine(prow, a, nrow, b))
-            new_rows.append(_primitive(tuple(t for t in prow[0] if t[0] != var), prow[1]))
-        rows = _prune(new_rows)
+
+        def key(v: int) -> tuple[int, int, int]:
+            return len(pos[v]) * (len(neg[v]) + 1), len(pos[v]) + len(neg[v]), v
+
+        var = min(pos, key=key)
+        batch = sorted((v for v in pos if len(pos[v]) == 1), key=key) if len(pos[var]) == 1 else [var]
+        claimed: set[int] = set()
+        new_rows = []
+        for v in batch:
+            touched = {i for i, _ in pos[v] + neg[v]}
+            if not claimed.isdisjoint(touched):
+                continue
+            claimed |= touched
+            for p, a in pos[v]:
+                prow = rows[p]
+                for q, b in neg[v]:
+                    new_rows.append(_combine(prow, a, rows[q], b))
+                new_rows.append(_primitive(tuple(t for t in prow[0] if t[0] != v), prow[1]))
+        rows = _prune([row for i, row in enumerate(rows) if i not in claimed] + new_rows)
     return rows is not None
 
 

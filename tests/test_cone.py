@@ -200,6 +200,21 @@ class TestIdfFamily:
         monkeypatch.setattr(cone, "_generators", planted)
         assert idf_family_check(2, ConeSpec(6)).all_ok
 
+    def test_a_planted_generator_fails_its_identity(self, monkeypatch):
+        generators = cone._generators
+
+        def planted(n):
+            # a_3 = 1 - t^4 replaced by 1 - t^5, b_4 = t - t^5 by t - t^4
+            gens = list(generators(n))
+            gens[n + 2], gens[2 * n + 3] = gens[n + 3], gens[2 * n + 2]
+            return tuple(gens)
+
+        monkeypatch.setattr(cone, "_generators", planted)
+        three, four = idf_family_check(3, ConeSpec(6)), idf_family_check(4, ConeSpec(6))
+        assert not three.identity_one and three.identity_t and not three.all_ok
+        assert four.identity_one and not four.identity_t and not four.all_ok
+        assert idf_family_check(2, ConeSpec(6)).all_ok
+
     def test_reports_equal_the_checks_from_the_definitions(self):
         pairs = {j: (a_gen(j), b_gen(j)) for j in range(1, 41)}
         for n in range(1, 41):
@@ -248,6 +263,15 @@ class TestOracleAgreement:
             for i in range(1, n + 1):
                 assert mass_system_agreement(i, ConeSpec(n)) == (True, True)
         assert max(fm_rows) <= 64
+
+    def test_mass_systems_take_batched_rounds(self, fm_rows):
+        # a round eliminates every one-positive-row variable on disjoint rows: one
+        # variable per round took 723 prunes here
+        for n in range(1, 9):
+            for i in range(1, n + 1):
+                system, rhs, ncols, _ = _pair_system(ConeSpec(n), a_gen(i), b_gen(i))
+                assert fm_feasible_eq(system, rhs, ncols)
+        assert len(fm_rows) <= 356
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_pair_and_generator_system(self, n):
@@ -343,7 +367,7 @@ class TestSparseSystems:
         with pytest.raises(DegreeBoundError):
             membership_system_agreement(tpoly([0] * 8 + [1]), SPEC6)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_fourier_motzkin_agrees_on_every_mass_system(self, n):
         spec = ConeSpec(n)
         for i in range(1, n + 1):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
@@ -458,3 +459,74 @@ def test_one_sign_inequalities_agree_with_the_simplex(m, n, data):
     fm_rows = [linprog._primitive(tuple(sorted(row.items())), c) for row, c in zip(ints, consts)]
     slack = [{**row, n + i: 1} for i, row in enumerate(ints)]
     assert linprog._eliminate(fm_rows) == (simplex_feasible(slack, consts, n + m) is not None)
+
+
+def _one_per_round(rows):
+    """Fourier-Motzkin that eliminates one variable per round, the least
+    (pos * (neg + 1), pos + neg, v) over all variables, one-sign ones included
+    (they make no combination); the oracle of the batched rounds."""
+    rows = linprog._prune(rows)
+    while rows:
+        pos, neg = Counter(), Counter()
+        for terms, _ in rows:
+            for v, a in terms:
+                (pos if a > 0 else neg)[v] += 1
+        var = min(pos.keys() | neg.keys(), key=lambda v: (pos[v] * (neg[v] + 1), pos[v] + neg[v], v))
+        out, ups, downs = [], [], []
+        for row in rows:
+            a = dict(row[0]).get(var, 0)
+            if a > 0:
+                ups.append((row, a))
+            elif a < 0:
+                downs.append((row, -a))
+            else:
+                out.append(row)
+        for prow, a in ups:
+            out += [linprog._combine(prow, a, nrow, b) for nrow, b in downs]
+            out.append(linprog._primitive(tuple(t for t in prow[0] if t[0] != var), prow[1]))
+        rows = linprog._prune(out)
+    return rows is not None
+
+
+def test_one_positive_row_variables_on_disjoint_rows_go_in_one_round(monkeypatch):
+    # x0 <= 3, x0 >= 1 and 2 x1 <= 5, x1 >= 2: x0 and x1 each have one positive
+    # row, on disjoint rows, so the first prune and one round decide; x1 >= 3
+    # contradicts 2 x1 <= 5 in the same round; x0 + x1 >= 1 is a row of both,
+    # so x1 waits for the next round
+    base = [(((0, 1),), 3), (((0, -1),), -1), (((1, 2),), 5), (((1, -1),), -2)]
+    cases = [(base, True, 2), (base[:3] + [(((1, -1),), -3)], False, 2),
+             (base + [(((0, -1), (1, -1)), -1)], True, 3)]
+    assert [_one_per_round(case) for case, _, _ in cases] == [True, False, True]
+    calls = []
+    prune = linprog._prune
+
+    def spy(rows):
+        calls.append(rows)
+        return prune(rows)
+
+    monkeypatch.setattr(linprog, "_prune", spy)
+    for case, verdict, prunes in cases:
+        calls.clear()
+        assert linprog._eliminate(case) == verdict
+        assert len(calls) == prunes
+
+
+@st.composite
+def _small_inequalities(draw):
+    """At most 6 rows a x <= b over at most 6 variables, entries in -3..3."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    return a, [draw(st.integers(-4, 4)) for _ in range(m)], n
+
+
+@given(_small_inequalities())
+@settings(max_examples=300, deadline=None)
+def test_batched_rounds_agree_with_one_variable_per_round(system):
+    a, b, n = system
+    ints = [_row(row) for row in a]
+    fm_rows = [linprog._primitive(tuple(sorted(row.items())), c) for row, c in zip(ints, b)]
+    verdict = _one_per_round(fm_rows)
+    assert linprog._eliminate(fm_rows) == verdict
+    # the simplex decides a x + s = b over x, s >= 0, with one slack column per row
+    slack = [{**row, n + i: 1} for i, row in enumerate(ints)]
+    assert (simplex_feasible(slack, b, n + len(a)) is not None) == verdict
