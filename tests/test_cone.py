@@ -20,7 +20,7 @@ from ivpoly.cone import (
     t_power,
     tpoly,
 )
-from ivpoly.cli import run
+from ivpoly.cli import MAX_TRUNCATION, run
 from ivpoly.errors import DegreeBoundError, IndexRangeError, TruncationError
 from ivpoly.linprog import fm_feasible_eq, simplex_feasible, simplex_solve
 
@@ -610,6 +610,23 @@ class TestClosedForm:
             kinds.setdefault(kind, set()).add(member)
         assert kinds == {kind: {True, False} for kind in EXCLUSION_KINDS}
 
+    #: (result count, members, sha256 of the results' reprs) of ``_output_cases``
+    OUTPUT_PIN = (4212, 1467, "3e681a89a6f90fe2e6ef9ea762f3199681bcc70302d11e6c23d7641d35fc5c23")
+
+    def test_output_pin(self):
+        # the weights, None, or the error's type and message of every case
+        results, members = [], 0
+        for target, spec, exclude in _output_cases():
+            try:
+                cert = cone_member(target, spec, exclude)
+            except DegreeBoundError as err:
+                results.append((type(err).__name__, str(err)))
+                continue
+            results.append(None if cert is None else cert.weights)
+            members += cert is not None
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert (len(results), members, digest) == self.OUTPUT_PIN
+
 
 #: how ``_differential_cases`` picks the generators to exclude at truncation n
 EXCLUSION_KINDS = {
@@ -656,3 +673,45 @@ def _differential_cases(seed, per_truncation=30):
             kind, pick = kinds[k % len(kinds)]
             out.append((tpoly(coeffs), spec, kind, pick(rng, n)))
     return out
+
+
+def _sparse_cases(seed, count=600):
+    """(target, spec, exclude) at truncations 50 to the CLI's cap.
+
+    A target is a positive combination of one to three generators, kept, less
+    a multiple of one generator, or with one coefficient moved, so it has at
+    most eight nonzero coefficients.  Up to five labels are excluded, drawn
+    from the generators near the target's degrees and from all of them.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(50, MAX_TRUNCATION)
+        spec = ConeSpec(n)
+        gens = spec.generators()
+        coeffs = [F(0)] * (n + 2)
+        for g in rng.sample(gens, rng.randint(1, 3)):
+            w = F(rng.randint(1, 6), rng.randint(1, 3))
+            for d, c in g.terms:
+                coeffs[d] += w * c
+        if k % 3 == 1:
+            w = F(rng.randint(1, 3), rng.randint(1, 3))
+            for d, c in rng.choice(gens).terms:
+                coeffs[d] -= w * c
+        elif k % 3 == 2:
+            coeffs[rng.randrange(n + 2)] += F(rng.randint(-4, 4), rng.randint(1, 3))
+        near = ["t^1"] + [f"{kind}{i}" for d, c in enumerate(coeffs) if c
+                          for i in (d - 1, d) if 1 <= i <= n for kind in ("t^", "a_", "b_")]
+        pool = near + [g.label for g in rng.sample(gens, 5)]
+        out.append((tpoly(coeffs), spec, set(rng.sample(pool, rng.randint(0, 5)))))
+    return out
+
+
+def _output_cases():
+    """The inputs of ``TestClosedForm.test_output_pin``: differential cases at
+    truncations 1-40, sparse ones at 50-100, and targets above the degree bound."""
+    dense = [(t, spec, exclude) for seed in (1, 2, 3)
+             for t, spec, _, exclude in _differential_cases(seed)]
+    high = [(tpoly([0] * (n + 2 + k) + [F(1, k)]), ConeSpec(n), set())
+            for n in (1, 6, 40, 100) for k in (1, 2, 3)]
+    return dense + _sparse_cases(5) + high
