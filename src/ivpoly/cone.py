@@ -12,8 +12,11 @@ c_0 = sum alpha, c_1 = x_1 + sum beta, c_k = x_k - s_(k-1) for 2 <= k <= N and
 c_(N+1) = -s_N.  So each s_n ranges over [max(0, -c_(n+1)), oo), or is the
 point -c_(n+1) when n = N or t^(n+1) is excluded, and only the sums of the
 s_n over three groups of indices matter: both a_n and b_n kept (F), a_n only
-(A), b_n only (B).  ``cone_member`` works on Python ints, the coefficients
-times the lcm of their denominators, in O(N) and without an LP.
+(A), b_n only (B).  ``cone_member`` works on Python ints, the nonzero
+coefficients times the lcm of their denominators, and without an LP: after
+one pass over the target's coefficients it visits only the indices that those
+coefficients and the excluded labels single out, so its work grows with them
+and not with N.
 
 The simplex and Fourier-Motzkin stay as the oracles: ``_membership_system``
 builds the same equations as a sparse system, row d mapping a generator's
@@ -83,6 +86,8 @@ def b_gen(n: int) -> TPoly:
 
 @dataclass(frozen=True)
 class ConeGenerator:
+    """A generator of the cone: its label (t^n, a_n or b_n) and its polynomial."""
+
     label: str
     poly: TPoly
 
@@ -167,13 +172,18 @@ def _rows(spec: ConeSpec, gens: tuple[ConeGenerator, ...]) -> list[ConeRow]:
     return rows
 
 
-def _rhs(spec: ConeSpec, target: TPoly) -> list[Fraction]:
-    """The target's coefficients of t^0 .. t^(degree bound)."""
+def _check_degree(spec: ConeSpec, target: TPoly) -> None:
+    """Raise ``DegreeBoundError`` when the target's degree exceeds the degree bound."""
     if target.degree > spec.degree_bound:
         raise DegreeBoundError(
             f"target degree {target.degree} exceeds the truncation bound "
             f"{spec.degree_bound}"
         )
+
+
+def _rhs(spec: ConeSpec, target: TPoly) -> list[Fraction]:
+    """The target's coefficients of t^0 .. t^(degree bound)."""
+    _check_degree(spec, target)
     return list(target.coeffs) + [Fraction(0)] * (spec.degree_bound + 1 - len(target.coeffs))
 
 
@@ -187,6 +197,12 @@ def _membership_system(
 
 #: the group of an index n by the generators kept: a_n and b_n (F), a_n only (A), b_n only (B)
 _GROUPS = {(True, True): "F", (True, False): "A", (False, True): "B"}
+
+
+@lru_cache(maxsize=None)
+def _label_index(n_max: int) -> dict[str, tuple[int, int]]:
+    """Label -> (kind, n) of each generator at truncation n_max, kind 0, 1, 2 for t^n, a_n, b_n."""
+    return {g.label: (j // n_max, j % n_max + 1) for j, g in enumerate(_generators(n_max))}
 
 
 def cone_member(
@@ -209,37 +225,62 @@ def cone_member(
     goes to its first index whose s_n may rise.  alpha_n = s_n on A and
     beta_n = s_n on B; on F, alpha takes c_0 - S_A greedily in index order and
     beta_n = s_n - alpha_n.  The x_n then follow from the equations.
+
+    Only the special indices n get a visit, in increasing order: those with
+    c_(n+1) != 0 or with t^(n+1), a_n or b_n excluded.  Any other n < N is in
+    F with least value 0 and may rise, so it matters only as a candidate for
+    F's rise; any other n = N is in F with s_N pinned to 0.  After one pass
+    over the target's coefficients, the work grows with its nonzero
+    coefficients and the excluded labels, not with N.
     """
     n = spec.truncation
-    gens = spec.generators()
-    c = _rhs(spec, target)
-    den = lcm(*(v.denominator for v in c))
-    c = [v.numerator * (den // v.denominator) for v in c]
-    kept = [g.label not in exclude for g in gens] if exclude else [True] * (3 * n)
-    has_t, has_a, has_b = kept[:n], kept[n:2 * n], kept[2 * n:]
-    # s[i] at its least value; per group the sum of the least values, and the
-    # first index whose s may rise (None: each s of the group is a point)
-    s = [0] * (n + 1)
-    group: list[str | None] = [None] * (n + 1)
+    _check_degree(spec, target)
+    # the nonzero coefficients, times the lcm of their denominators
+    ratios = {d: v.as_integer_ratio() for d, v in enumerate(target.coeffs) if v}
+    den = lcm(*(q for _, q in ratios.values()))
+    c = {d: p * (den // q) for d, (p, q) in ratios.items()}
+    # the excluded indices of t^n, a_n and b_n
+    cut = (set(), set(), set())
+    if exclude:
+        index = _label_index(n)
+        for label in exclude:
+            if label in index:
+                kind, i = index[label]
+                cut[kind].add(i)
+    cut_t, cut_a, cut_b = cut
+    special = {d - 1 for d in c if d > 1} | {k - 1 for k in cut_t if k > 1} | cut_a | cut_b
+    # s[i] at its least value, kept where it is not 0, and the group of each
+    # special index that has one; per group the sum of the least values, and
+    # the first index whose s may rise (None: each s of the group is a point)
+    s: dict[int, int] = {}
+    group: dict[int, str] = {}
     low = {"F": 0, "A": 0, "B": 0}
     rise: dict[str, int | None] = {"F": None, "A": None, "B": None}
-    for i in range(1, n + 1):
-        least = -c[i + 1]
-        free = i < n and has_t[i]  # x_(i+1) = c_(i+1) + s_i, kept or pinned to 0
+    for i in sorted(special):
+        least = -c.get(i + 1, 0)
+        free = i < n and i + 1 not in cut_t  # x_(i+1) = c_(i+1) + s_i, kept or pinned to 0
         if free:
             least = max(0, least)
         elif least < 0:
             return None
-        g = _GROUPS.get((has_a[i - 1], has_b[i - 1]))
+        g = _GROUPS.get((i not in cut_a, i not in cut_b))
         if g is None:
             if least:
                 return None
             continue
-        s[i], group[i] = least, g
-        low[g] += least
+        group[i] = g
+        if least:
+            s[i] = least
+            low[g] += least
         if free and rise[g] is None:
             rise[g] = i
-    c0, c1 = c[0], c[1]
+    # every index of 1..N-1 that is not special is free and in F, with least value 0
+    first = 1
+    while first in special:
+        first += 1
+    if first < n and (rise["F"] is None or first < rise["F"]):
+        rise["F"] = first
+    c0, c1 = c.get(0, 0), c.get(1, 0)
     sums = {"A": low["A"] if rise["F"] else max(low["A"], c0 - low["F"])}
     if sums["A"] > (c0 if rise["A"] else min(low["A"], c0)):
         return None
@@ -248,29 +289,38 @@ def cone_member(
     spare = c0 + c1 - sum(sums.values())  # x_1
     if spare < 0:
         return None
-    if spare and not has_t[0]:
+    if spare and 1 in cut_t:
         g = next((g for g in "FBA" if rise[g]), None)
         if g is None or g == "A" and spare > c0 - sums["A"]:
             return None
         sums[g] += spare
     for g, i in rise.items():
-        if i:
-            s[i] += sums[g] - low[g]
-    alpha, beta = [0] * n, [0] * n
+        if i and sums[g] > low[g]:
+            s[i] = s.get(i, 0) + sums[g] - low[g]
+    alpha: dict[int, int] = {}
+    beta: dict[int, int] = {}
     budget = c0 - sums["A"]
-    for i in range(1, n + 1):
-        if group[i] == "A":
-            alpha[i - 1] = s[i]
-        elif group[i] == "B":
-            beta[i - 1] = s[i]
-        elif group[i] == "F":
-            alpha[i - 1] = min(s[i], budget)
-            budget -= alpha[i - 1]
-            beta[i - 1] = s[i] - alpha[i - 1]
-    x = [c1 - sum(beta)] + [c[k] + s[k - 1] for k in range(2, n + 1)]
-    return ConeCertificate(tuple(
-        (g.label, Fraction(w, den)) for g, w in zip(gens, x + alpha + beta) if w
-    ))
+    for i in sorted(s):
+        g = group.get(i, "F")
+        if g == "A":
+            alpha[i] = s[i]
+        elif g == "B":
+            beta[i] = s[i]
+        else:
+            a = min(s[i], budget)
+            budget -= a
+            if a:
+                alpha[i] = a
+            if s[i] > a:
+                beta[i] = s[i] - a
+    moved = {d for d in c if 1 < d <= n} | {i + 1 for i in s if i < n}
+    x = {k: c.get(k, 0) + s.get(k - 1, 0) for k in moved}
+    x[1] = c1 - sum(beta.values())
+    gens = spec.generators()
+    weights = [(gens[k - 1], x[k]) for k in sorted(x)]
+    weights += [(gens[n + i - 1], alpha[i]) for i in sorted(alpha)]
+    weights += [(gens[2 * n + i - 1], beta[i]) for i in sorted(beta)]
+    return ConeCertificate(tuple((g.label, Fraction(w, den)) for g, w in weights if w))
 
 
 def _pair_system(spec: ConeSpec, first: TPoly, second: TPoly):

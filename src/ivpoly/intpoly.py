@@ -553,6 +553,9 @@ def factorizations(f: IVPoly) -> list[PolyFactorization]:
 
 @dataclass(frozen=True)
 class PolyLengthProfile:
+    """The factorization lengths of a target, their elasticity max/min, and
+    whether two lengths differ."""
+
     lengths: frozenset[int]
     elasticity: Fraction
     #: witnesses failure of half-factoriality when True

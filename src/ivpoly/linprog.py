@@ -46,6 +46,9 @@ def _sparse(row: InputRow) -> SparseRow:
 
 @dataclass(frozen=True)
 class LPResult:
+    """The status of an LP, its optimal value and an optimal solution (None
+    unless the status is "optimal")."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     solution: tuple[Fraction, ...] | None

@@ -46,6 +46,8 @@ class CoefficientRing:
 
 @dataclass(frozen=True)
 class IntegerRing(CoefficientRing):
+    """Coefficients in Z, kept as Python ints; the units are 1 and -1."""
+
     tag = "Z"
 
     def coerce(self, c):
@@ -62,6 +64,8 @@ class IntegerRing(CoefficientRing):
 
 @dataclass(frozen=True)
 class RationalRing(CoefficientRing):
+    """Coefficients in Q, kept as Fractions; every nonzero one is a unit."""
+
     tag = "Q"
 
     def coerce(self, c):
@@ -76,6 +80,8 @@ class RationalRing(CoefficientRing):
 
 @dataclass(frozen=True)
 class PrimeField(CoefficientRing):
+    """Coefficients in F_p for a prime p below 2^63, kept as ints in 0..p-1."""
+
     p: int
 
     def __post_init__(self):

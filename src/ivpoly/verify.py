@@ -21,6 +21,8 @@ from .errors import MalformedInputError
 
 @dataclass(frozen=True)
 class FactResult:
+    """The outcome of one golden fact: whether it passed, in how many seconds, and why."""
+
     fact_id: str
     claim: str
     passed: bool
@@ -30,6 +32,8 @@ class FactResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The results of the golden facts that ran, in declaration order."""
+
     results: tuple[FactResult, ...]
 
     @property

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ivpoly import cone, linprog, verify
 from ivpoly.cone import (
@@ -609,6 +610,61 @@ class TestClosedForm:
                 assert not {label for label, _ in cert.weights} & exclude
             kinds.setdefault(kind, set()).add(member)
         assert kinds == {kind: {True, False} for kind in EXCLUSION_KINDS}
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_the_same_verdicts_as_the_simplex_above_truncation_40(self, data):
+        # at most eight nonzero coefficients, where the special indices are
+        # fewest against the truncation
+        n = data.draw(st.integers(41, MAX_TRUNCATION), label="truncation")
+        spec = ConeSpec(n)
+        gens = spec.generators()
+        weight = st.fractions(min_value=F(1, 3), max_value=6, max_denominator=3)
+        coeffs = [F(0)] * (n + 2)
+        for g, w in data.draw(st.lists(st.tuples(st.sampled_from(gens), weight), max_size=3)):
+            for d, c in g.terms:
+                coeffs[d] += w * c
+        change = data.draw(st.sampled_from(["keep", "minus", "move"]))
+        if change == "minus":
+            g, w = data.draw(st.tuples(st.sampled_from(gens), weight))
+            for d, c in g.terms:
+                coeffs[d] -= w * c
+        elif change == "move":
+            d = data.draw(st.integers(0, n + 1))
+            coeffs[d] += data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+        assert sum(map(bool, coeffs)) <= 8
+        near = {f"{kind}{i}" for d, c in enumerate(coeffs) if c
+                for i in (d - 1, d) if 1 <= i <= n for kind in ("t^", "a_", "b_")}
+        labels = st.sampled_from(sorted(near | {"t^1"})) | st.sampled_from([g.label for g in gens])
+        exclude = data.draw(st.sets(labels, max_size=5), label="exclude")
+        target = tpoly(coeffs)
+        cert = cone_member(target, spec, exclude)
+        assert (cert is not None) == (_simplex_weights(target, spec, exclude) is not None)
+        if cert is not None:
+            assert cert.verify(spec, target)
+            assert not {label for label, _ in cert.weights} & exclude
+
+    @pytest.mark.parametrize("target, exclude, visits", [
+        (a_gen(50), set(), 1),  # index 50
+        (a_gen(50), {"t^51"}, 1),
+        (_combo(("b_7", 2), ("t^30", 1)), {"a_60", "t^1"}, 3),  # indices 7, 29 and 60
+        (T, {"t^1"}, 0),
+    ])
+    def test_a_sparse_target_visits_only_its_special_indices(self, monkeypatch, target, exclude,
+                                                            visits):
+        # at truncation 100 the dense loop looked up the group of every index
+        lookups = []
+
+        class Groups(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(cone, "_GROUPS", Groups(cone._GROUPS))
+        spec = ConeSpec(MAX_TRUNCATION)
+        cert = cone_member(target, spec, exclude)
+        assert cert is not None and cert.verify(spec, target)
+        assert len(lookups) == visits
 
     #: (result count, members, sha256 of the results' reprs) of ``_output_cases``
     OUTPUT_PIN = (4212, 1467, "3e681a89a6f90fe2e6ef9ea762f3199681bcc70302d11e6c23d7641d35fc5c23")

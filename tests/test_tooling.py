@@ -12,6 +12,8 @@ read no ``Fraction`` below their input coercion (but for the Grams ν),
 ``cone.idf_family_check`` reach no ``linprog`` name or attribute while each
 agreement oracle of ``cone`` reaches both engines,
 ``puiseux.PrimeReciprocal.member`` reaches neither Puiseux search,
+every ``@dataclass`` there has a docstring (else ``dataclasses`` builds one
+through ``inspect.signature`` at import),
 every ``ivpoly ...`` line of the README names a command of ``cli.COMMANDS``,
 and every such line of the README's CLI block runs as printed.
 Spies on ``puiseux`` check at run time that ``accp_chain_check`` verifies
@@ -328,6 +330,30 @@ def test_no_self_call_outside_the_allowlist():
     assert found == set(SELF_CALLS)
 
 
+def _undocumented_dataclasses(source: str) -> list[str]:
+    """Classes decorated with ``dataclass`` or ``dataclass(...)`` that have no docstring."""
+    def is_dataclass(decorator):
+        node = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(node, ast.Name) and node.id == "dataclass"
+
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            and ast.get_docstring(node) is None]
+
+
+def test_the_check_sees_an_undocumented_dataclass():
+    source = ("@dataclass(frozen=True)\nclass Bare:\n    x: int\n\n"
+              "@dataclass\nclass Told:\n    \"\"\"Has one.\"\"\"\n\n"
+              "@dataclass\nclass Plain:\n    y: int\n\n"
+              "class Undecorated:\n    z: int\n")
+    assert _undocumented_dataclasses(source) == ["Bare", "Plain"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_has_a_docstring(path):
+    assert _undocumented_dataclasses(path.read_text()) == []
+
+
 def test_readme_block_has_every_example():
     assert len(CLI_LINES) == 13
 
@@ -425,8 +451,8 @@ def test_grams_decompose_works_on_ints_below_its_input_coercion():
 
 
 CONE = (ROOT / "src" / "ivpoly" / "cone.py").read_text()
-#: the first line of ``cone._rhs``'s body, after which a test plants a simplex call
-RHS_DOC = '    """The target\'s coefficients of t^0 .. t^(degree bound)."""\n'
+#: the first line of ``cone._check_degree``'s body, after which a test plants a simplex call
+CHECK_DOC = '    """Raise ``DegreeBoundError`` when the target\'s degree exceeds the degree bound."""\n'
 
 
 def test_the_check_sees_a_planted_linprog_call():
@@ -438,8 +464,8 @@ def test_the_check_sees_a_planted_linprog_call():
     assert _linprog_reached(source, "agreement") == {"linprog", "simplex_solve", "fm_feasible_eq"}
     source += "def oracle(t):\n    from .linprog import fm_feasible_eq as fm\n    return fm(t)\n"
     assert _linprog_reached(source, "oracle") == {"fm"}
-    assert CONE.count(RHS_DOC) == 1
-    planted = CONE.replace(RHS_DOC, RHS_DOC + "    _linprog().simplex_feasible([], [], 0)\n")
+    assert CONE.count(CHECK_DOC) == 1
+    planted = CONE.replace(CHECK_DOC, CHECK_DOC + "    _linprog().simplex_feasible([], [], 0)\n")
     assert _linprog_reached(planted, "cone_member") == {"linprog", "simplex_feasible"}
 
 
