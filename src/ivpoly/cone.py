@@ -20,12 +20,14 @@ and not with N.
 
 The simplex and Fourier-Motzkin stay as the oracles: ``_membership_system``
 builds the same equations as a sparse system, row d mapping a generator's
-column to its nonzero coefficient of t^d, and ``membership_system_agreement``
-hands it to both engines.  The common-divisor mass is the value of an LP on
-such rows (``_pair_system``), decided by a fixed dual certificate; the simplex
-on ``_pair_system`` is its oracle.  Only the two agreement functions import
-``linprog``, when they first run, so membership and the family check load
-no LP code.
+column to its nonzero coefficient of t^d, an ``int`` (``ConeGenerator.terms``),
+and ``membership_system_agreement`` hands it to both engines.  The
+common-divisor mass is the value of an LP on such rows (``_pair_system``),
+decided by a fixed dual certificate.  ``mass_system_agreement`` hands that
+LP's base system, its rows without the objective, to both engines; the
+simplex on the full LP is the mass's oracle in ``verify-paper``.  Only the
+two agreement functions import ``linprog``, when they first run, so
+membership and the family check load no LP code.
 
 Truncation semantics: a certificate proves membership outright (it survives
 any larger truncation), while infeasibility only certifies nonexistence
@@ -92,9 +94,11 @@ class ConeGenerator:
     poly: TPoly
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """(d, coefficient of t^d) for each nonzero coefficient."""
-        return tuple((d, c) for d, c in enumerate(self.poly.coeffs) if c)
+    def terms(self) -> tuple[tuple[int, int | Fraction], ...]:
+        """(d, coefficient of t^d) for each nonzero coefficient, an ``int`` where
+        the coefficient is an integer."""
+        return tuple((d, c.numerator if c.denominator == 1 else c)
+                     for d, c in enumerate(self.poly.coeffs) if c)
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ class ConeCertificate:
 
 
 #: a coefficient-matching row: column of a generator -> its coefficient of t^d
-ConeRow = dict[int, Fraction]
+ConeRow = dict[int, int | Fraction]
 
 
 def _rows(spec: ConeSpec, gens: tuple[ConeGenerator, ...]) -> list[ConeRow]:
@@ -353,16 +357,15 @@ def _mass_dual_holds(i: int, spec: ConeSpec, y: list[int], z: list[int]) -> bool
 
     Every generator g needs y.g >= 0, z.g >= 0 and (y+z).g >= 1, and the
     objective is y.a_i + z.b_i.  The sums run over the generators' terms on
-    Python ints; a term that is not an integer fails the check.
+    Python ints; a term that is not an ``int`` fails the check.
     """
     for g in spec.generators():
         p = q = 0
         for d, c in g.terms:
-            if c.denominator != 1:
+            if type(c) is not int:
                 return False
-            v = c.numerator
-            p += y[d] * v
-            q += z[d] * v
+            p += y[d] * c
+            q += z[d] * c
         if p < 0 or q < 0 or p + q < 1:
             return False
     objective = sum(y[d] * c for d, c in _generator("a_", i).terms)

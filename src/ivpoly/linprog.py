@@ -7,7 +7,9 @@ Two independent engines:
   point), maximizing c.x subject to A x = b, x >= 0;
 * Fourier-Motzkin elimination for feasibility of A x = b, x >= 0, used
   as a cross-check oracle on the simplex verdicts.  It removes the
-  equalities by Gaussian substitution on primitive integer rows, then
+  equalities by Gaussian substitution on primitive integer rows, taking
+  Markowitz's pivot of least fill count: two heaps offer the pivots of
+  count 0, and a full scan runs only when they offer none.  Then it
   eliminates on sparse primitive integer rows: sorted ``(variable,
   coefficient)`` pairs and a constant, over variables that are all >= 0;
   the signs are never stored as rows.  Each elimination round first
@@ -18,20 +20,21 @@ Two independent engines:
   arithmetic.
 
 Both take each row of A as a mapping from column to entry, zeros left out,
-and the column count n.
+and the column count n.  An ``int`` entry is scaled as it is, any other
+entry as a ``Fraction``.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 #: a row of A, or a linear form: column -> entry, zeros left out
-InputRow = Mapping[int, Fraction]
-#: a row of A as column -> nonzero Fraction
-SparseRow = dict[int, Fraction]
+InputRow = Mapping[int, int | Fraction]
+#: a row of A as column -> nonzero int or Fraction
+SparseRow = dict[int, int | Fraction]
 #: a tableau row: column -> nonzero int, the right-hand side under _RHS, primitive
 TableauRow = dict[int, int]
 #: reserved key of the right-hand side; original columns are 0..n-1
@@ -40,8 +43,11 @@ _ZERO = Fraction(0)
 
 
 def _sparse(row: InputRow) -> SparseRow:
-    """A row of A as column -> nonzero Fraction."""
-    return {j: v if type(v) is Fraction else Fraction(v) for j, v in row.items() if v}
+    """A row of A as column -> nonzero entry: an ``int`` stays as it is, and any
+    other entry becomes a ``Fraction``, so that both engines scale their input
+    through the ``int`` and ``Fraction`` numerator and denominator."""
+    return {j: v if type(v) is int or type(v) is Fraction else Fraction(v)
+            for j, v in row.items() if v}
 
 
 @dataclass(frozen=True)
@@ -363,6 +369,22 @@ def _substitute(mat: list[EqRow], rhs: list[int], r: int, c: int) -> None:
         mat[i], rhs[i] = _reduced(row, a * rhs[i] - f * rhs[r])
 
 
+def _markowitz_scan(
+    mat: list[EqRow], free_rows: set[int], col_rows: dict[int, set[int]]
+) -> tuple[int, int]:
+    """The pivot (column, row) of least ((row_nnz - 1) * (col_nnz - 1), column,
+    row) over every entry of a free row, row_nnz the row's entries and col_nnz
+    the free rows of the column: Markowitz's count of the fill a pivot may make."""
+    best = None
+    for i in free_rows:
+        row_nnz = len(mat[i])
+        for c in mat[i]:
+            key = ((row_nnz - 1) * (len(col_rows[c]) - 1), c, i)
+            if best is None or key < best:
+                best = key
+    return best[1], best[2]
+
+
 def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -> bool:
     """Feasibility of {A x = b, x >= 0} over n columns, decided by Fourier-Motzkin.
 
@@ -371,6 +393,20 @@ def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -
     the nonbasic ones), which preserves the solution set and leaves one
     inequality per pivot, its variable's nonnegativity, over the nonbasic
     variables; their own nonnegativity stays implicit in the elimination.
+    ``int`` entries of A and b are scaled as they are; any other entry is
+    read as a ``Fraction`` first.
+
+    Each pivot is Markowitz's: the least ((row_nnz - 1) * (col_nnz - 1),
+    column, row) over the entries of the free (not yet pivoted) rows, with
+    col_nnz a column's count of free rows.  The free rows of each column are
+    kept up to date: a pivot changes only the rows that hold its column.  The
+    key is 0 exactly at a column of count 1 or a row of one entry, so two
+    heaps, of the columns whose count fell to 1 and of the (column, row) of
+    one-entry rows, offer the least key-0 pivot, stale entries skipped; only
+    when neither offers one does ``_markowitz_scan`` search every entry.  A
+    one-entry row keeps its entry while it is free: the pivot then has key
+    0, so any other row pivoted in its column has one entry too, and the
+    substitution empties the row.
     """
     mat: list[EqRow] = []
     rhs: list[int] = []
@@ -379,25 +415,57 @@ def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -
         mat.append(entries)
         rhs.append(const)
     pivots: list[tuple[int, int]] = []
-    # a free (not yet pivoted) row has nonzeros only in free columns
-    free_rows = set(range(len(rhs)))
+    # the free rows with an entry; a free row has entries only in free columns
+    free_rows = {i for i, row in enumerate(mat) if row}
+    # column -> its free rows, whose number is the column's count
+    col_rows: dict[int, set[int]] = {}
+    for i in free_rows:
+        for c in mat[i]:
+            col_rows.setdefault(c, set()).add(i)
+    # pushed whenever a column's count or a row's length becomes 1
+    lone_cols = [c for c, rows in col_rows.items() if len(rows) == 1]
+    lone_rows = [(next(iter(mat[i])), i) for i in free_rows if len(mat[i]) == 1]
+    heapify(lone_cols)
+    heapify(lone_rows)
     while free_rows:
-        # Markowitz-style pivot: minimize fill to keep substitutions sparse
-        col_nnz = Counter(c for i in free_rows for c in mat[i])
-        best = None
-        for i in free_rows:
-            row_nnz = len(mat[i])
-            for c in mat[i]:
-                key = ((row_nnz - 1) * (col_nnz[c] - 1), c, i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, c, r = best
+        while lone_cols and len(col_rows[lone_cols[0]]) != 1:
+            heappop(lone_cols)
+        while lone_rows and lone_rows[0][1] not in free_rows:
+            heappop(lone_rows)
+        candidates = lone_rows[:1]
+        if lone_cols:
+            (i,) = col_rows[lone_cols[0]]
+            candidates.append((lone_cols[0], i))
+        c, r = min(candidates) if candidates else _markowitz_scan(mat, free_rows, col_rows)
+        # a substitution changes another row only in the columns of row r
+        prow = set(mat[r])
+        changed = [(i, mat[i].keys() & prow) for i in col_rows[c] if i != r]
+        for j in prow:
+            rows = col_rows[j]
+            rows.discard(r)
+            if len(rows) == 1:
+                heappush(lone_cols, j)
+        free_rows.discard(r)
         _substitute(mat, rhs, r, c)
         pivots.append((r, c))
-        free_rows.discard(r)
-    if any(rhs[i] for i in free_rows):
+        for i, had in changed:
+            row = mat[i]
+            has = row.keys() & prow
+            for j in had - has:
+                rows = col_rows[j]
+                rows.discard(i)
+                if len(rows) == 1:
+                    heappush(lone_cols, j)
+            for j in has - had:
+                rows = col_rows[j]
+                rows.add(i)
+                if len(rows) == 1:
+                    heappush(lone_cols, j)
+            if len(row) == 1:
+                heappush(lone_rows, (next(iter(row)), i))
+            elif not row:
+                free_rows.discard(i)
+    if any(rhs[i] for i, row in enumerate(mat) if not row):
         return False  # 0 = nonzero: inconsistent equalities
     basic = {c for _, c in pivots}
     position = {c: p for p, c in enumerate(c for c in range(n) if c not in basic)}

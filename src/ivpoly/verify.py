@@ -142,27 +142,6 @@ def _replay_from(irr: list[IVPoly], g: IVPoly, start: int) -> list[tuple[IVPoly,
     return out
 
 
-def bruteforce_monoid_factorizations(gens, b: Fraction, cap: int):
-    """All multisets over gens summing to b with size <= cap, by plain recursion."""
-    out: list[tuple[Fraction, ...]] = []
-    _monoid_from(sorted(gens, reverse=True), cap, 0, Fraction(b), [], out)
-    return sorted(set(out))
-
-
-def _monoid_from(gens, cap: int, i: int, remaining: Fraction, acc: list[Fraction], out) -> None:
-    """Append to out every acc extended over gens[i:] to sum remaining, size <= cap."""
-    if remaining == 0:
-        out.append(tuple(acc))
-        return
-    if i == len(gens) or len(acc) >= cap:
-        return
-    g = gens[i]
-    k = 0
-    while k * g <= remaining and len(acc) + k <= cap:
-        _monoid_from(gens, cap, i + 1, remaining - k * g, acc + [g] * k, out)
-        k += 1
-
-
 # ---------------------------------------------------------------------------
 # corpus builders (fixed seeds: the suite is deterministic)
 

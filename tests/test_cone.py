@@ -44,6 +44,12 @@ class TestGenerators:
         with pytest.raises(TruncationError):
             ConeSpec(0)
 
+    def test_terms_hold_ints_where_the_coefficients_are_integers(self):
+        g = cone.ConeGenerator("g", tpoly([F(1, 2), 3, 0, -1]))
+        assert g.terms == ((0, F(1, 2)), (1, 3), (3, -1))
+        assert [type(c) for _, c in g.terms] == [F, int, int]
+        assert all(type(c) is int for g in SPEC6.generators() for _, c in g.terms)
+
 
 class TestMembership:
     def test_one_is_a_member(self):
@@ -128,6 +134,19 @@ class TestCommonDivisorMass:
         assert not cone._mass_dual_holds(i, spec, y, z[:i + 1] + [0] + z[i + 2:])
         # z_0 = -1 makes z.a_n negative
         assert not cone._mass_dual_holds(i, spec, y, [-1, *z[1:]])
+
+    def test_a_term_that_is_not_an_int_fails_the_dual_check(self, monkeypatch):
+        generators = cone._generators
+        y, z = cone._mass_dual(2, 4)
+
+        def planted(n, t1=tpoly([0, 2])):
+            return (cone.ConeGenerator("t^1", t1),) + generators(n)[1:]
+
+        monkeypatch.setattr(cone, "_generators", planted)
+        assert cone._mass_dual_holds(2, ConeSpec(4), y, z)
+        # t/2 meets every inequality, but the check sums on ints only
+        monkeypatch.setattr(cone, "_generators", lambda n: planted(n, tpoly([0, F(1, 2)])))
+        assert not cone._mass_dual_holds(2, ConeSpec(4), y, z)
 
     def test_a_failed_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(cone, "_mass_dual", lambda i, n: ([1] * (n + 2), [0] * (n + 2)))
@@ -346,6 +365,7 @@ class TestSparseSystems:
             kept = [g for g in spec.generators() if g.label not in exclude]
             assert list(gens) == kept
             assert rows == _nonzeros(_dense_rows(spec, kept))
+            assert all(type(v) is int for row in rows for v in row.values())
             assert rhs == [F(1, 2)] + [F(0)] * n + [F(-3)]
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -359,6 +379,7 @@ class TestSparseSystems:
         for i in range(1, n + 1):
             system, rhs, ncols, objective = _pair_system(spec, a_gen(i), b_gen(i))
             assert system == _nonzeros(want) and ncols == 3 * k
+            assert all(type(v) is int for row in system for v in row.values())
             a, b = a_gen(i).coeffs, b_gen(i).coeffs
             assert rhs == ([a[d] if d < len(a) else 0 for d in range(n + 2)]
                            + [b[d] if d < len(b) else 0 for d in range(n + 2)])

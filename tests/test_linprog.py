@@ -5,9 +5,10 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ivpoly import linprog
+from ivpoly.cone import ConeSpec, _membership_system, _pair_system, a_gen, b_gen, tpoly
 from ivpoly.linprog import fm_feasible_eq, simplex_feasible, simplex_solve
 
 
@@ -530,3 +531,154 @@ def test_batched_rounds_agree_with_one_variable_per_round(system):
     # the simplex decides a x + s = b over x, s >= 0, with one slack column per row
     slack = [{**row, n + i: 1} for i, row in enumerate(ints)]
     assert (simplex_feasible(slack, b, n + len(a)) is not None) == verdict
+
+
+def _markowitz(fill, c, i):
+    return fill, c, i
+
+
+def _swapped(fill, c, i):
+    """Markowitz's order with the (c, i) tie-break swapped, which the pins must tell apart."""
+    return fill, i, c
+
+
+def _rescan_pivots(a, order=_markowitz):
+    """The (row, column) pivots of Gaussian substitution on ``Fraction`` rows
+    with a full Markowitz rescan before each one: the least order(fill, c, i)
+    over every entry (i, c) of a free row, with fill = (row_nnz - 1) *
+    (col_nnz - 1) and col_nnz counted over the free rows.  The reference of
+    ``fm_feasible_eq``'s pivot search; the right side never changes a pivot."""
+    mat = [{j: F(v) for j, v in row.items() if v} for row in a]
+    free = set(range(len(mat)))
+    taken = []
+    while True:
+        col_nnz = Counter(c for i in free for c in mat[i])
+        entries = [(order((len(mat[i]) - 1) * (col_nnz[c] - 1), c, i), c, i)
+                   for i in free for c in mat[i]]
+        if not entries:
+            return taken
+        _, c, r = min(entries)
+        free.discard(r)
+        taken.append((r, c))
+        prow = mat[r]
+        for i in free:
+            row = mat[i]
+            if c in row:
+                f = row[c] / prow[c]
+                for j, w in prow.items():
+                    v = row.get(j, 0) - f * w
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+
+
+def _fm_pivots(a, b, n):
+    """The Fourier-Motzkin verdict on a x = b, x >= 0 and its substitution pivots."""
+    with _checked_substitutions() as taken:
+        verdict = fm_feasible_eq(a, b, n)
+    return verdict, taken
+
+
+def _all_pair_systems():
+    return [_pair_system(ConeSpec(n), a_gen(i), b_gen(i))[:3]
+            for n in range(1, 13) for i in range(1, n + 1)]
+
+
+def test_pair_systems_take_the_pivots_of_a_full_rescan():
+    swapped = 0
+    for a, b, n in _all_pair_systems():
+        verdict, taken = _fm_pivots(a, b, n)
+        assert verdict and taken == _rescan_pivots(a)
+        # the pin tells the (c, i) tie-break from (i, c)
+        swapped += taken != _rescan_pivots(a, _swapped)
+    assert swapped
+
+
+def test_membership_systems_take_the_pivots_of_a_full_rescan():
+    spec = ConeSpec(6)
+    for target, exclude in ((tpoly([1]), set()), (tpoly([0, 1]), {"t^1"}), (tpoly([1, -1]), set())):
+        gens, a, b = _membership_system(target, spec, exclude)
+        assert _fm_pivots(a, b, len(gens))[1] == _rescan_pivots(a)
+
+
+def test_a_swapped_tie_break_fails_the_pin():
+    # two one-entry rows: (c, i) takes column 0 in row 1 first, (i, c) row 0 first
+    a = [{1: 2}, {0: 1}]
+    assert _fm_pivots(a, [2, 1], 2) == (True, [(1, 0), (0, 1)])
+    assert _rescan_pivots(a) == [(1, 0), (0, 1)]
+    assert _rescan_pivots(a, _swapped) == [(0, 1), (1, 0)]
+
+
+@st.composite
+def _pivot_systems(draw):
+    """At most 7 rows over at most 6 columns, each row empty, of one entry,
+    sparse or dense, then up to 3 copies of drawn columns appended as new
+    columns.  Dense rows make the scanned pivots, and with them fill-in."""
+    n = draw(st.integers(1, 6))
+    entries = {"sparse": _sparse_entries(), "dense": st.integers(-3, 3)}
+    a = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("empty", "one", "sparse", "dense", "dense")))
+        if kind == "one":
+            a.append({draw(st.integers(0, n - 1)): draw(st.integers(-3, 3).filter(bool))})
+        elif kind == "empty":
+            a.append({})
+        else:
+            a.append(_row([draw(entries[kind]) for _ in range(n)]))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    for row in a:
+        row.update({n + k: row[j] for k, j in enumerate(copies) if j in row})
+    return a, [draw(st.integers(-3, 3)) for _ in a], n + len(copies)
+
+
+@given(_pivot_systems())
+# a cycle: every count is 2, and the scanned first pivot fills in row 2's column 2
+@example(([{1: 2, 2: -1}, {0: 1, 2: 1}, {0: -1, 1: 1}], [1, 1, 1], 3))
+@settings(max_examples=300, deadline=None)
+def test_small_systems_take_the_pivots_of_a_full_rescan(system):
+    a, b, n = system
+    verdict, taken = _fm_pivots(a, b, n)
+    assert taken == _rescan_pivots(a)
+    assert verdict == (simplex_feasible(a, b, n) is not None)
+
+
+def test_pair_systems_never_fall_back_to_the_full_scan(monkeypatch):
+    calls = []
+    scan = linprog._markowitz_scan
+    monkeypatch.setattr(linprog, "_markowitz_scan", lambda *args: calls.append(args) or scan(*args))
+    # every entry of x0 + x1 = 2, x0 - x1 = 0 has Markowitz count 1: only the scan finds a pivot
+    assert fm_feasible_eq([{0: 1, 1: 1}, {0: 1, 1: -1}], [2, 0], 2)
+    assert len(calls) == 1
+    calls.clear()
+    for a, b, n in _all_pair_systems():
+        assert fm_feasible_eq(a, b, n)
+    assert calls == []
+
+
+def _as_int(v):
+    """v as an ``int`` where it is integral."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def test_input_coercion_keeps_ints():
+    row = linprog._sparse({0: 2, 1: F(3), 2: 0, 3: F(-1, 2), 4: True})
+    assert row == {0: 2, 1: 3, 3: F(-1, 2), 4: 1}
+    assert [type(v) for v in row.values()] == [int, F, F, F]
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_int_entries_give_the_results_of_equal_fractions(m, n, optimize, data):
+    rows = _as_mappings([[data.draw(_sparse_entries()) for _ in range(n)] for _ in range(m)])
+    b = [data.draw(_sparse_entries()) for _ in range(m)]
+    objective = _row([data.draw(_sparse_entries()) for _ in range(n)]) if optimize else None
+    ints = [{j: _as_int(v) for j, v in row.items()} for row in rows]
+    int_b = [_as_int(v) for v in b]
+    int_objective = None if objective is None else {j: _as_int(v) for j, v in objective.items()}
+    res = simplex_solve(rows, b, n, objective)
+    int_res = simplex_solve(ints, int_b, n, int_objective)
+    _assert_exact(res)
+    _assert_exact(int_res)
+    assert int_res == res
+    assert fm_feasible_eq(ints, int_b, n) == fm_feasible_eq(rows, b, n)

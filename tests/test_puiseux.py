@@ -35,9 +35,29 @@ from ivpoly.puiseux import (
     length_set,
     membership,
 )
-from ivpoly.verify import bruteforce_monoid_factorizations
 
 GRAMS = GramsMonoid()
+
+
+def bruteforce_monoid_factorizations(gens, b, cap: int):
+    """All multisets over gens summing to b with size <= cap, by plain recursion."""
+    out: list[tuple[F, ...]] = []
+    _monoid_from(sorted(gens, reverse=True), cap, 0, F(b), [], out)
+    return sorted(set(out))
+
+
+def _monoid_from(gens, cap: int, i: int, remaining: F, acc: list[F], out) -> None:
+    """Append to out every acc extended over gens[i:] to sum remaining, size <= cap."""
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    if i == len(gens) or len(acc) >= cap:
+        return
+    g = gens[i]
+    k = 0
+    while k * g <= remaining and len(acc) + k <= cap:
+        _monoid_from(gens, cap, i + 1, remaining - k * g, acc + [g] * k, out)
+        k += 1
 
 
 def _explicit_cases():

@@ -47,7 +47,6 @@ SELF_CALLS = {
     "qfactor._hensel_lift": "its depth is log2 of the number of factors",
     "qfactor._edf": "its random splits have expected logarithmic depth",
     "verify._replay_from": "an oracle run over bounded corpora",
-    "verify._monoid_from": "an oracle run over bounded corpora",
 }
 
 #: every function of ``src/ivpoly`` that holds a float literal or a ``float(...)`` call, and why
