@@ -8,32 +8,34 @@ Two independent engines:
 * Fourier-Motzkin elimination for feasibility of A x = b, x >= 0, used
   as a cross-check oracle on the simplex verdicts.  It removes the
   equalities by Gaussian substitution on primitive integer rows, taking
-  Markowitz's pivot of least fill count: two heaps offer the pivots of
-  count 0, and a full scan runs only when they offer none.  Then it
-  eliminates on sparse primitive integer rows: sorted ``(variable,
-  coefficient)`` pairs and a constant, over variables that are all >= 0;
-  the signs are never stored as rows.  Each elimination round first
-  sweeps out every variable that has one sign in all rows; a round that
-  eliminates a variable with one positive row also eliminates every other
-  such variable on rows disjoint from those already claimed.  The two
-  engines share no helper but ``_sparse``; each has its own integer row
-  arithmetic.
+  the rows in order, each on its least column.  Then it eliminates on
+  sparse primitive integer rows: sorted ``(variable, coefficient)`` pairs
+  and a constant, over variables that are all >= 0; the signs are never
+  stored as rows.  Each elimination round first sweeps out every variable
+  that has one sign in all rows; a round that eliminates a variable with
+  one positive row also eliminates every other such variable on rows
+  disjoint from those already claimed.  The two engines share no helper
+  but ``_sparse``, which checks and coerces their input; each has its own
+  integer row arithmetic.
 
 Both take each row of A as a mapping from column to entry, zeros left out,
-and the column count n.  An ``int`` entry is scaled as it is, any other
-entry as a ``Fraction``.
+the right sides b and the column count n.  An ``int`` entry is scaled as it
+is, any other entry as a ``Fraction``.  A column outside 0..n-1, or a
+number of right sides other than the number of rows, is a
+``MalformedInputError``.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+
+from .errors import MalformedInputError
 
 #: a row of A, or a linear form: column -> entry, zeros left out
 InputRow = Mapping[int, int | Fraction]
-#: a row of A as column -> nonzero int or Fraction
+#: a row of A, its right side under _RHS, as column -> nonzero int or Fraction
 SparseRow = dict[int, int | Fraction]
 #: a tableau row: column -> nonzero int, the right-hand side under _RHS, primitive
 TableauRow = dict[int, int]
@@ -42,12 +44,23 @@ _RHS = -1
 _ZERO = Fraction(0)
 
 
-def _sparse(row: InputRow) -> SparseRow:
-    """A row of A as column -> nonzero entry: an ``int`` stays as it is, and any
-    other entry becomes a ``Fraction``, so that both engines scale their input
-    through the ``int`` and ``Fraction`` numerator and denominator."""
-    return {j: v if type(v) is int or type(v) is Fraction else Fraction(v)
-            for j, v in row.items() if v}
+def _sparse(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -> list[SparseRow]:
+    """Each row of A with its right side under _RHS, as column -> nonzero entry:
+    an ``int`` stays as it is, and any other entry becomes a ``Fraction``, so
+    that both engines scale their input through the ``int`` and ``Fraction``
+    numerator and denominator.  ``MalformedInputError`` for a column outside
+    0..n-1 or for a number of right sides other than the number of rows."""
+    if len(a_eq) != len(b_eq):
+        raise MalformedInputError(f"{len(a_eq)} row(s) but {len(b_eq)} right side(s)")
+    cols = set(range(n))
+    out = []
+    for row, b in zip(a_eq, b_eq):
+        if not cols.issuperset(row):
+            bad = next(j for j in row if j not in cols)
+            raise MalformedInputError(f"column {bad!r} is outside 0..{n - 1}")
+        out.append({j: v if type(v) is int or type(v) is Fraction else Fraction(v)
+                    for j, v in (*row.items(), (_RHS, b)) if v})
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,7 @@ def simplex_solve(
     """
     m = len(a_eq)
     # rows[i] = (r, d): row i of the Fraction tableau, signed so that b_i >= 0, is r / d
-    rows = [_int_scaled(_sparse({**row, _RHS: b}), -1 if b < 0 else 1)
-            for row, b in zip(a_eq, b_eq)]
+    rows = [_int_scaled(row, -1 if row.get(_RHS, 0) < 0 else 1) for row in _sparse(a_eq, b_eq, n)]
     # phase 1 cost row, the sum of artificials through their basis: minus the sum of the
     # Fraction rows times the lcm of the d, taken before the rows are made primitive
     total = lcm(*(d for _, d in rows))
@@ -175,8 +187,9 @@ def simplex_solve(
     if objective is None:
         return LPResult("optimal", Fraction(0), _extract(tab, basis, n))
 
-    # phase 2 on the original columns: minimize -objective, expressed through the basis
-    obj = _over_gcd(_int_scaled(_sparse(objective), -1)[0])
+    # phase 2 on the original columns: minimize -objective, expressed through the basis;
+    # _sparse reads the objective as a row of right side 0, which it leaves out
+    obj = _over_gcd(_int_scaled(_sparse([objective], [0], n)[0], -1)[0])
     for i, col in enumerate(basis):
         if col in obj:
             obj = _combine_rows(obj, col, tab[i])
@@ -369,22 +382,6 @@ def _substitute(mat: list[EqRow], rhs: list[int], r: int, c: int) -> None:
         mat[i], rhs[i] = _reduced(row, a * rhs[i] - f * rhs[r])
 
 
-def _markowitz_scan(
-    mat: list[EqRow], free_rows: set[int], col_rows: dict[int, set[int]]
-) -> tuple[int, int]:
-    """The pivot (column, row) of least ((row_nnz - 1) * (col_nnz - 1), column,
-    row) over every entry of a free row, row_nnz the row's entries and col_nnz
-    the free rows of the column: Markowitz's count of the fill a pivot may make."""
-    best = None
-    for i in free_rows:
-        row_nnz = len(mat[i])
-        for c in mat[i]:
-            key = ((row_nnz - 1) * (len(col_rows[c]) - 1), c, i)
-            if best is None or key < best:
-                best = key
-    return best[1], best[2]
-
-
 def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -> bool:
     """Feasibility of {A x = b, x >= 0} over n columns, decided by Fourier-Motzkin.
 
@@ -396,75 +393,25 @@ def fm_feasible_eq(a_eq: Sequence[InputRow], b_eq: Sequence[Fraction], n: int) -
     ``int`` entries of A and b are scaled as they are; any other entry is
     read as a ``Fraction`` first.
 
-    Each pivot is Markowitz's: the least ((row_nnz - 1) * (col_nnz - 1),
-    column, row) over the entries of the free (not yet pivoted) rows, with
-    col_nnz a column's count of free rows.  The free rows of each column are
-    kept up to date: a pivot changes only the rows that hold its column.  The
-    key is 0 exactly at a column of count 1 or a row of one entry, so two
-    heaps, of the columns whose count fell to 1 and of the (column, row) of
-    one-entry rows, offer the least key-0 pivot, stale entries skipped; only
-    when neither offers one does ``_markowitz_scan`` search every entry.  A
-    one-entry row keeps its entry while it is free: the pivot then has key
-    0, so any other row pivoted in its column has one entry too, and the
-    substitution empties the row.
+    The rows are pivoted in order: a row that still has an entry when its
+    turn comes pivots on its least column.  Each substitution removes that
+    column from every other row, so a row empty at its turn stays empty and
+    is left to the consistency check.  Gauss-Jordan substitution keeps the
+    solution set under any pivot order, so the order shapes the rows handed
+    to the elimination but not the verdict.
     """
     mat: list[EqRow] = []
     rhs: list[int] = []
-    for row, b in zip(a_eq, b_eq):
-        entries, const = _eq_scaled(_sparse({**row, _RHS: b}))
+    for row in _sparse(a_eq, b_eq, n):
+        entries, const = _eq_scaled(row)
         mat.append(entries)
         rhs.append(const)
     pivots: list[tuple[int, int]] = []
-    # the free rows with an entry; a free row has entries only in free columns
-    free_rows = {i for i, row in enumerate(mat) if row}
-    # column -> its free rows, whose number is the column's count
-    col_rows: dict[int, set[int]] = {}
-    for i in free_rows:
-        for c in mat[i]:
-            col_rows.setdefault(c, set()).add(i)
-    # pushed whenever a column's count or a row's length becomes 1
-    lone_cols = [c for c, rows in col_rows.items() if len(rows) == 1]
-    lone_rows = [(next(iter(mat[i])), i) for i in free_rows if len(mat[i]) == 1]
-    heapify(lone_cols)
-    heapify(lone_rows)
-    while free_rows:
-        while lone_cols and len(col_rows[lone_cols[0]]) != 1:
-            heappop(lone_cols)
-        while lone_rows and lone_rows[0][1] not in free_rows:
-            heappop(lone_rows)
-        candidates = lone_rows[:1]
-        if lone_cols:
-            (i,) = col_rows[lone_cols[0]]
-            candidates.append((lone_cols[0], i))
-        c, r = min(candidates) if candidates else _markowitz_scan(mat, free_rows, col_rows)
-        # a substitution changes another row only in the columns of row r
-        prow = set(mat[r])
-        changed = [(i, mat[i].keys() & prow) for i in col_rows[c] if i != r]
-        for j in prow:
-            rows = col_rows[j]
-            rows.discard(r)
-            if len(rows) == 1:
-                heappush(lone_cols, j)
-        free_rows.discard(r)
-        _substitute(mat, rhs, r, c)
-        pivots.append((r, c))
-        for i, had in changed:
-            row = mat[i]
-            has = row.keys() & prow
-            for j in had - has:
-                rows = col_rows[j]
-                rows.discard(i)
-                if len(rows) == 1:
-                    heappush(lone_cols, j)
-            for j in has - had:
-                rows = col_rows[j]
-                rows.add(i)
-                if len(rows) == 1:
-                    heappush(lone_cols, j)
-            if len(row) == 1:
-                heappush(lone_rows, (next(iter(row)), i))
-            elif not row:
-                free_rows.discard(i)
+    for r, row in enumerate(mat):
+        if row:
+            c = min(row)
+            _substitute(mat, rhs, r, c)
+            pivots.append((r, c))
     if any(rhs[i] for i, row in enumerate(mat) if not row):
         return False  # 0 = nonzero: inconsistent equalities
     basic = {c for _, c in pivots}

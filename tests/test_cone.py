@@ -293,6 +293,15 @@ class TestOracleAgreement:
                 assert fm_feasible_eq(system, rhs, ncols)
         assert len(fm_rows) <= 356
 
+    def test_pair_systems_prune_as_often_on_as_many_rows(self, fm_rows):
+        # the elimination work of every pair system at n = 1..12: a pivot rule that
+        # hands the elimination more rows shows up here
+        for n in range(1, 13):
+            for i in range(1, n + 1):
+                system, rhs, ncols, _ = _pair_system(ConeSpec(n), a_gen(i), b_gen(i))
+                assert fm_feasible_eq(system, rhs, ncols)
+        assert (len(fm_rows), sum(fm_rows)) == (824, 8857)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_pair_and_generator_system(self, n):
         # each generator, and each generator minus t, with and without itself

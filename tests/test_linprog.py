@@ -5,10 +5,12 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ivpoly import linprog
 from ivpoly.cone import ConeSpec, _membership_system, _pair_system, a_gen, b_gen, tpoly
+from ivpoly.errors import MalformedInputError
 from ivpoly.linprog import fm_feasible_eq, simplex_feasible, simplex_solve
 
 
@@ -533,31 +535,20 @@ def test_batched_rounds_agree_with_one_variable_per_round(system):
     assert (simplex_feasible(slack, b, n + len(a)) is not None) == verdict
 
 
-def _markowitz(fill, c, i):
-    return fill, c, i
-
-
-def _swapped(fill, c, i):
-    """Markowitz's order with the (c, i) tie-break swapped, which the pins must tell apart."""
-    return fill, i, c
-
-
-def _rescan_pivots(a, order=_markowitz):
+def _least_entry_pivots(a):
     """The (row, column) pivots of Gaussian substitution on ``Fraction`` rows
-    with a full Markowitz rescan before each one: the least order(fill, c, i)
-    over every entry (i, c) of a free row, with fill = (row_nnz - 1) *
-    (col_nnz - 1) and col_nnz counted over the free rows.  The reference of
-    ``fm_feasible_eq``'s pivot search; the right side never changes a pivot."""
+    with a full rescan before each one: the least (row, column) entry of a
+    free (not yet pivoted) row.  The reference of ``fm_feasible_eq``'s pivot
+    rule, rows in order, each on its least column; the right side never
+    changes a pivot."""
     mat = [{j: F(v) for j, v in row.items() if v} for row in a]
     free = set(range(len(mat)))
     taken = []
     while True:
-        col_nnz = Counter(c for i in free for c in mat[i])
-        entries = [(order((len(mat[i]) - 1) * (col_nnz[c] - 1), c, i), c, i)
-                   for i in free for c in mat[i]]
+        entries = [(i, c) for i in free for c in mat[i]]
         if not entries:
             return taken
-        _, c, r = min(entries)
+        r, c = min(entries)
         free.discard(r)
         taken.append((r, c))
         prow = mat[r]
@@ -580,41 +571,26 @@ def _fm_pivots(a, b, n):
     return verdict, taken
 
 
-def _all_pair_systems():
-    return [_pair_system(ConeSpec(n), a_gen(i), b_gen(i))[:3]
-            for n in range(1, 13) for i in range(1, n + 1)]
+def test_pair_systems_take_the_least_entry_pivots():
+    for n in range(1, 13):
+        for i in range(1, n + 1):
+            a, b, ncols, _ = _pair_system(ConeSpec(n), a_gen(i), b_gen(i))
+            assert _fm_pivots(a, b, ncols) == (True, _least_entry_pivots(a))
 
 
-def test_pair_systems_take_the_pivots_of_a_full_rescan():
-    swapped = 0
-    for a, b, n in _all_pair_systems():
-        verdict, taken = _fm_pivots(a, b, n)
-        assert verdict and taken == _rescan_pivots(a)
-        # the pin tells the (c, i) tie-break from (i, c)
-        swapped += taken != _rescan_pivots(a, _swapped)
-    assert swapped
-
-
-def test_membership_systems_take_the_pivots_of_a_full_rescan():
+def test_membership_systems_take_the_least_entry_pivots():
     spec = ConeSpec(6)
     for target, exclude in ((tpoly([1]), set()), (tpoly([0, 1]), {"t^1"}), (tpoly([1, -1]), set())):
         gens, a, b = _membership_system(target, spec, exclude)
-        assert _fm_pivots(a, b, len(gens))[1] == _rescan_pivots(a)
-
-
-def test_a_swapped_tie_break_fails_the_pin():
-    # two one-entry rows: (c, i) takes column 0 in row 1 first, (i, c) row 0 first
-    a = [{1: 2}, {0: 1}]
-    assert _fm_pivots(a, [2, 1], 2) == (True, [(1, 0), (0, 1)])
-    assert _rescan_pivots(a) == [(1, 0), (0, 1)]
-    assert _rescan_pivots(a, _swapped) == [(0, 1), (1, 0)]
+        assert _fm_pivots(a, b, len(gens))[1] == _least_entry_pivots(a)
 
 
 @st.composite
 def _pivot_systems(draw):
     """At most 7 rows over at most 6 columns, each row empty, of one entry,
     sparse or dense, then up to 3 copies of drawn columns appended as new
-    columns.  Dense rows make the scanned pivots, and with them fill-in."""
+    columns.  Dense rows make fill-in, and empty rows or rows that earlier
+    substitutions empty are skipped."""
     n = draw(st.integers(1, 6))
     entries = {"sparse": _sparse_entries(), "dense": st.integers(-3, 3)}
     a = []
@@ -633,27 +609,46 @@ def _pivot_systems(draw):
 
 
 @given(_pivot_systems())
-# a cycle: every count is 2, and the scanned first pivot fills in row 2's column 2
+# a cycle: the first pivot fills in row 2's column 2
 @example(([{1: 2, 2: -1}, {0: 1, 2: 1}, {0: -1, 1: 1}], [1, 1, 1], 3))
+# rows in order take [(0, 1), (1, 0)]; a least-fill order, such as Markowitz's, takes (1, 0) first
+@example(([{1: 2}, {0: 1}], [2, 1], 2))
 @settings(max_examples=300, deadline=None)
 def test_small_systems_take_the_pivots_of_a_full_rescan(system):
     a, b, n = system
     verdict, taken = _fm_pivots(a, b, n)
-    assert taken == _rescan_pivots(a)
+    assert taken == _least_entry_pivots(a)
     assert verdict == (simplex_feasible(a, b, n) is not None)
 
 
-def test_pair_systems_never_fall_back_to_the_full_scan(monkeypatch):
-    calls = []
-    scan = linprog._markowitz_scan
-    monkeypatch.setattr(linprog, "_markowitz_scan", lambda *args: calls.append(args) or scan(*args))
-    # every entry of x0 + x1 = 2, x0 - x1 = 0 has Markowitz count 1: only the scan finds a pivot
-    assert fm_feasible_eq([{0: 1, 1: 1}, {0: 1, 1: -1}], [2, 0], 2)
-    assert len(calls) == 1
-    calls.clear()
-    for a, b, n in _all_pair_systems():
-        assert fm_feasible_eq(a, b, n)
-    assert calls == []
+@pytest.mark.parametrize("engine", [simplex_feasible, fm_feasible_eq])
+def test_a_count_of_right_sides_other_than_the_rows_is_malformed(engine):
+    # zip used to drop the right side 5 and answer True
+    with pytest.raises(MalformedInputError, match=r"1 row\(s\) but 2 right side\(s\)"):
+        engine([{0: 1}], [1, 5], 1)
+    with pytest.raises(MalformedInputError, match=r"2 row\(s\) but 1 right side\(s\)"):
+        engine([{0: 1}, {0: 2}], [1], 1)
+
+
+@pytest.mark.parametrize("engine", [simplex_feasible, fm_feasible_eq])
+def test_a_negative_column_is_malformed(engine):
+    # column -1 is where the right side is kept: it used to replace the entry 2
+    with pytest.raises(MalformedInputError, match="column -1 is outside 0..1"):
+        engine([{0: 1, -1: 2}], [3], 2)
+
+
+@pytest.mark.parametrize("engine", [simplex_feasible, fm_feasible_eq])
+def test_a_column_past_the_column_count_is_malformed(engine):
+    # the simplex used to answer (0, 3), ignoring column 2, and FM raised KeyError(2)
+    with pytest.raises(MalformedInputError, match="column 2 is outside 0..1"):
+        engine([{1: 1, 2: 1}], [3], 2)
+
+
+@pytest.mark.parametrize("column", [-1, 2])
+def test_an_objective_column_outside_the_columns_is_malformed(column):
+    # column 2 used to end in an IndexError
+    with pytest.raises(MalformedInputError, match=f"column {column} is outside 0..1"):
+        simplex_solve([{0: 1, 1: 1}], [1], 2, {0: 1, column: 1})
 
 
 def _as_int(v):
@@ -662,9 +657,9 @@ def _as_int(v):
 
 
 def test_input_coercion_keeps_ints():
-    row = linprog._sparse({0: 2, 1: F(3), 2: 0, 3: F(-1, 2), 4: True})
-    assert row == {0: 2, 1: 3, 3: F(-1, 2), 4: 1}
-    assert [type(v) for v in row.values()] == [int, F, F, F]
+    (row,) = linprog._sparse([{0: 2, 1: F(3), 2: 0, 3: F(-1, 2), 4: True}], [7], 5)
+    assert row == {0: 2, 1: 3, 3: F(-1, 2), 4: 1, linprog._RHS: 7}
+    assert [type(v) for v in row.values()] == [int, F, F, F, int]
 
 
 @given(st.integers(1, 6), st.integers(1, 8), st.booleans(), st.data())

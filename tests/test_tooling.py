@@ -56,7 +56,7 @@ FLOATS = {
 
 #: every function of ``linprog`` that both the simplex and Fourier-Motzkin reach, and why
 SHARED_LP = {
-    "_sparse": "it only coerces input rows",
+    "_sparse": "it only checks and coerces input rows",
 }
 #: the integer row helpers of the simplex, which Fourier-Motzkin keeps its own of
 SIMPLEX_ROW_HELPERS = {"_combine_rows", "_over_gcd", "_int_scaled"}
